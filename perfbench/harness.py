@@ -28,7 +28,7 @@ import numpy as np
 
 import ddrom
 import ddrom.cli
-from tracing import MB, Tracer, dump_spans, layer_metrics
+from tracing import MB, Tracer, layer_metrics
 
 COMMANDS = ("train", "predict", "evaluate")
 CHILD = Path(__file__).resolve().parent / "child.py"
@@ -240,6 +240,8 @@ def measure(pipe: Pipeline, seconds: float) -> tuple[dict, dict]:
     with tracer.installed(ddrom):
         roots, _ = pipe.traced_iteration(tracer)  # also the warm-up
     peaks = {s.name.split(".", 1)[1]: s.peak_bytes / MB for s in roots}
+    diag["spans"] = {"memory": tracer.to_json()}
+    del tracer, roots
 
     pipe.flush()
     iterations, walls = [], []
@@ -268,7 +270,6 @@ def measure(pipe: Pipeline, seconds: float) -> tuple[dict, dict]:
     diag["quartiles_s"] = {c: quartiles(v) for c, v in samples.items()}
     diag["tail_s"] = {c: tail(v) for c, v in samples.items()}
     diag["samples"] = {c: len(v) for c, v in samples.items()}
-    diag["spans"] = {"memory": tracer}
     return metrics, diag
 
 
@@ -290,20 +291,28 @@ def measure_traced(pipe: Pipeline, seconds: float) -> tuple[dict, dict]:
             spans.end(gen)
     pipe.check("gen", code, None)
     simulate_s = sum(s.duration for s in spans.spans if s.name == "fomlab.simulate")
+    timed = [spans.to_json()]
 
     memory = Tracer(memory=True)
     with memory.installed(ddrom):
         roots, _ = pipe.traced_iteration(memory)  # also the warm-up
     peaks = {n: v for n, v in layer_metrics(memory, roots).items() if n.endswith("peak_mb")}
+    memory_json = memory.to_json()
+    del memory, roots
 
     pipe.flush()
     plain, traced, per_iteration = [], [], []
     start = time.perf_counter()
     while not pipe.checks.failed:
+        # a fresh tracer per iteration, kept only as text, so the spans do not
+        # slow the garbage collections of the untraced iteration that follows
+        spans = Tracer(memory=False)
         with spans.installed(ddrom):
             roots, wall = pipe.traced_iteration(spans)
         traced.append(wall)
         per_iteration.append(layer_metrics(spans, roots))
+        timed.append(spans.to_json())
+        del spans, roots
         t0 = time.perf_counter()
         for command in COMMANDS:
             pipe.call(command)
@@ -321,7 +330,7 @@ def measure_traced(pipe: Pipeline, seconds: float) -> tuple[dict, dict]:
     diag["iterations"] = len(per_iteration)
     diag["traced_s"] = traced
     diag["untraced_s"] = plain
-    diag["spans"] = {"memory": memory, "timed": spans}
+    diag["spans"] = {"memory": memory_json, "timed": f"[{', '.join(timed)}]"}
     return metrics, diag
 
 
@@ -349,7 +358,8 @@ def run(workload, seed: int, seconds: float, trace: bool, root: Path) -> tuple[d
     out_dir = root / "perfbench" / "_out"
     out_dir.mkdir(parents=True, exist_ok=True)
     spans_path = out_dir / f"spans-{tag}.json"
-    dump_spans(spans_path, **diag.pop("spans"))
+    passes = diag.pop("spans")
+    spans_path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in passes.items()) + "}\n")
 
     checks = pipe.checks
     result = {

@@ -230,12 +230,13 @@ class Tracer:
         finally:
             self.uninstall()
 
+    def to_json(self) -> str:
+        """The spans as JSON text.
 
-def dump_spans(path, **tracers: Tracer) -> None:
-    """Write every tracer's spans as one JSON object keyed by pass name."""
-    with open(path, "w") as fh:
-        json.dump({k: [asdict(s) for s in t.spans] for k, t in tracers.items()}, fh)
-        fh.write("\n")
+        A string is not tracked by the garbage collector, so keeping spans
+        in this form does not slow the collections of the calls timed later.
+        """
+        return json.dumps([asdict(s) for s in self.spans])
 
 
 def _subtree(spans: list[Span], root: Span) -> list[Span]:
