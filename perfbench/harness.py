@@ -31,6 +31,7 @@ import ddrom.cli
 from tracing import MB, Tracer, layer_metrics
 
 COMMANDS = ("train", "predict", "evaluate")
+SETUP_REPS = 3  # fresh `ddrom gen` processes behind setup_s
 CHILD = Path(__file__).resolve().parent / "child.py"
 
 
@@ -190,7 +191,7 @@ class Pipeline:
 
     def setup(self) -> list[float]:
         """Fresh ``ddrom gen`` processes: start-up, import, generator, write."""
-        return [self.child("gen")[0] for _ in range(self.workload.setup_reps)]
+        return [self.child("gen")[0] for _ in range(SETUP_REPS)]
 
     def traced_iteration(self, tracer: Tracer) -> tuple[list, float]:
         """train, predict, evaluate once under the tracer; returns (root spans, wall s)."""

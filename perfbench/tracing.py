@@ -5,8 +5,9 @@ span per call: name, start, end, parent, the tracemalloc peak above the
 level at entry, and a few call attributes (bytes read or written, rollout
 steps, ...).  Functions that a module imported by value are wrapped at that
 name as well, since a call through the importing module's own global would
-otherwise bypass the wrapper.  Spans stay in memory; :meth:`Tracer.dump`
-writes them out once the run is over.
+otherwise bypass the wrapper.  Spans stay in memory and are kept as JSON
+text via :meth:`Tracer.to_json`; ``harness.run`` writes that text to
+``perfbench/_out`` once the run is over.
 
 Nothing under ``src/`` knows about this module: :meth:`Tracer.install`
 patches the attributes and :meth:`Tracer.uninstall` puts the originals back.

@@ -23,7 +23,6 @@ class Workload:
     spread: float           # relative half-width of that perturbation
     tolerance: float        # largest accepted prediction-horizon error
     reps: int = 1           # predict/evaluate calls per pipeline iteration
-    setup_reps: int = 3     # fresh `ddrom gen` processes behind setup_s
 
     @property
     def searched(self) -> bool:
@@ -43,13 +42,11 @@ class Workload:
             "prediction": f"{workdir}/prediction.bin",
             "output_dir": f"{workdir}/reports",
         }
-        sections = {"paths": paths, "fom": self.fom_values(seed), **self.sections}
-        lines = []
-        for name, keys in sections.items():
-            lines.append(f"[{name}]")
-            lines.extend(f"{key} = {value}" for key, value in keys.items())
-            lines.append("")
-        return "\n".join(lines)
+        # imported here, not at the top: run.py loads this module before it
+        # sets the BLAS thread count, and ddrom.cli loads numpy
+        from ddrom.cli import serialize_config
+
+        return serialize_config({"paths": paths, "fom": self.fom_values(seed), **self.sections})
 
 
 # two pulses on a unit ring; 1280 steps of dt per rotation, every tenth kept
