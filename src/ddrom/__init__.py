@@ -10,9 +10,11 @@ blend subdomain predictions back into full fields.
 from .core import (
     Geometry,
     SnapFormatError,
+    SnapshotHeader,
     SnapshotSet,
     StateLayout,
     TimeGrid,
+    load_initial_state,
     load_snapshots,
     save_snapshots,
     slice_dofs,
@@ -82,9 +84,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Geometry",
     "SnapFormatError",
+    "SnapshotHeader",
     "SnapshotSet",
     "StateLayout",
     "TimeGrid",
+    "load_initial_state",
     "load_snapshots",
     "save_snapshots",
     "slice_dofs",

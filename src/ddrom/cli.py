@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import decomp, fomlab, metrics, opinf, pod, preprocess, regsearch, rom
-from .core import load_snapshots, save_snapshots
+from .core import load_initial_state, load_snapshots, save_snapshots
 
 __all__ = [
     "main",
@@ -255,17 +255,34 @@ def _compute_bases(cfg, matrices):
     ]
 
 
-def _check_budget(dec, bases, n_train: int, include_quadratic: bool = True):
+def _include_constant(cfg) -> bool:
+    return _get(cfg, "opinf", "constant", _bool, default=False)
+
+
+def _coefficient_counts(dec, bases, include_constant: bool) -> list[int]:
+    """d(r) of each subdomain: own, quadratic, neighbor and constant columns."""
     dims = [b.r for b in bases]
-    for i, basis in enumerate(bases):
-        neighbor_dims = [dims[j] for j in sorted(dec.adjacency[i])]
-        d = opinf.coefficient_count(basis.r, neighbor_dims, include_quadratic)
+    return [
+        opinf.coefficient_count(
+            basis.r, [dims[j] for j in sorted(dec.adjacency[i])],
+            include_constant=include_constant,
+        )
+        for i, basis in enumerate(bases)
+    ]
+
+
+def _check_budget(dec, bases, n_train: int, include_constant: bool):
+    counts = _coefficient_counts(dec, bases, include_constant)
+    for i, (basis, d) in enumerate(zip(bases, counts)):
         if d > n_train:
+            neighbors = [None] * len(dec.adjacency[i])
+            largest = opinf.max_reduced_dimension(
+                n_train, neighbors, include_constant=include_constant
+            )
             raise ValueError(
                 f"subdomain {i}: r={basis.r} needs d(r)={d} coefficients but "
                 f"only n_train={n_train} columns are available; largest "
-                f"admissible r is "
-                f"{opinf.max_reduced_dimension(n_train, [None] * len(neighbor_dims), include_quadratic)}"
+                f"admissible r is {largest}"
             )
 
 
@@ -330,7 +347,7 @@ def _train_pipeline(cfg, threads: int):
     with _stage("pod"):
         matrices = _training_matrices(scaled, dec)
         bases = _compute_bases(cfg, matrices)
-        _check_budget(dec, bases, scaled.time.n_train)
+        _check_budget(dec, bases, scaled.time.n_train, _include_constant(cfg))
         reduced = _reduced_training(bases, matrices)
     form, dt, derivatives = _regression_setup(cfg, sset, reduced, dec)
 
@@ -356,6 +373,7 @@ def _train_pipeline(cfg, threads: int):
                 form=form,
                 dt=dt,
                 derivatives=derivatives,
+                include_constant=_include_constant(cfg),
             )
             result = regsearch.search(training, grid, max_workers=max(threads, 1))
             operators = result.operators
@@ -368,9 +386,7 @@ def _train_pipeline(cfg, threads: int):
                 derivative_scheme=_get(
                     cfg, "opinf", "derivative_scheme", int, default=2
                 ),
-                include_constant=_get(
-                    cfg, "opinf", "constant", _bool, default=False
-                ),
+                include_constant=_include_constant(cfg),
             )
             if form == "discrete":
                 operators = opinf.infer_discrete(reduced, adjacency, config)
@@ -523,15 +539,11 @@ def cmd_train(cfg, args) -> int:
         rom.save_rom(model, artifact)
 
         out_dir = _output_dir(cfg, args)
-        dims = [b.r for b in bases]
-        dump_rows = []
-        for i, basis in enumerate(bases):
-            neighbor_dims = [dims[j] for j in sorted(dec.adjacency[i])]
-            d = opinf.coefficient_count(basis.r, neighbor_dims)
-            n_pts = dec.dof_indices[i].size
-            dump_rows.append(
-                [i, n_pts, basis.rows, basis.r, d, residuals[i]]
-            )
+        counts = _coefficient_counts(dec, bases, _include_constant(cfg))
+        dump_rows = [
+            [i, dec.dof_indices[i].size, basis.rows, basis.r, counts[i], residuals[i]]
+            for i, basis in enumerate(bases)
+        ]
         _write_csv(out_dir / "traindump.csv", TRAINDUMP_HEADER, dump_rows)
 
     m = scaled.time.n_train
@@ -586,20 +598,24 @@ def cmd_predict(cfg, args) -> int:
     with _stage("load"):
         model = rom.load_rom(_path(cfg, "artifact"))
         ic_path = _get(cfg, "paths", "ic", str, default=None)
-        source = load_snapshots(ic_path) if ic_path else _load_set(cfg)
-        if source.layout.n != model.layout.n:
+        head, initial = load_initial_state(ic_path or _path(cfg, "snapshots"))
+        n_train = _get(cfg, "time", "n_train", int, default=None)
+        if not ic_path and n_train is not None:
+            head.time.with_train_count(n_train)  # refuses n_train > n_t
+        if head.layout != model.layout:
             raise ValueError(
-                "initial-condition state length does not match the model"
+                f"initial-condition layout (n_s={head.layout.n_s}, "
+                f"n_x={head.layout.n_x}, variables {head.layout.variable_names}) "
+                f"does not match the model (n_s={model.layout.n_s}, "
+                f"n_x={model.layout.n_x}, variables {model.layout.variable_names})"
             )
-        initial = source.data[:, 0]
-        t_start = source.time.t_init
     steps = args.steps
     if steps is None:
         steps = _get(cfg, "time", "steps", int, default=None)
     if steps is None:
-        steps = source.n_t - 1
+        steps = head.time.n_t - 1
     with _stage("integrate"):
-        trajectory = rom.predict_full(model, initial, steps, t_start=t_start)
+        trajectory = rom.predict_full(model, initial, steps, t_start=head.time.t_init)
     with _stage("write"):
         out = _path(cfg, "prediction")
         out.parent.mkdir(parents=True, exist_ok=True)

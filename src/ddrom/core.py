@@ -8,6 +8,8 @@ each column was recorded.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -18,9 +20,11 @@ __all__ = [
     "Geometry",
     "TimeGrid",
     "SnapshotSet",
+    "SnapshotHeader",
     "SnapFormatError",
     "save_snapshots",
     "load_snapshots",
+    "load_initial_state",
     "slice_dofs",
 ]
 
@@ -35,12 +39,27 @@ _TRAIN_MAX = 2**31 - 1
 
 _TWO_PI = 2.0 * np.pi
 
+# largest read buffer used to check the columns of a file that are not kept
+_SCAN_BYTES = 1 << 22
+
 
 class SnapFormatError(ValueError):
     """A snapshot file is malformed, truncated, or of an unknown version."""
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a read-only float64 array.
+
+    An array that owns its memory and is already read-only is adopted
+    without a copy; anything else is copied.
+    """
+    if (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == np.float64
+        and arr.flags.owndata
+        and not arr.flags.writeable
+    ):
+        return arr
     out = np.array(arr, dtype=np.float64)
     out.setflags(write=False)
     return out
@@ -242,7 +261,8 @@ class SnapshotSet:
 
     ``data`` has shape (layout.n, time.n_t); column k is the full state at
     ``time.timestamps[k]``.  Instances are immutable: the arrays are stored
-    read-only.
+    read-only.  A float64 ``data`` array that owns its memory and is already
+    read-only is kept as is, not copied.
     """
 
     def __init__(self, layout: StateLayout, geometry: Geometry, time: TimeGrid, data):
@@ -331,56 +351,99 @@ def save_snapshots(sset: SnapshotSet, path) -> None:
     if not np.all(np.isfinite(sset.data)):
         raise SnapFormatError("non-finite data")
     header = _pack_header(sset)
-    payload = np.asarray(sset.data, dtype="<f8").tobytes(order="F")
+    # the transpose of a column-major matrix is row-major, so the file
+    # takes the payload straight from the array's memory
+    payload = np.asfortranarray(sset.data, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(memoryview(payload.T))
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise SnapFormatError(f"truncated file while reading {what}")
-    return buf
+class _Reader:
+    """Little-endian reads from a binary file that never ask for more bytes
+    than the file still holds, so a forged count cannot size an allocation."""
+
+    def __init__(self, fh, kind: str = "file"):
+        self.fh = fh
+        self.kind = kind
+        self.left = os.fstat(fh.fileno()).st_size - fh.tell()
+
+    def _truncated(self, what: str) -> SnapFormatError:
+        return SnapFormatError(f"truncated {self.kind} while reading {what}")
+
+    def take(self, count: int, what: str) -> bytes:
+        if count > self.left:
+            raise self._truncated(what)
+        buf = self.fh.read(count)
+        if len(buf) != count:
+            raise self._truncated(what)
+        self.left -= count
+        return buf
+
+    def pack(self, fmt: str, what: str):
+        size = struct.calcsize("<" + fmt)
+        return struct.unpack("<" + fmt, self.take(size, what))
+
+    def array(self, shape, what: str, order="C") -> np.ndarray:
+        count = math.prod(shape)
+        raw = np.frombuffer(self.take(8 * count, what), dtype="<f8")
+        return raw.reshape(shape, order=order)
+
+    def columns(self, out: np.ndarray, what: str) -> np.ndarray:
+        """Fill the column-major float64 matrix ``out`` from the file."""
+        view = memoryview(out.T).cast("B")
+        if view.nbytes > self.left or self.fh.readinto(view) != view.nbytes:
+            raise self._truncated(what)
+        self.left -= view.nbytes
+        return out
+
+    def name(self, what: str) -> str:
+        chunks = bytearray()
+        while True:
+            b = self.take(1, what)
+            if b == b"\x00":
+                try:
+                    return chunks.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise SnapFormatError(f"bad UTF-8 in {what}") from None
+            chunks.extend(b)
+            if len(chunks) > 4096:
+                raise SnapFormatError(f"unterminated string in {what}")
 
 
-def _read_name(fh) -> str:
-    chunks = bytearray()
-    while True:
-        b = fh.read(1)
-        if not b:
-            raise SnapFormatError("truncated file while reading variable names")
-        if b == b"\x00":
-            return chunks.decode("utf-8")
-        chunks.extend(b)
-        if len(chunks) > 4096:
-            raise SnapFormatError("unterminated variable name")
+@dataclass(frozen=True)
+class SnapshotHeader:
+    """Everything a snapshot file states before its data matrix."""
+
+    layout: StateLayout
+    geometry: Geometry
+    time: TimeGrid
 
 
-def load_snapshots(path) -> SnapshotSet:
-    """Read a snapshot set written by :func:`save_snapshots`."""
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != SNAP_MAGIC:
-            raise SnapFormatError("bad magic; not a snapshot file")
-        version, flags, n_s, n_x, n_t, dim = struct.unpack(
-            "<IIQQQQ", _read_exact(fh, 40, "header")
+def _read_header(reader: _Reader) -> SnapshotHeader:
+    """Parse and check a snapshot file's header, leaving ``reader`` at the
+    first payload byte.  The file must hold exactly the declared payload."""
+    if reader.take(4, "magic") != SNAP_MAGIC:
+        raise SnapFormatError("bad magic; not a snapshot file")
+    version, flags, n_s, n_x, n_t, dim = reader.pack("IIQQQQ", "header")
+    if version != SNAP_VERSION:
+        raise SnapFormatError(f"unknown version {version}")
+    if n_s < 1 or n_x < 1 or n_t < 1 or dim not in (1, 2):
+        raise SnapFormatError("implausible header dimensions")
+    payload = 8 * n_s * n_x * n_t
+    # each name takes at least its NUL byte
+    if n_s + 8 * (n_x * dim + n_t) + payload > reader.left:
+        raise SnapFormatError(
+            f"truncated file: the header declares more than the "
+            f"{reader.left} bytes that follow it"
         )
-        if version != SNAP_VERSION:
-            raise SnapFormatError(f"unknown version {version}")
-        if n_s < 1 or n_x < 1 or n_t < 1 or dim not in (1, 2):
-            raise SnapFormatError("implausible header dimensions")
-        names = tuple(_read_name(fh) for _ in range(n_s))
-        coords = np.frombuffer(
-            _read_exact(fh, 8 * n_x * dim, "coordinates"), dtype="<f8"
-        ).reshape(n_x, dim)
-        stamps = np.frombuffer(_read_exact(fh, 8 * n_t, "timestamps"), dtype="<f8")
-        raw = fh.read(8 * n_s * n_x * n_t + 1)
-    if len(raw) < 8 * n_s * n_x * n_t:
+    names = tuple(reader.name("variable names") for _ in range(n_s))
+    coords = reader.array((n_x, dim), "coordinates")
+    stamps = reader.array((n_t,), "timestamps")
+    if reader.left < payload:
         raise SnapFormatError("truncated file while reading data")
-    if len(raw) > 8 * n_s * n_x * n_t:
+    if reader.left > payload:
         raise SnapFormatError("trailing bytes after data")
-    data = np.frombuffer(raw, dtype="<f8").reshape(n_s * n_x, n_t, order="F")
 
     periodic = bool(flags & _FLAG_PERIODIC)
     n_train = flags >> _TRAIN_SHIFT
@@ -389,22 +452,68 @@ def load_snapshots(path) -> SnapshotSet:
     if n_train > n_t:
         raise SnapFormatError("training column count exceeds column count")
     angular = None
-    if periodic and dim == 1:
-        # angles are not persisted; rebuild them for the uniform circular
-        # grids this package writes
-        n_pts = coords.shape[0]
-        span = coords[:, 0].max() - coords[:, 0].min()
-        if n_pts > 1 and np.allclose(np.diff(coords[:, 0]), span / (n_pts - 1)):
-            angular = np.arange(n_pts) * (_TWO_PI / n_pts)
-        elif n_pts == 1:
-            angular = np.zeros(1)
-    elif periodic and dim == 2:
-        angular = np.mod(np.arctan2(coords[:, 1], coords[:, 0]), _TWO_PI)
-        angular[angular >= _TWO_PI] = 0.0
-    layout = StateLayout(n_s=n_s, n_x=n_x, variable_names=names)
-    geometry = Geometry(coords, periodic=periodic, angular=angular)
-    time = TimeGrid(stamps, n_train=n_train)
-    return SnapshotSet(layout, geometry, time, data)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if periodic and dim == 1:
+            # angles are not persisted; rebuild them for the uniform
+            # circular grids this package writes
+            span = coords[:, 0].max() - coords[:, 0].min()
+            if n_x > 1 and np.allclose(np.diff(coords[:, 0]), span / (n_x - 1)):
+                angular = np.arange(n_x) * (_TWO_PI / n_x)
+            elif n_x == 1:
+                angular = np.zeros(1)
+        elif periodic and dim == 2:
+            angular = np.mod(np.arctan2(coords[:, 1], coords[:, 0]), _TWO_PI)
+            angular[angular >= _TWO_PI] = 0.0
+    try:
+        return SnapshotHeader(
+            StateLayout(n_s=n_s, n_x=n_x, variable_names=names),
+            Geometry(coords, periodic=periodic, angular=angular),
+            TimeGrid(stamps, n_train=n_train),
+        )
+    except ValueError as exc:
+        raise SnapFormatError(f"bad header: {exc}") from exc
+
+
+def load_snapshots(path) -> SnapshotSet:
+    """Read a snapshot set written by :func:`save_snapshots`.
+
+    Raises :class:`SnapFormatError` on a malformed, truncated, or padded
+    file and on non-finite values.
+    """
+    with open(path, "rb") as fh:
+        reader = _Reader(fh)
+        head = _read_header(reader)
+        data = np.empty((head.layout.n, head.time.n_t), dtype="<f8", order="F")
+        reader.columns(data, "data")
+    data.setflags(write=False)
+    try:
+        return SnapshotSet(head.layout, head.geometry, head.time, data)
+    except ValueError as exc:
+        raise SnapFormatError(str(exc)) from exc
+
+
+def load_initial_state(path) -> tuple[SnapshotHeader, np.ndarray]:
+    """Read a snapshot file's header and its first column.
+
+    The remaining columns are read and checked as :func:`load_snapshots`
+    checks them, through one buffer of at most 4 MiB (or one column, if
+    that is larger, and never more than those columns), then dropped.
+    """
+    with open(path, "rb") as fh:
+        reader = _Reader(fh)
+        head = _read_header(reader)
+        n, rest = head.layout.n, head.time.n_t - 1
+        state = reader.columns(np.empty(n, dtype="<f8"), "data")
+        width = min(rest, max(1, _SCAN_BYTES // (8 * n)))
+        scan = np.empty((n, width), dtype="<f8", order="F")
+        finite = np.isfinite(state).all()
+        while finite and rest > 0:
+            count = min(width, rest)
+            finite = np.isfinite(reader.columns(scan[:, :count], "data")).all()
+            rest -= count
+    if not finite:
+        raise SnapFormatError("non-finite data")
+    return head, state
 
 
 def slice_dofs(sset: SnapshotSet, indices) -> SnapshotSet:

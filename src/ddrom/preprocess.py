@@ -186,6 +186,12 @@ def invert_record(data: np.ndarray, layout: StateLayout, record: ScalingRecord):
     data = np.asarray(data, dtype=np.float64)
     vec = data.ndim == 1
     work = np.array(data[:, None] if vec else data, dtype=np.float64)
+    _invert_in_place(work, layout, record)
+    return work[:, 0] if vec else work
+
+
+def _invert_in_place(work: np.ndarray, layout: StateLayout, record: ScalingRecord):
+    """:func:`invert_record` on a float64 (n, m) matrix, overwriting it."""
     if work.shape[0] != record.n or record.n != layout.n:
         raise ValueError("record dimensions do not match the state layout")
     for v in range(layout.n_s):
@@ -199,5 +205,4 @@ def invert_record(data: np.ndarray, layout: StateLayout, record: ScalingRecord):
                     "cannot invert reciprocal transform at zero in variable "
                     f"{layout.variable_names[v]!r}"
                 )
-            work[layout.rows(v)] = 1.0 / block
-    return work[:, 0] if vec else work
+            np.divide(1.0, block, out=block)

@@ -92,13 +92,18 @@ class RegResult:
 
 @dataclass
 class ReducedTraining:
-    """Projected training data as the search consumes it."""
+    """Projected training data as the search consumes it.
+
+    ``include_constant`` fits every candidate with a constant term, as the
+    fixed-weight path does with the same setting.
+    """
 
     reduced: list
     adjacency: list
     form: str = "discrete"
     dt: float | None = None
     derivatives: list | None = None
+    include_constant: bool = False
 
     def __post_init__(self):
         if self.form not in ("continuous", "discrete"):
@@ -135,7 +140,10 @@ def _infer(training: ReducedTraining, configs):
 def _evaluate(training, pairs, t_reg, bounds, init):
     configs = [
         RegressionConfig(
-            form=training.form, lambda_linear=ll, lambda_quadratic=lq
+            form=training.form,
+            lambda_linear=ll,
+            lambda_quadratic=lq,
+            include_constant=training.include_constant,
         )
         for ll, lq in pairs
     ]

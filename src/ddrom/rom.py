@@ -16,8 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import preprocess
-from .core import Geometry, StateLayout, SnapshotSet, TimeGrid, SnapFormatError
-from .decomp import BlendingWeights, Decomposition, blending_weights, recombine
+from .core import (
+    Geometry,
+    SnapFormatError,
+    SnapshotSet,
+    StateLayout,
+    TimeGrid,
+    _Reader,
+)
+from .decomp import BlendingWeights, Decomposition, blending_weights
+from .decomp import recombine  # noqa: F401  perfbench/tracing.py wraps rom.recombine
 from .opinf import RomOperators, quadratic_dim
 from .pod import PodBasis
 
@@ -25,7 +33,6 @@ __all__ = [
     "CoupledRom",
     "DivergenceError",
     "reduce_initial_condition",
-    "evaluate_rhs",
     "integrate",
     "roll_reduced",
     "predict_full",
@@ -117,12 +124,6 @@ def reduce_initial_condition(rom: CoupledRom, full_state: np.ndarray):
     ]
 
 
-def evaluate_rhs(rom: CoupledRom, states):
-    """Right-hand side (continuous) or one-step map (discrete) of every
-    subdomain, with neighbors taken at the given states."""
-    return [op.apply(states[i], states) for i, op in enumerate(rom.operators)]
-
-
 def _apply_all(operators, states):
     return [op.apply(states[i], states) for i, op in enumerate(operators)]
 
@@ -180,19 +181,27 @@ def predict_full(
     rom: CoupledRom, initial_state: np.ndarray, steps: int, t_start: float = 0.0
 ) -> SnapshotSet:
     """Run the model from a raw full state and return the blended,
-    unscaled trajectory as a snapshot set (initial state included)."""
+    unscaled trajectory as a snapshot set (initial state included).
+
+    Memory: one (n, steps+1) output plus about two lifted subdomain blocks.
+    Each block ``w_i * (V_i @ Q_i)`` is added into its rows of the output
+    in ascending subdomain order, which sums the same terms in the same
+    order as :func:`ddrom.decomp.recombine` on zero-padded fields.
+    """
     reduced0 = reduce_initial_condition(rom, initial_state)
     trajectories = integrate(rom, reduced0, steps)
-    n = rom.layout.n
-    fields = []
+    out = np.zeros((rom.layout.n, steps + 1), order="F")
     for i in range(rom.k):
-        extended = np.zeros((n, steps + 1))
-        extended[rom.rows(i)] = rom.bases[i].basis @ trajectories[i]
-        fields.append(extended)
-    combined = recombine(fields, rom.weights)
-    raw = preprocess.invert_record(combined, rom.layout, rom.scaling)
+        rows = rom.rows(i)
+        weight = np.tile(rom.weights.weights[i], rom.layout.n_s)[rows]
+        block = rom.bases[i].basis @ trajectories[i]
+        block *= weight[:, None]
+        out[rows] += block
+        del block  # freed before the next block's product is formed
+    preprocess._invert_in_place(out, rom.layout, rom.scaling)
+    out.setflags(write=False)
     time = TimeGrid(t_start + rom.dt * np.arange(steps + 1))
-    return SnapshotSet(rom.layout, rom.geometry, time, raw)
+    return SnapshotSet(rom.layout, rom.geometry, time, out)
 
 
 # ---------------------------------------------------------------------------
@@ -213,36 +222,6 @@ class _Writer:
 
     def name(self, text: str):
         self.fh.write(text.encode("utf-8") + b"\x00")
-
-
-class _Reader:
-    def __init__(self, fh):
-        self.fh = fh
-
-    def take(self, count: int, what: str) -> bytes:
-        buf = self.fh.read(count)
-        if len(buf) != count:
-            raise SnapFormatError(f"truncated model file while reading {what}")
-        return buf
-
-    def pack(self, fmt: str, what: str):
-        size = struct.calcsize("<" + fmt)
-        return struct.unpack("<" + fmt, self.take(size, what))
-
-    def array(self, shape, what: str, order="C") -> np.ndarray:
-        count = int(np.prod(shape))
-        raw = np.frombuffer(self.take(8 * count, what), dtype="<f8")
-        return raw.reshape(shape, order=order)
-
-    def name(self, what: str) -> str:
-        chunks = bytearray()
-        while True:
-            b = self.take(1, what)
-            if b == b"\x00":
-                return chunks.decode("utf-8")
-            chunks.extend(b)
-            if len(chunks) > 4096:
-                raise SnapFormatError(f"unterminated string in {what}")
 
 
 def save_rom(rom: CoupledRom, path) -> None:
@@ -310,7 +289,7 @@ def load_rom(path) -> CoupledRom:
     code_transform = {v: k for k, v in _TRANSFORM_CODE.items()}
 
     with open(path, "rb") as fh:
-        r = _Reader(fh)
+        r = _Reader(fh, "model file")
         if r.take(4, "magic") != ROM_MAGIC:
             raise SnapFormatError("bad magic; not a model artifact")
         version, form_code = r.pack("II", "header")

@@ -7,13 +7,14 @@ green runs.
 
 import csv
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as la
 
 from ddrom import cli
-from ddrom.core import Geometry
+from ddrom.core import Geometry, StateLayout
 from ddrom.decomp import (
     Decomposition,
     annular_sector_fraction,
@@ -36,13 +37,14 @@ from ddrom.opinf import (
     solve_tikhonov,
 )
 from ddrom.pod import (
+    PodBasis,
     compute_basis,
     energy_rank,
     method_of_snapshots,
     retained_energy,
     singular_spectrum,
 )
-from ddrom.preprocess import center_scale
+from ddrom.preprocess import ScalingRecord, center_scale
 from ddrom.regsearch import RegGrid, ReducedTraining, search
 from ddrom.rom import CoupledRom, integrate, predict_full, roll_reduced
 
@@ -385,10 +387,6 @@ def test_c09_coupling_off_and_single_subdomain_equivalence(ci_log):
     direct, = roll_reduced([solo_ops], "continuous", 0.05, [q0], 40)
     layout_rows = 12
     basis_mat, _ = np.linalg.qr(rng.standard_normal((layout_rows, r)))
-    from ddrom.core import StateLayout
-    from ddrom.pod import PodBasis
-    from ddrom.preprocess import ScalingRecord
-
     rom = CoupledRom(
         layout=StateLayout(n_s=1, n_x=layout_rows, variable_names=("u",)),
         geometry=Geometry.interval(layout_rows),
@@ -529,3 +527,44 @@ def test_c13_cli_determinism_and_report_headers(tmp_path, ci_log):
     with open(out / "profiles.csv", newline="") as fh:
         assert next(csv.reader(fh))[0] == "coordinate"
     ci_log("cli determinism: two seeded runs byte-identical, headers match")
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_c14_predict_peak_is_one_output_plus_subdomain_blocks(k, ci_log):
+    """Prediction holds one full-size output and a few lifted subdomain
+    blocks at a time, never one full-size field per subdomain, so its traced
+    peak cannot grow with k."""
+    n_x, r, steps = 20_000, 4, 99
+    rng = np.random.default_rng(114)
+    geometry = Geometry.circle(n_x)
+    dec = decompose_sectors(geometry, k, 0.1)
+    bases, operators = [], []
+    for i in range(k):
+        basis, _ = np.linalg.qr(rng.standard_normal((dec.dof_indices[i].size, r)))
+        bases.append(PodBasis(basis=basis, singular_values=np.geomspace(1, 0.1, r)))
+        operators.append(RomOperators(
+            linear=0.99 * np.eye(r), quadratic=np.zeros((r, quadratic_dim(r))),
+            coupling={j: np.zeros((r, r)) for j in dec.adjacency[i]},
+            form="discrete"))
+    rom = CoupledRom(
+        layout=StateLayout(n_s=1, n_x=n_x, variable_names=("u",)),
+        geometry=geometry, decomposition=dec, bases=bases, operators=operators,
+        scaling=ScalingRecord(rng.standard_normal(n_x), np.array([2.0]),
+                              "max_abs", ("identity",)),
+        form="discrete", dt=0.01,
+    )
+    initial = rng.standard_normal(n_x)
+
+    tracemalloc.start()
+    try:
+        prediction = predict_full(rom, initial, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = prediction.data.nbytes
+    block = max(idx.size for idx in dec.dof_indices) * (steps + 1) * 8
+    ci_log(
+        f"predict memory k={k}: peak {peak / 1e6:.1f} MB, output "
+        f"{output / 1e6:.1f} MB, largest block {block / 1e6:.2f} MB"
+    )
+    assert peak <= output + 3 * block

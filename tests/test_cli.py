@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from ddrom import cli
-from ddrom.core import load_snapshots
+from ddrom.core import (
+    Geometry,
+    SnapshotSet,
+    StateLayout,
+    TimeGrid,
+    load_snapshots,
+    save_snapshots,
+)
+from ddrom.rom import load_rom
 
 
 BASE_CONFIG = """\
@@ -235,3 +243,72 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert code == 1
         assert "d(r)=" in err and "n_train" in err
+
+    def test_ic_with_another_layout_of_the_same_length(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        assert run("train", cfg) == 0
+        ic = SnapshotSet(
+            StateLayout(n_s=2, n_x=32, variable_names=("a", "b")),
+            Geometry.circle(32), TimeGrid([0.0, 0.01]), np.zeros((64, 2)),
+        )
+        save_snapshots(ic, tmp / "ic.bin")
+        cfg.write_text(cfg.read_text().replace(
+            "[paths]\n", f"[paths]\nic = {tmp}/ic.bin\n"))
+        code = run("predict", cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "does not match the model" in err and "n_s=2" in err
+
+    def test_prediction_from_a_separate_ic_file(self, workdir):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        assert run("train", cfg) == 0
+        assert run("predict", cfg) == 0
+        expected = (tmp / "pred.bin").read_bytes()
+        (tmp / "ic.bin").write_bytes((tmp / "snaps.bin").read_bytes())
+        cfg.write_text(cfg.read_text().replace(
+            "[paths]\n", f"[paths]\nic = {tmp}/ic.bin\n"))
+        assert run("predict", cfg) == 0
+        assert (tmp / "pred.bin").read_bytes() == expected
+
+    def test_non_finite_snapshot_column_is_refused(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        assert run("train", cfg) == 0
+        raw = bytearray((tmp / "snaps.bin").read_bytes())
+        raw[-8:] = np.array([np.nan]).tobytes()
+        (tmp / "snaps.bin").write_bytes(bytes(raw))
+        code = run("predict", cfg)
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+
+
+class TestConstantTerm:
+    # k = 2, r = 4: d(r) = 4 own + 10 quadratic + 4 neighbor = 18
+    def test_budget_counts_the_constant_column(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        cfg.write_text(cfg.read_text().replace("n_train = 25", "n_train = 18"))
+        assert run("train", cfg) == 0
+        capsys.readouterr()
+        cfg.write_text(cfg.read_text() + "constant = true\n")
+        code = run("train", cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "d(r)=19" in err and "n_train=18" in err
+
+    def test_searched_model_keeps_the_constant(self, workdir):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        text = cfg.read_text().replace("lambda_linear = 1e-8\n", "")
+        text = text.replace("lambda_quadratic = 1e-6\n", "constant = true\n")
+        cfg.write_text(text + (
+            "\n[regsearch]\nenabled = true\n"
+            "lambda_linear = 1e-08, 0.0001\nlambda_quadratic = 1e-06, 0.01\n"))
+        assert run("train", cfg) == 0
+        model = load_rom(tmp / "model.bin")
+        assert all(op.constant is not None for op in model.operators)
+        with open(tmp / "out" / "traindump.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["coefficients"]) for row in rows] == [19, 19]

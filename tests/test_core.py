@@ -1,5 +1,10 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ddrom.core import (
     Geometry,
@@ -7,6 +12,7 @@ from ddrom.core import (
     SnapshotSet,
     StateLayout,
     TimeGrid,
+    load_initial_state,
     load_snapshots,
     save_snapshots,
     slice_dofs,
@@ -109,6 +115,19 @@ class TestSnapshotSet:
         with pytest.raises(ValueError, match="non-finite"):
             make_set(data)
 
+    def test_owned_read_only_array_is_adopted(self):
+        data = np.ones((4, 3))
+        data.setflags(write=False)
+        assert make_set(data).data is data
+
+    def test_writable_or_borrowed_arrays_are_copied(self):
+        data = np.ones((4, 3))
+        sset = make_set(data)
+        assert sset.data is not data and not sset.data.flags.writeable
+        view = data[:, :2]
+        view.setflags(write=False)
+        assert make_set(view).data is not view
+
     def test_variable_block(self):
         data = np.arange(12.0).reshape(6, 2)
         sset = make_set(data, n_s=2)
@@ -186,6 +205,147 @@ class TestSnapshotFile:
         raw = path.read_bytes()
         tail = np.frombuffer(raw[-32:], dtype="<f8")
         np.testing.assert_array_equal(tail, [1.0, 2.0, 3.0, 4.0])
+
+
+    def test_column_major_data_writes_the_same_bytes(self, tmp_path):
+        data = np.arange(12.0).reshape(4, 3)
+        save_snapshots(make_set(data), tmp_path / "c.bin")
+        save_snapshots(make_set(np.asfortranarray(data)), tmp_path / "f.bin")
+        assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "f.bin").read_bytes()
+
+
+def _header_offset(field: str) -> int:
+    # magic, u32 version, u32 flags, then u64 n_s, n_x, n_t, d
+    return {"n_s": 12, "n_x": 20, "n_t": 28, "dim": 36}[field]
+
+
+def _forge(raw: bytes, field: str, value: int) -> bytes:
+    out = bytearray(raw)
+    struct.pack_into("<Q", out, _header_offset(field), value)
+    return bytes(out)
+
+
+READERS = [load_snapshots, load_initial_state]
+
+
+class TestInitialState:
+    def test_header_and_first_column(self, tmp_path):
+        rng = np.random.default_rng(3)
+        sset = make_set(rng.standard_normal((8, 5)), n_s=2, periodic=True,
+                        n_train=3, names=("rho", "u"))
+        path = tmp_path / "s.bin"
+        save_snapshots(sset, path)
+        head, state = load_initial_state(path)
+        assert head.layout == sset.layout
+        assert head.geometry == sset.geometry
+        assert head.time == sset.time
+        np.testing.assert_array_equal(state, sset.data[:, 0])
+
+    def test_single_column_file(self, tmp_path):
+        sset = make_set(np.arange(4.0)[:, None])
+        path = tmp_path / "s.bin"
+        save_snapshots(sset, path)
+        head, state = load_initial_state(path)
+        assert head.time.n_t == 1
+        np.testing.assert_array_equal(state, np.arange(4.0))
+
+    def test_scan_buffer_never_exceeds_the_payload(self, tmp_path):
+        sset = make_set(np.ones((64, 31)))
+        path = tmp_path / "s.bin"
+        save_snapshots(sset, path)
+        tracemalloc.start()
+        try:
+            load_initial_state(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the rest: the file object's own 8 KiB buffer and the header arrays
+        assert peak < sset.data.nbytes + 16384
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("column", [0, 1, 4])
+    def test_non_finite_value_in_any_column(self, tmp_path, reader, column):
+        sset = make_set(np.ones((6, 5)))
+        path = tmp_path / "s.bin"
+        save_snapshots(sset, path)
+        raw = bytearray(path.read_bytes())
+        at = len(raw) - 8 * 6 * (5 - column) + 8 * 2
+        raw[at:at + 8] = struct.pack("<d", np.inf)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapFormatError, match="non-finite"):
+            reader(path)
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("field", ["n_s", "n_x", "n_t"])
+    def test_huge_declared_count_is_a_format_error(self, tmp_path, reader, field):
+        path = tmp_path / "s.bin"
+        save_snapshots(make_set(np.ones((4, 3))), path)
+        path.write_bytes(_forge(path.read_bytes(), field, 2**50))
+        with pytest.raises(SnapFormatError, match="truncated"):
+            reader(path)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_same_refusals_as_the_full_reader(self, tmp_path, reader):
+        path = tmp_path / "s.bin"
+        save_snapshots(make_set(np.ones((4, 3)), n_train=2), path)
+        whole = path.read_bytes()
+        cases = {
+            "magic": b"NOPE" + whole[4:],
+            "version": whole[:4] + struct.pack("<I", 9) + whole[8:],
+            "truncated": whole[:-9],
+            "trailing": whole + b"extra",
+            # training count 7 in the flags word, above n_t = 3
+            "exceeds": whole[:8] + struct.pack("<I", 7 << 1) + whole[12:],
+        }
+        for match, raw in cases.items():
+            path.write_bytes(raw)
+            with pytest.raises(SnapFormatError, match=match):
+                reader(path)
+
+
+def _valid_file_bytes(tmp_path) -> bytes:
+    rng = np.random.default_rng(11)
+    sset = make_set(rng.standard_normal((6, 4)), n_s=2, periodic=True,
+                    n_train=3, names=("rho", "u"))
+    path = tmp_path / "valid.bin"
+    save_snapshots(sset, path)
+    return path.read_bytes()
+
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("flip"), st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.integers(0, 7)), min_size=1, max_size=8)),
+    st.tuples(st.just("count"), st.tuples(
+        st.sampled_from(["n_s", "n_x", "n_t", "dim"]),
+        st.one_of(st.integers(0, 64), st.integers(2**31, 2**64 - 1)))),
+)
+
+
+def _mutate(raw: bytes, mutation) -> bytes:
+    kind, arg = mutation
+    if kind == "truncate":
+        return raw[: int(arg * (len(raw) - 1))]
+    if kind == "flip":
+        out = bytearray(raw)
+        for where, bit in arg:
+            out[int(where * (len(out) - 1))] ^= 1 << bit
+        return bytes(out)
+    return _forge(raw, *arg)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutation=_MUTATIONS)
+    def test_malformed_files_raise_only_format_errors(self, tmp_path, mutation):
+        path = tmp_path / "fuzz.bin"
+        path.write_bytes(_mutate(_valid_file_bytes(tmp_path), mutation))
+        for reader in READERS:
+            try:
+                reader(path)
+            except SnapFormatError:
+                pass
 
 
 class TestSliceDofs:

@@ -295,6 +295,7 @@ class TestBudget:
         assert coefficient_count(6, ()) == 27
         assert coefficient_count(6, (6, 6)) == 39
         assert coefficient_count(6, (4,), include_quadratic=False) == 10
+        assert coefficient_count(6, (6, 6), include_constant=True) == 40
 
     def test_none_neighbor_dims_mean_same_r(self):
         assert coefficient_count(24, (None, None)) == 372
@@ -303,6 +304,9 @@ class TestBudget:
         assert max_reduced_dimension(375, [None, None]) == 24
         assert coefficient_count(25, (25, 25)) == 400  # just over budget
         assert max_reduced_dimension(375, ()) == 25
+        # d(24) = 372 fills 372 columns exactly; the constant makes it 373
+        assert max_reduced_dimension(372, [None, None]) == 24
+        assert max_reduced_dimension(372, [None, None], include_constant=True) == 23
 
     def test_budget_edge_cases(self):
         with pytest.raises(ValueError):

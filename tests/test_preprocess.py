@@ -111,6 +111,15 @@ def test_apply_and_invert_on_vectors():
                                rtol=1e-12, atol=1e-14)
 
 
+def test_invert_record_leaves_its_input_alone():
+    rng = np.random.default_rng(7)
+    sset = make_set(rng.standard_normal((6, 8)) + 2.0, n_s=2)
+    scaled, record = center_scale(sset, transforms=("reciprocal", "identity"))
+    data = np.array(scaled.data)
+    invert_record(data, sset.layout, record)
+    np.testing.assert_array_equal(data, scaled.data)
+
+
 def test_slice_points_restricts_the_record():
     rng = np.random.default_rng(6)
     sset = make_set(rng.standard_normal((8, 5)) + 1.0, n_s=2)  # n_x = 4

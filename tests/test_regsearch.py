@@ -16,14 +16,31 @@ def rotation_trajectory(radius, m, r=2, theta=0.6, seed=0):
     return q, a
 
 
-def training_for(trajs):
+def training_for(trajs, **kwargs):
     k = len(trajs)
     if k == 1:
         adjacency = [set()]
     else:
         adjacency = [{(i - 1) % k, (i + 1) % k} - {i} for i in range(k)]
     return ReducedTraining(reduced=list(trajs), adjacency=adjacency,
-                           form="discrete")
+                           form="discrete", **kwargs)
+
+
+class TestConstantTerm:
+    @pytest.mark.parametrize("mode", ["global", "per_subdomain"])
+    def test_searched_model_keeps_its_constant(self, mode):
+        q, _ = rotation_trajectory(0.95, 40)
+        training = training_for([q, q[::-1]], include_constant=True)
+        grid = RegGrid(lambda_linear=(1e-8, 1e-2), lambda_quadratic=(1e-8,),
+                       mode=mode)
+        result = search(training, grid)
+        assert all(op.constant is not None for op in result.operators)
+
+    def test_no_constant_by_default(self):
+        q, _ = rotation_trajectory(0.95, 40)
+        result = search(training_for([q]), RegGrid(lambda_linear=(1e-8,),
+                                                   lambda_quadratic=(1e-8,)))
+        assert result.operators[0].constant is None
 
 
 class TestGlobalSearch:

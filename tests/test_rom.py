@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 
 from ddrom.core import Geometry, SnapFormatError, StateLayout
-from ddrom.decomp import Decomposition, decompose_interval
+from ddrom.decomp import Decomposition, decompose_interval, recombine
 from ddrom.opinf import RomOperators, quadratic_dim
 from ddrom.pod import PodBasis
 from ddrom.preprocess import ScalingRecord
@@ -217,6 +219,21 @@ class TestPredictFull:
         np.testing.assert_allclose(out.data, rom.bases[0].basis @ traj,
                                    atol=1e-12)
 
+    def test_coupled_prediction_matches_recombined_lift(self):
+        rom = coupled_pair_rom(form="discrete")
+        rng = np.random.default_rng(8)
+        full0 = rng.standard_normal(rom.layout.n)
+        out = predict_full(rom, full0, steps=7)
+        trajs = integrate(rom, reduce_initial_condition(rom, full0), 7)
+        fields = []
+        for i in range(rom.k):
+            field = np.zeros((rom.layout.n, 8))
+            field[rom.rows(i)] = rom.bases[i].basis @ trajs[i]
+            fields.append(field)
+        expected = recombine(fields, rom.weights)
+        np.testing.assert_array_equal(out.data, expected)
+        assert not out.data.flags.writeable
+
     def test_wrong_state_length(self):
         rom = single_domain_rom()
         with pytest.raises(ValueError, match="length"):
@@ -281,6 +298,16 @@ class TestArtifactRoundTrip:
         path = tmp_path / "m.bin"
         path.write_bytes(b"WHAT" + bytes(100))
         with pytest.raises(SnapFormatError, match="magic"):
+            load_rom(path)
+
+    def test_huge_declared_point_count(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_rom(single_domain_rom(), path)
+        raw = bytearray(path.read_bytes())
+        # magic, u32 version and form, u64 k, f64 dt, u64 n_s, then n_x
+        struct.pack_into("<Q", raw, 36, 2**50)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapFormatError, match="truncated"):
             load_rom(path)
 
 
