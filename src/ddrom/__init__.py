@@ -17,7 +17,6 @@ from .core import (
     load_initial_state,
     load_snapshots,
     save_snapshots,
-    slice_dofs,
 )
 from .decomp import (
     BlendingWeights,
@@ -65,7 +64,6 @@ from .preprocess import (
     center_scale,
     invert_record,
     transform_variables,
-    unscale,
 )
 from .regsearch import RegGrid, RegResult, ReducedTraining, Trial, search
 from .rom import (
@@ -91,7 +89,6 @@ __all__ = [
     "load_initial_state",
     "load_snapshots",
     "save_snapshots",
-    "slice_dofs",
     "BlendingWeights",
     "Decomposition",
     "annular_sector_fraction",
@@ -129,7 +126,6 @@ __all__ = [
     "center_scale",
     "invert_record",
     "transform_variables",
-    "unscale",
     "RegGrid",
     "RegResult",
     "ReducedTraining",

@@ -15,12 +15,19 @@ import csv
 import io
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import decomp, fomlab, metrics, opinf, pod, preprocess, regsearch, rom
-from .core import load_initial_state, load_snapshots, save_snapshots
+from .core import (
+    Geometry,
+    StateLayout,
+    load_initial_state,
+    load_snapshots,
+    save_snapshots,
+)
 
 __all__ = [
     "main",
@@ -227,17 +234,12 @@ def _preprocess(cfg, sset):
     return preprocess.center_scale(transformed, kind=kind, transforms=transforms)
 
 
-def _subdomain_rows(layout, dec, i):
-    idx = dec.dof_indices[i]
-    return (np.arange(layout.n_s)[:, None] * layout.n_x + idx[None, :]).ravel()
-
-
 def _training_matrices(scaled, dec):
     m = scaled.time.n_train
-    return [
-        scaled.data[_subdomain_rows(scaled.layout, dec, i)][:, :m]
-        for i in range(dec.k)
-    ]
+    # rows and training columns in one step, so no block keeps the full
+    # rows x n_t copy behind it alive
+    rows = scaled.layout.point_rows
+    return [scaled.data[rows(idx), :m] for idx in dec.dof_indices]
 
 
 def _compute_bases(cfg, matrices):
@@ -253,10 +255,6 @@ def _compute_bases(cfg, matrices):
         )
         for i, mat in enumerate(matrices)
     ]
-
-
-def _include_constant(cfg) -> bool:
-    return _get(cfg, "opinf", "constant", _bool, default=False)
 
 
 def _coefficient_counts(dec, bases, include_constant: bool) -> list[int]:
@@ -286,21 +284,34 @@ def _check_budget(dec, bases, n_train: int, include_constant: bool):
             )
 
 
-def _reduced_training(bases, matrices):
-    return [b.basis.T @ mat for b, mat in zip(bases, matrices)]
+# relative spread of the training time steps accepted as one uniform step;
+# rounded sample times k * h spread their steps by about n_t * 1e-16
+DT_RTOL = 1e-9
 
 
-def _regression_setup(cfg, sset, reduced, dec):
-    form = _get(cfg, "opinf", "form", str, default="discrete")
-    stamps = sset.time.timestamps[: sset.time.n_train]
-    dt = float(stamps[1] - stamps[0]) if stamps.size > 1 else 1.0
-    derivatives = None
-    if form == "continuous":
-        scheme = _get(cfg, "opinf", "derivative_scheme", int, default=2)
-        derivatives = [
-            opinf.estimate_time_derivatives(q, dt, scheme) for q in reduced
-        ]
-    return form, dt, derivatives
+def _time_step(time) -> float:
+    """The uniform step of the training columns (1.0 for a single column).
+
+    The regression and its rollouts assume one step throughout, so unequal
+    spacing is refused.
+    """
+    gaps = np.diff(time.timestamps[: time.n_train])
+    if gaps.size == 0:
+        return 1.0
+    dt = float(gaps[0])
+    if np.abs(gaps - dt).max() > DT_RTOL * dt:
+        raise ValueError(
+            f"non-uniform time grid: training steps range from "
+            f"{gaps.min():g} to {gaps.max():g}"
+        )
+    return dt
+
+
+def _derivative_scheme(cfg) -> int:
+    scheme = _get(cfg, "opinf", "derivative_scheme", int, default=2)
+    if scheme not in (2, 4):
+        raise ValueError(f"[opinf] derivative_scheme must be 2 or 4, got {scheme}")
+    return scheme
 
 
 def _fixed_lambdas(cfg):
@@ -313,7 +324,7 @@ def _fixed_lambdas(cfg):
     return None if ll is None else (ll, lq)
 
 
-def _search_grid(cfg, k: int):
+def _search_grid(cfg):
     kwargs = {}
     ll = _get(cfg, "regsearch", "lambda_linear", _float_list, default=None)
     lq = _get(cfg, "regsearch", "lambda_quadratic", _float_list, default=None)
@@ -335,22 +346,26 @@ def _regsearch_enabled(cfg) -> bool:
     return _get(cfg, "regsearch", "enabled", _bool, default=False)
 
 
-def _train_pipeline(cfg, threads: int):
+@dataclass(frozen=True)
+class _Trained:
+    """What the train and regsearch commands read of a training run."""
+
+    layout: StateLayout
+    geometry: Geometry
+    record: preprocess.ScalingRecord
+    decomposition: decomp.Decomposition
+    bases: list
+    training: regsearch.ReducedTraining
+    operators: list
+    search: regsearch.RegResult | None
+
+
+def _train_pipeline(cfg, threads: int) -> _Trained:
     """Everything shared by the train and regsearch commands, up to and
     including the choice of regularization weights."""
-    with _stage("load"):
-        sset = _load_set(cfg)
-    with _stage("preprocess"):
-        scaled, record = _preprocess(cfg, sset)
-    with _stage("decompose"):
-        dec = _build_decomposition(cfg, sset.geometry)
-    with _stage("pod"):
-        matrices = _training_matrices(scaled, dec)
-        bases = _compute_bases(cfg, matrices)
-        _check_budget(dec, bases, scaled.time.n_train, _include_constant(cfg))
-        reduced = _reduced_training(bases, matrices)
-    form, dt, derivatives = _regression_setup(cfg, sset, reduced, dec)
-
+    form = _get(cfg, "opinf", "form", str, default="discrete")
+    scheme = _derivative_scheme(cfg)
+    include_constant = _get(cfg, "opinf", "constant", _bool, default=False)
     fixed = _fixed_lambdas(cfg)
     use_search = _regsearch_enabled(cfg)
     if use_search and fixed is not None:
@@ -361,53 +376,58 @@ def _train_pipeline(cfg, threads: int):
         raise PipelineError(
             "config: set fixed [opinf] lambdas or enable [regsearch]"
         )
-
-    adjacency = [set(s) for s in dec.adjacency]
+    with _stage("load"):
+        sset = _load_set(cfg)
+        dt = _time_step(sset.time)
+    with _stage("preprocess"):
+        scaled, record = _preprocess(cfg, sset)
+    with _stage("decompose"):
+        dec = _build_decomposition(cfg, sset.geometry)
+    with _stage("pod"):
+        matrices = _training_matrices(scaled, dec)
+        bases = _compute_bases(cfg, matrices)
+        _check_budget(dec, bases, scaled.time.n_train, include_constant)
+        reduced = [b.basis.T @ mat for b, mat in zip(bases, matrices)]
+    with _stage("derivatives"):
+        derivatives = None
+        if form == "continuous":
+            derivatives = [
+                opinf.estimate_time_derivatives(q, dt, scheme) for q in reduced
+            ]
+        training = regsearch.ReducedTraining(
+            reduced=reduced,
+            adjacency=[set(s) for s in dec.adjacency],
+            form=form,
+            dt=dt,
+            derivatives=derivatives,
+            include_constant=include_constant,
+        )
     result = None
     if use_search:
         with _stage("regsearch"):
-            grid = _search_grid(cfg, dec.k)
-            training = regsearch.ReducedTraining(
-                reduced=reduced,
-                adjacency=adjacency,
-                form=form,
-                dt=dt,
-                derivatives=derivatives,
-                include_constant=_include_constant(cfg),
-            )
+            grid = _search_grid(cfg)
             result = regsearch.search(training, grid, max_workers=max(threads, 1))
             operators = result.operators
     else:
         with _stage("infer"):
-            config = opinf.RegressionConfig(
-                form=form,
-                lambda_linear=fixed[0],
-                lambda_quadratic=fixed[1],
-                derivative_scheme=_get(
-                    cfg, "opinf", "derivative_scheme", int, default=2
-                ),
-                include_constant=_include_constant(cfg),
-            )
-            if form == "discrete":
-                operators = opinf.infer_discrete(reduced, adjacency, config)
-            else:
-                operators = opinf.infer_continuous(
-                    reduced, derivatives, adjacency, config
+            operators = training.fit(
+                opinf.RegressionConfig(
+                    form=form,
+                    lambda_linear=fixed[0],
+                    lambda_quadratic=fixed[1],
+                    include_constant=include_constant,
                 )
-    return sset, scaled, record, dec, bases, reduced, form, dt, operators, result
-
-
-def _residuals(form, reduced, derivatives, operators):
-    out = []
-    for i, ops in enumerate(operators):
-        if form == "discrete":
-            pred = ops.apply(reduced[i][:, :-1], [q[:, :-1] for q in reduced])
-            target = reduced[i][:, 1:]
-        else:
-            pred = ops.apply(reduced[i], reduced)
-            target = derivatives[i]
-        out.append(float(np.linalg.norm(pred - target)))
-    return out
+            )
+    return _Trained(
+        layout=sset.layout,
+        geometry=sset.geometry,
+        record=record,
+        decomposition=dec,
+        bases=bases,
+        training=training,
+        operators=operators,
+        search=result,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -501,55 +521,36 @@ def cmd_svdreport(cfg, args) -> int:
 
 
 def cmd_train(cfg, args) -> int:
-    threads = args.threads or 1
-    (
-        sset,
-        scaled,
-        record,
-        dec,
-        bases,
-        reduced,
-        form,
-        dt,
-        operators,
-        result,
-    ) = _train_pipeline(cfg, threads)
-
-    derivatives = None
-    if form == "continuous":
-        scheme = _get(cfg, "opinf", "derivative_scheme", int, default=2)
-        derivatives = [
-            opinf.estimate_time_derivatives(q, dt, scheme) for q in reduced
-        ]
-    residuals = _residuals(form, reduced, derivatives, operators)
+    run = _train_pipeline(cfg, args.threads or 1)
+    training, dec, bases = run.training, run.decomposition, run.bases
+    residuals = training.residuals(run.operators)
 
     with _stage("write"):
         model = rom.CoupledRom(
-            layout=sset.layout,
-            geometry=sset.geometry,
+            layout=run.layout,
+            geometry=run.geometry,
             decomposition=dec,
             bases=bases,
-            operators=operators,
-            scaling=record,
-            form=form,
-            dt=dt,
+            operators=run.operators,
+            scaling=run.record,
+            form=training.form,
+            dt=training.dt,
         )
         artifact = _path(cfg, "artifact")
         artifact.parent.mkdir(parents=True, exist_ok=True)
         rom.save_rom(model, artifact)
 
         out_dir = _output_dir(cfg, args)
-        counts = _coefficient_counts(dec, bases, _include_constant(cfg))
+        counts = _coefficient_counts(dec, bases, training.include_constant)
         dump_rows = [
             [i, dec.dof_indices[i].size, basis.rows, basis.r, counts[i], residuals[i]]
             for i, basis in enumerate(bases)
         ]
         _write_csv(out_dir / "traindump.csv", TRAINDUMP_HEADER, dump_rows)
 
-    m = scaled.time.n_train
-    n = sset.layout.n
-    full_bytes = snapshot_matrix_bytes(n, m)
-    sizes = [sset.layout.n_s * idx.size for idx in dec.dof_indices]
+    m = training.n_columns
+    full_bytes = snapshot_matrix_bytes(run.layout.n, m)
+    sizes = [run.layout.n_s * idx.size for idx in dec.dof_indices]
     largest = max(sizes)
     largest_bytes = snapshot_matrix_bytes(largest, m)
     for row in dump_rows:
@@ -557,6 +558,7 @@ def cmd_train(cfg, args) -> int:
             f"subdomain {row[0]}: n_i={row[1]} rows={row[2]} r={row[3]} "
             f"d(r)={row[4]} residual={row[5]:.6e}"
         )
+    result = run.search
     if result is not None:
         pairs = ", ".join(f"({ll:g}, {lq:g})" for ll, lq in result.chosen)
         flag = "bounded" if result.bounded else "UNBOUNDED"
@@ -568,12 +570,9 @@ def cmd_train(cfg, args) -> int:
 
 
 def cmd_regsearch(cfg, args) -> int:
-    threads = args.threads or 1
     if not _regsearch_enabled(cfg):
         raise PipelineError("config: [regsearch] enabled must be true")
-    *_, result = _train_pipeline(cfg, threads)
-    if result is None:
-        raise PipelineError("regsearch: no search was configured")
+    result = _train_pipeline(cfg, args.threads or 1).search
     mode = _get(cfg, "regsearch", "mode", str, default="global")
     out_dir = _output_dir(cfg, args)
     rows = []
@@ -724,7 +723,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the config file")
     parser.add_argument("--output", help="directory for CSV outputs")
     parser.add_argument("--steps", type=int, help="prediction steps")
-    parser.add_argument("--seed", type=int, help="RNG seed recorded for generators")
     parser.add_argument("--threads", type=int, help="worker threads")
     return parser
 
@@ -736,8 +734,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg.setdefault("run", {})["seed"] = str(args.seed)
     handler = _HANDLERS[args.command]
     try:
         return handler(cfg, args)

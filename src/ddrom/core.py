@@ -25,7 +25,6 @@ __all__ = [
     "save_snapshots",
     "load_snapshots",
     "load_initial_state",
-    "slice_dofs",
 ]
 
 SNAP_MAGIC = b"DDOI"
@@ -105,6 +104,14 @@ class StateLayout:
             raise ValueError(f"variable index {variable} out of range")
         return slice(variable * self.n_x, (variable + 1) * self.n_x)
 
+    def point_rows(self, indices) -> np.ndarray:
+        """Full-state rows of the given points, variable-major: every
+        variable's rows at ``indices``, in the given order."""
+        indices = np.asarray(indices)
+        if np.any(indices < 0) or np.any(indices >= self.n_x):
+            raise ValueError("point index out of range")
+        return (np.arange(self.n_s)[:, None] * self.n_x + indices[None, :]).ravel()
+
     def variable_index(self, name: str) -> int:
         try:
             return self.variable_names.index(name)
@@ -182,11 +189,6 @@ class Geometry:
         coords = np.concatenate(pts, axis=0)
         angular = np.tile(theta, len(radii))
         return cls(coords, periodic=True, angular=angular)
-
-    def take(self, indices: np.ndarray) -> "Geometry":
-        """Sub-geometry at the given point indices (order preserved)."""
-        angular = None if self.angular is None else self.angular[indices]
-        return Geometry(self.coords[indices], periodic=self.periodic, angular=angular)
 
     def __eq__(self, other):
         # angular is derived bookkeeping, not persisted state; equality is
@@ -515,28 +517,3 @@ def load_initial_state(path) -> tuple[SnapshotHeader, np.ndarray]:
         raise SnapFormatError("non-finite data")
     return head, state
 
-
-def slice_dofs(sset: SnapshotSet, indices) -> SnapshotSet:
-    """Restrict a snapshot set to a subset of spatial points.
-
-    ``indices`` selects points (not rows); every variable's block is sliced
-    the same way and the given ordering is preserved.
-    """
-    indices = np.asarray(indices)
-    if indices.ndim != 1 or indices.size < 1:
-        raise ValueError("indices must be a non-empty 1-D integer array")
-    if not np.issubdtype(indices.dtype, np.integer):
-        raise ValueError("indices must be integers")
-    n_x = sset.layout.n_x
-    if np.any(indices < 0) or np.any(indices >= n_x):
-        raise ValueError("point index out of range")
-    if np.unique(indices).size != indices.size:
-        raise ValueError("duplicate point indices")
-    rows = (np.arange(sset.layout.n_s)[:, None] * n_x + indices[None, :]).ravel()
-    layout = StateLayout(
-        n_s=sset.layout.n_s,
-        n_x=indices.size,
-        variable_names=sset.layout.variable_names,
-        variable_units=sset.layout.variable_units,
-    )
-    return SnapshotSet(layout, sset.geometry.take(indices), sset.time, sset.data[rows])

@@ -102,7 +102,6 @@ class RegressionConfig:
     form: str = "discrete"
     lambda_linear: float = 0.0
     lambda_quadratic: float = 0.0
-    derivative_scheme: int = 2
     include_constant: bool = False
 
     def __post_init__(self):
@@ -111,8 +110,6 @@ class RegressionConfig:
         for lam in (self.lambda_linear, self.lambda_quadratic):
             if not np.isfinite(lam) or lam < 0.0:
                 raise ValueError("regularization weights must be finite and >= 0")
-        if self.derivative_scheme not in (2, 4):
-            raise ValueError("derivative scheme must be order 2 or 4")
 
 
 @lru_cache(maxsize=None)

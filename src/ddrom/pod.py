@@ -21,8 +21,6 @@ __all__ = [
     "retained_energy",
     "energy_rank",
     "compute_basis",
-    "project",
-    "lift",
 ]
 
 RANK_RTOL = 1e-12  # modes with sigma_j <= RANK_RTOL * sigma_1 are unusable
@@ -214,18 +212,3 @@ def compute_basis(
         raise ValueError(f"requested r={r} exceeds the numerical rank")
     return PodBasis(basis=u[:, :r], singular_values=s, subdomain_id=subdomain_id)
 
-
-def project(basis: PodBasis, states: np.ndarray) -> np.ndarray:
-    """Reduced coordinates of full states: basis^T @ states."""
-    states = np.asarray(states, dtype=np.float64)
-    if states.shape[0] != basis.rows:
-        raise ValueError("state dimension does not match the basis rows")
-    return basis.basis.T @ states
-
-
-def lift(basis: PodBasis, reduced: np.ndarray) -> np.ndarray:
-    """Full-space reconstruction of reduced coordinates: basis @ reduced."""
-    reduced = np.asarray(reduced, dtype=np.float64)
-    if reduced.shape[0] != basis.r:
-        raise ValueError("reduced dimension does not match the basis columns")
-    return basis.basis @ reduced

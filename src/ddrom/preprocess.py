@@ -19,7 +19,6 @@ __all__ = [
     "ScalingRecord",
     "transform_variables",
     "center_scale",
-    "unscale",
     "apply_record",
     "invert_record",
 ]
@@ -72,18 +71,6 @@ class ScalingRecord:
     @property
     def n(self) -> int:
         return self.mean_field.size
-
-    def slice_points(self, indices, n_x: int) -> "ScalingRecord":
-        """Record restricted to a subset of spatial points.
-
-        The mean field is sliced per variable block; scales are global per
-        variable and carry over unchanged.
-        """
-        indices = np.asarray(indices)
-        rows = (np.arange(self.n_s)[:, None] * n_x + indices[None, :]).ravel()
-        return ScalingRecord(
-            self.mean_field[rows], self.scale, self.scaling_kind, self.transform_spec
-        )
 
 
 def _check_transforms(n_s: int, transforms) -> tuple[str, ...]:
@@ -158,12 +145,6 @@ def center_scale(
         centered[layout.rows(v)] /= s
     record = ScalingRecord(mean_field, scale, kind, transforms)
     return sset.with_data(centered), record
-
-
-def unscale(scaled: SnapshotSet, record: ScalingRecord) -> SnapshotSet:
-    """Invert :func:`center_scale` and then any recorded reciprocal
-    transform, returning values in the original coordinates."""
-    return scaled.with_data(invert_record(scaled.data, scaled.layout, record))
 
 
 def apply_record(data: np.ndarray, layout: StateLayout, record: ScalingRecord):

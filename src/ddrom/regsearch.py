@@ -29,6 +29,10 @@ __all__ = [
     "search",
 ]
 
+# per-subdomain searches over more subdomains are refused unless allowed:
+# the candidate count grows as (grid size)**k
+MAX_SUBDOMAINS = 6
+
 
 def default_candidates() -> tuple[float, ...]:
     """Eleven log-spaced weights from 1e-6 to 1e4."""
@@ -50,7 +54,6 @@ class RegGrid:
     mode: str = "global"
     t_reg_steps: int | None = None
     bound_factor: float = 1.2
-    max_subdomains: int = 6
     allow_large_k: bool = False
 
     def __post_init__(self):
@@ -92,10 +95,11 @@ class RegResult:
 
 @dataclass
 class ReducedTraining:
-    """Projected training data as the search consumes it.
+    """Projected training data of every subdomain, and the one place that
+    fits operators to it.
 
-    ``include_constant`` fits every candidate with a constant term, as the
-    fixed-weight path does with the same setting.
+    ``derivatives`` (continuous form only) are the time derivatives the
+    fit targets; ``include_constant`` fits every model with a constant term.
     """
 
     reduced: list
@@ -128,13 +132,30 @@ class ReducedTraining:
     def n_columns(self) -> int:
         return self.reduced[0].shape[1]
 
+    def fit(self, configs):
+        """Operators of every subdomain from one shared regression config
+        or one config per subdomain."""
+        if self.form == "discrete":
+            return infer_discrete(self.reduced, self.adjacency, configs)
+        return infer_continuous(
+            self.reduced, self.derivatives, self.adjacency, configs
+        )
 
-def _infer(training: ReducedTraining, configs):
-    if training.form == "discrete":
-        return infer_discrete(training.reduced, training.adjacency, configs)
-    return infer_continuous(
-        training.reduced, training.derivatives, training.adjacency, configs
-    )
+    def residuals(self, operators) -> list[float]:
+        """Frobenius norm of each subdomain's misfit on the training data:
+        next snapshots (discrete form) or time derivatives (continuous)."""
+        out = []
+        for i, ops in enumerate(operators):
+            if self.form == "discrete":
+                pred = ops.apply(
+                    self.reduced[i][:, :-1], [q[:, :-1] for q in self.reduced]
+                )
+                target = self.reduced[i][:, 1:]
+            else:
+                pred = ops.apply(self.reduced[i], self.reduced)
+                target = self.derivatives[i]
+            out.append(float(np.linalg.norm(pred - target)))
+        return out
 
 
 def _evaluate(training, pairs, t_reg, bounds, init):
@@ -147,7 +168,7 @@ def _evaluate(training, pairs, t_reg, bounds, init):
         )
         for ll, lq in pairs
     ]
-    operators = _infer(training, configs)
+    operators = training.fit(configs)
     dt = training.dt if training.dt is not None else 1.0
     try:
         rolled = roll_reduced(operators, training.form, dt, init, t_reg)
@@ -173,7 +194,7 @@ def search(
     In ``global`` mode one weight pair is shared by all subdomains; in
     ``per_subdomain`` mode the candidate space is the product of pair
     choices over subdomains, which grows fast: more than
-    ``grid.max_subdomains`` subdomains is refused unless
+    ``MAX_SUBDOMAINS`` subdomains is refused unless
     ``grid.allow_large_k`` is set.
     """
     k = training.k
@@ -190,7 +211,7 @@ def search(
     if grid.mode == "global":
         candidates = [tuple([p] * k) for p in pair_list]
     else:
-        if k > grid.max_subdomains and not grid.allow_large_k:
+        if k > MAX_SUBDOMAINS and not grid.allow_large_k:
             raise ValueError(
                 f"per-subdomain search over k={k} subdomains needs "
                 f"{len(pair_list)}^{k} trials; pass allow_large_k to proceed"

@@ -106,12 +106,6 @@ class CoupledRom:
     def k(self) -> int:
         return self.decomposition.k
 
-    def rows(self, i: int) -> np.ndarray:
-        """Full-state row indices of subdomain i (variable-major)."""
-        idx = self.decomposition.dof_indices[i]
-        n_x = self.layout.n_x
-        return (np.arange(self.layout.n_s)[:, None] * n_x + idx[None, :]).ravel()
-
 
 def reduce_initial_condition(rom: CoupledRom, full_state: np.ndarray):
     """Scale a raw full state and project it into each subdomain's basis."""
@@ -120,7 +114,8 @@ def reduce_initial_condition(rom: CoupledRom, full_state: np.ndarray):
         raise ValueError(f"initial state must have length {rom.layout.n}")
     scaled = preprocess.apply_record(full_state, rom.layout, rom.scaling)
     return [
-        rom.bases[i].basis.T @ scaled[rom.rows(i)] for i in range(rom.k)
+        basis.basis.T @ scaled[rom.layout.point_rows(idx)]
+        for basis, idx in zip(rom.bases, rom.decomposition.dof_indices)
     ]
 
 
@@ -192,7 +187,7 @@ def predict_full(
     trajectories = integrate(rom, reduced0, steps)
     out = np.zeros((rom.layout.n, steps + 1), order="F")
     for i in range(rom.k):
-        rows = rom.rows(i)
+        rows = rom.layout.point_rows(rom.decomposition.dof_indices[i])
         weight = np.tile(rom.weights.weights[i], rom.layout.n_s)[rows]
         block = rom.bases[i].basis @ trajectories[i]
         block *= weight[:, None]
@@ -282,7 +277,20 @@ def save_rom(rom: CoupledRom, path) -> None:
 
 
 def load_rom(path) -> CoupledRom:
-    """Read a model artifact written by :func:`save_rom`."""
+    """Read a model artifact written by :func:`save_rom`.
+
+    Raises :class:`SnapFormatError` on a malformed, truncated, or padded
+    file, and on one whose contents do not make a consistent model.
+    """
+    try:
+        return _read_rom(path)
+    except SnapFormatError:
+        raise
+    except ValueError as exc:
+        raise SnapFormatError(f"bad model: {exc}") from exc
+
+
+def _read_rom(path) -> CoupledRom:
     code_form = {v: k for k, v in _FORM_CODE.items()}
     code_topology = {v: k for k, v in _TOPOLOGY_CODE.items()}
     code_kind = {v: k for k, v in _KIND_CODE.items()}

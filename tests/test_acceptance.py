@@ -505,7 +505,7 @@ def test_c13_cli_determinism_and_report_headers(tmp_path, ci_log):
         cfg = base / "run.cfg"
         cfg.write_text(ACCEPTANCE_CONFIG.format(dir=base))
         for command in ("gen", "train", "predict", "evaluate"):
-            code = cli.main([command, "--config", str(cfg), "--seed", "3"])
+            code = cli.main([command, "--config", str(cfg)])
             assert code == 0
         files = ("snaps.bin", "model.bin", "pred.bin",
                  "out/error_report.csv", "out/bin_report.csv",

@@ -187,7 +187,7 @@ class TestDeterminism:
             cfg = base / "run.cfg"
             cfg.write_text(BASE_CONFIG.format(dir=base))
             for cmd in ("gen", "train", "predict", "evaluate"):
-                assert run(cmd, cfg, "--seed", "11") == 0
+                assert run(cmd, cfg) == 0
             snapshots.append({f: (base / f).read_bytes() for f in files})
         assert snapshots[0] == snapshots[1]
 
@@ -282,6 +282,38 @@ class TestErrorReporting:
         code = run("predict", cfg)
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
+
+    def test_non_uniform_time_grid_is_refused(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        sset = load_snapshots(tmp / "snaps.bin")
+        # steps of 0.01 up to column 10, then 0.02
+        stamps = np.cumsum(np.where(np.arange(sset.n_t) < 10, 0.01, 0.02))
+        save_snapshots(SnapshotSet(sset.layout, sset.geometry,
+                                   TimeGrid(stamps, sset.time.n_train),
+                                   sset.data), tmp / "snaps.bin")
+        code = run("train", cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "train: load: non-uniform time grid" in err
+
+    def test_derivative_scheme_is_checked_on_every_path(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        fixed = cfg.read_text()
+        searched = fixed.replace("lambda_linear = 1e-8\n", "").replace(
+            "lambda_quadratic = 1e-6\n", "") + (
+            "\n[regsearch]\nenabled = true\n"
+            "lambda_linear = 1e-08\nlambda_quadratic = 1e-06\n")
+        for text in (searched, fixed):
+            for form in ("discrete", "continuous"):
+                cfg.write_text(text.replace(
+                    "form = discrete\n",
+                    f"form = {form}\nderivative_scheme = 3\n"))
+                code = run("train", cfg)
+                err = capsys.readouterr().err
+                assert code == 1
+                assert "derivative_scheme must be 2 or 4" in err
 
 
 class TestConstantTerm:

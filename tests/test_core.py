@@ -15,7 +15,6 @@ from ddrom.core import (
     load_initial_state,
     load_snapshots,
     save_snapshots,
-    slice_dofs,
 )
 
 from conftest import make_set
@@ -37,6 +36,16 @@ class TestStateLayout:
     def test_name_count_must_match(self):
         with pytest.raises(ValueError):
             StateLayout(n_s=2, n_x=4, variable_names=("only",))
+
+    def test_point_rows_are_variable_major(self):
+        layout = StateLayout(n_s=2, n_x=6, variable_names=("rho", "u"))
+        np.testing.assert_array_equal(layout.point_rows([4, 1]), [4, 1, 10, 7])
+
+    def test_point_rows_out_of_range(self):
+        layout = StateLayout(n_s=2, n_x=6, variable_names=("rho", "u"))
+        for bad in ([6], [-1]):
+            with pytest.raises(ValueError, match="range"):
+                layout.point_rows(np.array(bad))
 
     def test_units_do_not_affect_equality(self):
         a = StateLayout(n_s=1, n_x=4, variable_names=("p",), variable_units=("Pa",))
@@ -68,12 +77,6 @@ class TestGeometry:
     def test_angular_range_is_validated(self):
         with pytest.raises(ValueError):
             Geometry(np.arange(4.0), periodic=True, angular=[0.0, 1.0, 2.0, 7.0])
-
-    def test_take_preserves_order(self):
-        g = Geometry.circle(8)
-        sub = g.take(np.array([5, 1, 2]))
-        np.testing.assert_array_equal(sub.coords, g.coords[[5, 1, 2]])
-        np.testing.assert_array_equal(sub.angular, g.angular[[5, 1, 2]])
 
 
 class TestTimeGrid:
@@ -346,24 +349,3 @@ class TestLoaderFuzz:
                 reader(path)
             except SnapFormatError:
                 pass
-
-
-class TestSliceDofs:
-    def test_every_variable_block_is_sliced_alike(self):
-        data = np.arange(24.0).reshape(12, 2)
-        sset = make_set(data, n_s=2)  # n_x = 6
-        sub = slice_dofs(sset, np.array([1, 4]))
-        assert sub.layout.n_x == 2
-        np.testing.assert_array_equal(sub.data, data[[1, 4, 7, 10]])
-        np.testing.assert_array_equal(sub.geometry.coords,
-                                      sset.geometry.coords[[1, 4]])
-
-    def test_duplicates_rejected(self):
-        sset = make_set(np.zeros((6, 2)))
-        with pytest.raises(ValueError, match="duplicate"):
-            slice_dofs(sset, np.array([2, 2]))
-
-    def test_out_of_range(self):
-        sset = make_set(np.zeros((6, 2)))
-        with pytest.raises(ValueError, match="range"):
-            slice_dofs(sset, np.array([6]))

@@ -5,9 +5,7 @@ from ddrom.pod import (
     PodBasis,
     compute_basis,
     energy_rank,
-    lift,
     method_of_snapshots,
-    project,
     retained_energy,
     singular_spectrum,
     thin_svd,
@@ -134,31 +132,6 @@ class TestComputeBasis:
     def test_subdomain_id_is_attached(self):
         m = planted_matrix(20, 4, np.geomspace(1, 0.1, 4))
         assert compute_basis(m, r=2, subdomain_id=3).subdomain_id == 3
-
-
-class TestProjectLift:
-    def test_round_trip_in_span(self):
-        m = planted_matrix(40, 8, np.geomspace(4.0, 1e-2, 8), seed=10)
-        basis = compute_basis(m, r=5)
-        rng = np.random.default_rng(11)
-        states = basis.basis @ rng.standard_normal((5, 3))
-        np.testing.assert_allclose(lift(basis, project(basis, states)), states,
-                                   atol=1e-12)
-
-    def test_reduced_round_trip_is_identity(self):
-        m = planted_matrix(40, 8, np.geomspace(4.0, 1e-2, 8), seed=12)
-        basis = compute_basis(m, r=5)
-        rng = np.random.default_rng(13)
-        red = rng.standard_normal((5, 7))
-        np.testing.assert_allclose(project(basis, lift(basis, red)), red,
-                                   atol=1e-12)
-
-    def test_projection_is_idempotent(self):
-        m = planted_matrix(40, 8, np.geomspace(4.0, 1e-2, 8), seed=14)
-        basis = compute_basis(m, r=4)
-        once = lift(basis, project(basis, m))
-        twice = lift(basis, project(basis, once))
-        assert np.abs(twice - once).max() <= 1e-12
 
 
 def test_singular_spectrum_routes_agree():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ddrom.opinf import RegressionConfig
 from ddrom.regsearch import RegGrid, ReducedTraining, search
 
 
@@ -24,6 +25,22 @@ def training_for(trajs, **kwargs):
         adjacency = [{(i - 1) % k, (i + 1) % k} - {i} for i in range(k)]
     return ReducedTraining(reduced=list(trajs), adjacency=adjacency,
                            form="discrete", **kwargs)
+
+
+class TestFitAndResiduals:
+    @pytest.mark.parametrize("form", ["discrete", "continuous"])
+    def test_planted_linear_model_leaves_no_residual(self, form):
+        q, a = rotation_trajectory(0.95, 40)
+        # continuous targets: any linear image of the states is fitted exactly
+        derivatives = [a @ q] if form == "continuous" else None
+        training = ReducedTraining(reduced=[q], adjacency=[set()], form=form,
+                                   dt=0.1, derivatives=derivatives)
+        exact = training.fit(RegressionConfig(form=form))
+        np.testing.assert_allclose(exact[0].linear, a, atol=1e-8)
+        assert training.residuals(exact)[0] <= 1e-10
+        heavy = training.fit(RegressionConfig(
+            form=form, lambda_linear=1e2, lambda_quadratic=1e2))
+        assert training.residuals(heavy)[0] > 1e-3
 
 
 class TestConstantTerm:

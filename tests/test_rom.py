@@ -3,6 +3,8 @@ import struct
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ddrom.core import Geometry, SnapFormatError, StateLayout
 from ddrom.decomp import Decomposition, decompose_interval, recombine
@@ -228,7 +230,8 @@ class TestPredictFull:
         fields = []
         for i in range(rom.k):
             field = np.zeros((rom.layout.n, 8))
-            field[rom.rows(i)] = rom.bases[i].basis @ trajs[i]
+            rows = rom.layout.point_rows(rom.decomposition.dof_indices[i])
+            field[rows] = rom.bases[i].basis @ trajs[i]
             fields.append(field)
         expected = recombine(fields, rom.weights)
         np.testing.assert_array_equal(out.data, expected)
@@ -309,6 +312,35 @@ class TestArtifactRoundTrip:
         path.write_bytes(bytes(raw))
         with pytest.raises(SnapFormatError, match="truncated"):
             load_rom(path)
+
+
+_MODEL_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("flip"), st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.integers(0, 7)), min_size=1, max_size=8)),
+)
+
+
+class TestModelLoaderFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutation=_MODEL_MUTATIONS)
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_malformed_models_raise_only_format_errors(self, tmp_path, mutation):
+        path = tmp_path / "model.bin"
+        save_rom(coupled_pair_rom(form="continuous"), path)
+        raw = bytearray(path.read_bytes())
+        kind, arg = mutation
+        if kind == "truncate":
+            raw = raw[: int(arg * (len(raw) - 1))]
+        else:
+            for where, bit in arg:
+                raw[int(where * (len(raw) - 1))] ^= 1 << bit
+        path.write_bytes(bytes(raw))
+        try:
+            load_rom(path)
+        except SnapFormatError:
+            pass
 
 
 def test_continuous_rk4_converges_at_fourth_order():
