@@ -248,11 +248,8 @@ def _compute_bases(cfg, matrices):
     if (r is None) == (energy is None):
         raise ValueError("config must set exactly one of [pod] r and [pod] energy")
     method = _get(cfg, "pod", "method", str, default="svd")
-    block = _get(cfg, "pod", "block", int, default=64)
     return [
-        pod.compute_basis(
-            mat, r=r, energy=energy, method=method, subdomain_id=i, block=block
-        )
+        pod.compute_basis(mat, r=r, energy=energy, method=method, subdomain_id=i)
         for i, mat in enumerate(matrices)
     ]
 
@@ -357,10 +354,18 @@ class _Trained:
     bases: list
     training: regsearch.ReducedTraining
     operators: list
+    grid: regsearch.RegGrid | None
     search: regsearch.RegResult | None
 
 
-def _train_pipeline(cfg, threads: int) -> _Trained:
+def _choice_text(result: regsearch.RegResult) -> str:
+    """The chosen weight pairs, the bounded flag and the training error."""
+    pairs = ", ".join(f"({ll:g}, {lq:g})" for ll, lq in result.chosen)
+    flag = "bounded" if result.bounded else "UNBOUNDED"
+    return f"{pairs} ({flag}, training error {result.training_error:.6e})"
+
+
+def _train_pipeline(cfg) -> _Trained:
     """Everything shared by the train and regsearch commands, up to and
     including the choice of regularization weights."""
     form = _get(cfg, "opinf", "form", str, default="discrete")
@@ -402,11 +407,11 @@ def _train_pipeline(cfg, threads: int) -> _Trained:
             derivatives=derivatives,
             include_constant=include_constant,
         )
-    result = None
+    grid = result = None
     if use_search:
         with _stage("regsearch"):
             grid = _search_grid(cfg)
-            result = regsearch.search(training, grid, max_workers=max(threads, 1))
+            result = regsearch.search(training, grid)
             operators = result.operators
     else:
         with _stage("infer"):
@@ -426,6 +431,7 @@ def _train_pipeline(cfg, threads: int) -> _Trained:
         bases=bases,
         training=training,
         operators=operators,
+        grid=grid,
         search=result,
     )
 
@@ -497,10 +503,9 @@ def _svd_rows(cfg, sset):
     scaled, _ = _preprocess(cfg, sset)
     dec = _build_decomposition(cfg, sset.geometry)
     method = _get(cfg, "pod", "method", str, default="svd")
-    block = _get(cfg, "pod", "block", int, default=64)
     rows = []
     for i, mat in enumerate(_training_matrices(scaled, dec)):
-        sigma = pod.singular_spectrum(mat, method=method, block=block)
+        sigma = pod.singular_spectrum(mat, method=method)
         energy = np.cumsum(sigma**2)
         total = energy[-1] if energy[-1] > 0 else 1.0
         for j, s in enumerate(sigma):
@@ -521,7 +526,7 @@ def cmd_svdreport(cfg, args) -> int:
 
 
 def cmd_train(cfg, args) -> int:
-    run = _train_pipeline(cfg, args.threads or 1)
+    run = _train_pipeline(cfg)
     training, dec, bases = run.training, run.decomposition, run.bases
     residuals = training.residuals(run.operators)
 
@@ -558,11 +563,8 @@ def cmd_train(cfg, args) -> int:
             f"subdomain {row[0]}: n_i={row[1]} rows={row[2]} r={row[3]} "
             f"d(r)={row[4]} residual={row[5]:.6e}"
         )
-    result = run.search
-    if result is not None:
-        pairs = ", ".join(f"({ll:g}, {lq:g})" for ll, lq in result.chosen)
-        flag = "bounded" if result.bounded else "UNBOUNDED"
-        print(f"regularization: {pairs} ({flag}, training error {result.training_error:.6e})")
+    if run.search is not None:
+        print(f"regularization: {_choice_text(run.search)}")
     print(f"training matrix: {full_bytes} bytes full, {largest_bytes} bytes "
           f"largest subdomain (x{full_bytes / largest_bytes:.2f} reduction)")
     print(f"wrote {artifact}")
@@ -572,8 +574,8 @@ def cmd_train(cfg, args) -> int:
 def cmd_regsearch(cfg, args) -> int:
     if not _regsearch_enabled(cfg):
         raise PipelineError("config: [regsearch] enabled must be true")
-    result = _train_pipeline(cfg, args.threads or 1).search
-    mode = _get(cfg, "regsearch", "mode", str, default="global")
+    run = _train_pipeline(cfg)
+    result, mode = run.search, run.grid.mode
     out_dir = _output_dir(cfg, args)
     rows = []
     if mode == "per_subdomain":
@@ -586,9 +588,7 @@ def cmd_regsearch(cfg, args) -> int:
             rows.append([ll, lq, trial.error, trial.bounded])
     path = out_dir / "regsearch_trials.csv"
     _write_csv(path, regsearch_header(mode), rows)
-    pairs = ", ".join(f"({ll:g}, {lq:g})" for ll, lq in result.chosen)
-    flag = "bounded" if result.bounded else "UNBOUNDED"
-    print(f"chose {pairs} ({flag}, training error {result.training_error:.6e})")
+    print(f"chose {_choice_text(result)}")
     print(f"wrote {path}")
     return 0
 
@@ -723,7 +723,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the config file")
     parser.add_argument("--output", help="directory for CSV outputs")
     parser.add_argument("--steps", type=int, help="prediction steps")
-    parser.add_argument("--threads", type=int, help="worker threads")
     return parser
 
 

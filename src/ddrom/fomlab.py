@@ -73,12 +73,19 @@ class FomSpec:
         return self.length / self.n_x
 
 
-def _dx_central(u: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2.0 * dx)
+def _periodic_pad(u: np.ndarray) -> np.ndarray:
+    """Rows of ``u`` between a copy of its last row and of its first row."""
+    return np.concatenate((u[-1:], u, u[:1]))
 
 
-def _dxx_central(u: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(u, -1, axis=0) - 2.0 * u + np.roll(u, 1, axis=0)) / (dx * dx)
+def _dx_central(p: np.ndarray, dx: float) -> np.ndarray:
+    """Central first difference of the rows inside the padded ``p``."""
+    return (p[2:] - p[:-2]) / (2.0 * dx)
+
+
+def _dxx_central(p: np.ndarray, dx: float) -> np.ndarray:
+    """Central second difference of the rows inside the padded ``p``."""
+    return (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (dx * dx)
 
 
 def rhs_burgers(spec: FomSpec, state: np.ndarray) -> np.ndarray:
@@ -86,9 +93,8 @@ def rhs_burgers(spec: FomSpec, state: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=np.float64)
     if state.shape != (spec.n_x,):
         raise ValueError(f"state must have length {spec.n_x}")
-    return -state * _dx_central(state, spec.dx) + spec.nu * _dxx_central(
-        state, spec.dx
-    )
+    p = _periodic_pad(state)
+    return -state * _dx_central(p, spec.dx) + spec.nu * _dxx_central(p, spec.dx)
 
 
 def _check_cfl(spec: FomSpec, u0: np.ndarray) -> None:
@@ -184,12 +190,9 @@ def galerkin_operators(spec: FomSpec, basis: PodBasis) -> RomOperators:
     r = basis.r
     dx = spec.dx
 
-    dv = np.empty_like(v)
-    for j in range(r):
-        dv[:, j] = _dx_central(v[:, j], dx)
-    diffusion = np.empty_like(v)
-    for j in range(r):
-        diffusion[:, j] = _dxx_central(v[:, j], dx)
+    padded = _periodic_pad(v)
+    dv = _dx_central(padded, dx)
+    diffusion = _dxx_central(padded, dx)
     linear = spec.nu * (v.T @ diffusion)
 
     quadratic = np.empty((r, quadratic_dim(r)))

@@ -74,6 +74,11 @@ class RomOperators:
             if c.shape != (r,):
                 raise ValueError("constant term must be a length-r vector")
             self.constant = c
+        values = [a, h, *self.coupling.values()]
+        if self.constant is not None:
+            values.append(self.constant)
+        if not all(np.all(np.isfinite(v)) for v in values):
+            raise ValueError("operator entries must be finite")
         self.linear = a
         self.quadratic = h
 
@@ -287,28 +292,41 @@ def _per_subdomain_configs(config, k: int, form: str):
     return configs
 
 
-def _solve_subdomain(own, nbrs_sorted, nbr_states, rhs, config):
-    r = own.shape[0]
-    s = quadratic_dim(r)
-    data = build_data_matrix(own, nbr_states, include_constant=config.include_constant)
-    blocks = [(r, config.lambda_linear), (s, config.lambda_quadratic)]
-    n_coupled = sum(nb.shape[0] for nb in nbr_states)
-    if n_coupled:
-        # coupling columns share the linear weight
-        blocks.append((n_coupled, config.lambda_linear))
-    if config.include_constant:
-        blocks.append((1, config.lambda_linear))
-    solution = solve_tikhonov(data, rhs, blocks)
+def _fit(inputs, targets, adjacency, config, form: str):
+    """Operators of every subdomain: ``inputs[i]`` (r_i, n) states map to
+    ``targets[i]`` (r_i, n), with coupling to each neighbor's inputs."""
+    configs = _per_subdomain_configs(config, len(inputs), form)
+    out = []
+    for i, (own, cfg) in enumerate(zip(inputs, configs)):
+        nbrs = sorted(adjacency[i])
+        nbr_states = [inputs[j] for j in nbrs]
+        r = own.shape[0]
+        s = quadratic_dim(r)
+        data = build_data_matrix(own, nbr_states, include_constant=cfg.include_constant)
+        blocks = [(r, cfg.lambda_linear), (s, cfg.lambda_quadratic)]
+        n_coupled = sum(nb.shape[0] for nb in nbr_states)
+        if n_coupled:
+            # coupling columns share the linear weight
+            blocks.append((n_coupled, cfg.lambda_linear))
+        if cfg.include_constant:
+            blocks.append((1, cfg.lambda_linear))
+        solution = solve_tikhonov(data, targets[i].T, blocks)
 
-    linear = solution[:r].T
-    quadratic = solution[r : r + s].T
-    coupling = {}
-    at = r + s
-    for j, nb in zip(nbrs_sorted, nbr_states):
-        coupling[j] = solution[at : at + nb.shape[0]].T
-        at += nb.shape[0]
-    constant = solution[at].copy() if config.include_constant else None
-    return linear, quadratic, coupling, constant
+        coupling = {}
+        at = r + s
+        for j, nb in zip(nbrs, nbr_states):
+            coupling[j] = solution[at : at + nb.shape[0]].T
+            at += nb.shape[0]
+        out.append(
+            RomOperators(
+                linear=solution[:r].T,
+                quadratic=solution[r : r + s].T,
+                coupling=coupling,
+                form=form,
+                constant=solution[at].copy() if cfg.include_constant else None,
+            )
+        )
+    return out
 
 
 def infer_continuous(reduced, derivatives, adjacency, config: RegressionConfig):
@@ -318,30 +336,13 @@ def infer_continuous(reduced, derivatives, adjacency, config: RegressionConfig):
     subdomain; ``adjacency`` lists each subdomain's neighbors.
     """
     _check_training_inputs(reduced, adjacency)
-    configs = _per_subdomain_configs(config, len(reduced), "continuous")
     if len(derivatives) != len(reduced):
         raise ValueError("need one derivative matrix per subdomain")
-    out = []
-    for i, own in enumerate(reduced):
-        own = np.asarray(own, dtype=np.float64)
-        dq = np.asarray(derivatives[i], dtype=np.float64)
-        if dq.shape != own.shape:
-            raise ValueError("derivatives must match the reduced states in shape")
-        nbrs = sorted(adjacency[i])
-        nbr_states = [np.asarray(reduced[j], dtype=np.float64) for j in nbrs]
-        linear, quadratic, coupling, constant = _solve_subdomain(
-            own, nbrs, nbr_states, dq.T, configs[i]
-        )
-        out.append(
-            RomOperators(
-                linear=linear,
-                quadratic=quadratic,
-                coupling=coupling,
-                form="continuous",
-                constant=constant,
-            )
-        )
-    return out
+    states = [np.asarray(q, dtype=np.float64) for q in reduced]
+    targets = [np.asarray(dq, dtype=np.float64) for dq in derivatives]
+    if any(dq.shape != q.shape for q, dq in zip(states, targets)):
+        raise ValueError("derivatives must match the reduced states in shape")
+    return _fit(states, targets, adjacency, config, "continuous")
 
 
 def infer_discrete(reduced, adjacency, config: RegressionConfig):
@@ -351,28 +352,13 @@ def infer_discrete(reduced, adjacency, config: RegressionConfig):
     the same trajectory, so no time derivatives are needed.
     """
     _check_training_inputs(reduced, adjacency)
-    configs = _per_subdomain_configs(config, len(reduced), "discrete")
-    m = np.asarray(reduced[0]).shape[1]
-    if m < 2:
+    states = [np.asarray(q, dtype=np.float64) for q in reduced]
+    if states[0].shape[1] < 2:
         raise ValueError("discrete inference needs at least two snapshot columns")
-    out = []
-    for i, own in enumerate(reduced):
-        own = np.asarray(own, dtype=np.float64)
-        nbrs = sorted(adjacency[i])
-        nbr_states = [np.asarray(reduced[j], dtype=np.float64)[:, :-1] for j in nbrs]
-        linear, quadratic, coupling, constant = _solve_subdomain(
-            own[:, :-1], nbrs, nbr_states, own[:, 1:].T, configs[i]
-        )
-        out.append(
-            RomOperators(
-                linear=linear,
-                quadratic=quadratic,
-                coupling=coupling,
-                form="discrete",
-                constant=constant,
-            )
-        )
-    return out
+    return _fit(
+        [q[:, :-1] for q in states], [q[:, 1:] for q in states],
+        adjacency, config, "discrete",
+    )
 
 
 def coefficient_count(

@@ -47,10 +47,16 @@ class PodBasis:
             raise ValueError("basis must be a 2-D matrix")
         if sv.ndim != 1 or sv.size < basis.shape[1]:
             raise ValueError("need at least one singular value per mode")
+        if not np.all(np.isfinite(sv)):
+            raise ValueError("non-finite singular values")
         if np.any(sv < 0.0) or np.any(np.diff(sv) > 0.0):
             raise ValueError("singular values must be nonnegative and descending")
         if basis.shape[1] > basis.shape[0]:
             raise ValueError("more modes than rows")
+        # entries of unit columns are at most 1 in magnitude; checked first so
+        # a non-finite or huge entry cannot reach (or overflow) the product
+        if not np.all(np.abs(basis) <= 1.0 + ORTHO_TOL):
+            raise ValueError("basis entries must be finite and at most 1 in magnitude")
         gram = basis.T @ basis
         if np.abs(gram - np.eye(basis.shape[1])).max() > ORTHO_TOL:
             raise ValueError("basis columns are not orthonormal")
@@ -101,24 +107,21 @@ def thin_svd(m: np.ndarray):
     return u, s, w
 
 
-def method_of_snapshots(m: np.ndarray, r: int, block: int = 64) -> PodBasis:
-    """Leading r modes via the eigendecomposition of the column Gram matrix.
+def _gram_eigen(m: np.ndarray, block: int = 64):
+    """Singular values (descending) and right singular vectors of ``m`` from
+    the eigendecomposition of its column Gram matrix.
 
     The Gram matrix M^T M is accumulated block against block (``block``
     columns at a time) so no product of the full matrix with itself is ever
-    formed in one piece.  Modes come out as M w_j / sigma_j.
+    formed in one piece.
     """
-    m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("expected a matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("non-finite entries")
-    q = m.shape[1]
-    if not 1 <= r <= min(m.shape):
-        raise ValueError(f"r must lie in [1, {min(m.shape)}]")
     if block < 1:
         raise ValueError("block size must be positive")
-
+    q = m.shape[1]
     gram = np.empty((q, q))
     starts = range(0, q, block)
     for a in starts:
@@ -132,13 +135,27 @@ def method_of_snapshots(m: np.ndarray, r: int, block: int = 64) -> PodBasis:
 
     evals, evecs = la.eigh(gram)
     order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    sigma = np.sqrt(np.clip(evals, 0.0, None))
+    return np.sqrt(np.clip(evals[order], 0.0, None)), evecs[:, order]
+
+
+def _gram_modes(m: np.ndarray, sigma, evecs, r: int) -> PodBasis:
+    """Leading r modes M w_j / sigma_j from a Gram eigendecomposition."""
+    if not 1 <= r <= min(m.shape):
+        raise ValueError(f"r must lie in [1, {min(m.shape)}]")
     if sigma[0] == 0.0 or sigma[r - 1] <= RANK_RTOL * sigma[0]:
         raise ValueError(f"requested r={r} exceeds the numerical rank")
     basis = m @ (evecs[:, :r] / sigma[:r])
     return PodBasis(basis=_fix_signs(basis), singular_values=sigma)
+
+
+def method_of_snapshots(m: np.ndarray, r: int, block: int = 64) -> PodBasis:
+    """Leading r modes via the eigendecomposition of the column Gram matrix.
+
+    The Gram matrix is accumulated ``block`` columns at a time; modes come
+    out as M w_j / sigma_j.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    return _gram_modes(m, *_gram_eigen(m, block), r)
 
 
 def retained_energy(singular_values: np.ndarray, r: int) -> float:
@@ -164,15 +181,14 @@ def energy_rank(singular_values: np.ndarray, energy: float) -> int:
     return int(np.searchsorted(cum, energy - 1e-15) + 1)
 
 
-def singular_spectrum(m: np.ndarray, method: str = "svd", block: int = 64) -> np.ndarray:
+def singular_spectrum(m: np.ndarray, method: str = "svd") -> np.ndarray:
     """Full singular-value spectrum of a snapshot matrix, by either route."""
     m = np.asarray(m, dtype=np.float64)
     if method == "svd":
         return la.svd(m, compute_uv=False)
     if method != "snapshots":
         raise ValueError(f"unknown method {method!r}")
-    probe = method_of_snapshots(m, 1, block=block)
-    return probe.singular_values
+    return _gram_eigen(m)[0]
 
 
 def compute_basis(
@@ -181,7 +197,6 @@ def compute_basis(
     energy: float | None = None,
     method: str = "svd",
     subdomain_id: int = 0,
-    block: int = 64,
 ) -> PodBasis:
     """Basis of a snapshot matrix by mode count or energy target.
 
@@ -195,11 +210,10 @@ def compute_basis(
     m = np.asarray(m, dtype=np.float64)
 
     if method == "snapshots":
+        sigma, evecs = _gram_eigen(m)
         if r is None:
-            # need the spectrum first; the Gram route computes it anyway
-            probe = method_of_snapshots(m, 1, block=block)
-            r = energy_rank(probe.singular_values, energy)
-        out = method_of_snapshots(m, r, block=block)
+            r = energy_rank(sigma, energy)
+        out = _gram_modes(m, sigma, evecs, r)
         out.subdomain_id = subdomain_id
         return out
 

@@ -11,8 +11,6 @@ is bounded the heaviest weights are returned flagged unbounded.
 from __future__ import annotations
 
 import itertools
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +27,9 @@ __all__ = [
     "search",
 ]
 
-# per-subdomain searches over more subdomains are refused unless allowed:
-# the candidate count grows as (grid size)**k
-MAX_SUBDOMAINS = 6
+# searches over more candidates are refused unless ``allow_large_k`` is set:
+# per subdomain, the count grows as (weight pairs)**k
+MAX_CANDIDATES = 10_000
 
 
 def default_candidates() -> tuple[float, ...]:
@@ -46,7 +44,8 @@ class RegGrid:
     ``t_reg_steps`` is how far each candidate model is rolled from the
     training initial state (default: the training horizon plus 30%);
     ``bound_factor`` is the allowed excursion of each reduced coordinate
-    relative to its largest training magnitude.
+    relative to its largest training magnitude.  ``allow_large_k`` lets a
+    search evaluate more than ``MAX_CANDIDATES`` candidates.
     """
 
     lambda_linear: tuple[float, ...] = field(default_factory=default_candidates)
@@ -186,15 +185,13 @@ def _evaluate(training, pairs, t_reg, bounds, init):
     return error, bounded, operators
 
 
-def search(
-    training: ReducedTraining, grid: RegGrid, max_workers: int = 1
-) -> RegResult:
+def search(training: ReducedTraining, grid: RegGrid) -> RegResult:
     """Pick ridge weights by rollout screening and training misfit.
 
     In ``global`` mode one weight pair is shared by all subdomains; in
     ``per_subdomain`` mode the candidate space is the product of pair
-    choices over subdomains, which grows fast: more than
-    ``MAX_SUBDOMAINS`` subdomains is refused unless
+    choices over subdomains, which grows fast.  A search over more than
+    ``MAX_CANDIDATES`` candidates is refused, before any fit, unless
     ``grid.allow_large_k`` is set.
     """
     k = training.k
@@ -205,53 +202,36 @@ def search(
     if t_reg < m - 1:
         raise ValueError("t_reg_steps must cover the training horizon")
 
-    pair_list = [
-        (ll, lq) for ll in grid.lambda_linear for lq in grid.lambda_quadratic
-    ]
-    if grid.mode == "global":
-        candidates = [tuple([p] * k) for p in pair_list]
-    else:
-        if k > MAX_SUBDOMAINS and not grid.allow_large_k:
-            raise ValueError(
-                f"per-subdomain search over k={k} subdomains needs "
-                f"{len(pair_list)}^{k} trials; pass allow_large_k to proceed"
-            )
-        candidates = [tuple(c) for c in itertools.product(pair_list, repeat=k)]
-    if len(candidates) > 10_000:
-        warnings.warn(
-            f"regularization search will evaluate {len(candidates)} candidates",
-            stacklevel=2,
+    pairs = [(ll, lq) for ll in grid.lambda_linear for lq in grid.lambda_quadratic]
+    count = len(pairs) if grid.mode == "global" else len(pairs) ** k
+    if count > MAX_CANDIDATES and not grid.allow_large_k:
+        raise ValueError(
+            f"{grid.mode} search over k={k} subdomains needs {count} candidates, "
+            f"more than {MAX_CANDIDATES}; pass allow_large_k to proceed"
         )
+    if grid.mode == "global":
+        candidates = (tuple([p] * k) for p in pairs)
+    else:
+        candidates = itertools.product(pairs, repeat=k)
 
     bounds = [
         grid.bound_factor * np.abs(q).max(axis=1) for q in training.reduced
     ]
     init = [q[:, 0] for q in training.reduced]
-
-    def run(pairs):
-        return _evaluate(training, pairs, t_reg, bounds, init)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(run, candidates))
-    else:
-        outcomes = [run(pairs) for pairs in candidates]
-
-    trials = tuple(
-        Trial(candidate=c, error=err, bounded=ok)
-        for c, (err, ok, _) in zip(candidates, outcomes)
-    )
+    trials = []
     best, best_ops = None, None
-    for t, (_, _, ops) in zip(trials, outcomes):
-        if t.bounded and (best is None or t.error < best.error):
-            best, best_ops = t, ops
+    for candidate in candidates:
+        error, bounded, ops = _evaluate(training, candidate, t_reg, bounds, init)
+        trials.append(Trial(candidate=candidate, error=error, bounded=bounded))
+        if bounded and (best is None or error < best.error):
+            best, best_ops = trials[-1], ops
     if best is None:
         # nothing bounded: fall back to the heaviest weights, flagged
-        best, best_ops = trials[-1], outcomes[-1][2]
+        best, best_ops = trials[-1], ops
     return RegResult(
         chosen=best.candidate,
         training_error=best.error,
         bounded=best.bounded,
-        trials=trials,
+        trials=tuple(trials),
         operators=best_ops,
     )

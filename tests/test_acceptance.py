@@ -315,7 +315,7 @@ def test_c08_four_sector_rotating_pulse_rom_accuracy(ci_log):
         reduced=reduced, adjacency=[set(s) for s in dec.adjacency],
         form="discrete",
     )
-    result = search(training, grid, max_workers=4)
+    result = search(training, grid)
     rom = CoupledRom(
         layout=sset.layout, geometry=sset.geometry, decomposition=dec,
         bases=bases, operators=result.operators, scaling=record,
@@ -331,7 +331,7 @@ def test_c08_four_sector_rotating_pulse_rom_accuracy(ci_log):
         reduced=[sd_basis.basis.T @ scaled.data[:, :193]],
         adjacency=[set()], form="discrete",
     )
-    sd_result = search(sd_training, grid, max_workers=4)
+    sd_result = search(sd_training, grid)
     sd_rom = CoupledRom(
         layout=sset.layout, geometry=sset.geometry,
         decomposition=Decomposition.single(spec.n_x), bases=[sd_basis],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ddrom import pod
 from ddrom.pod import (
     PodBasis,
     compute_basis,
@@ -137,8 +138,25 @@ class TestComputeBasis:
 def test_singular_spectrum_routes_agree():
     m = planted_matrix(35, 11, np.geomspace(2.0, 1e-3, 11), seed=15)
     a = singular_spectrum(m, method="svd")
-    b = singular_spectrum(m, method="snapshots", block=5)
+    b = singular_spectrum(m, method="snapshots")
     np.testing.assert_allclose(a, b, rtol=1e-7, atol=1e-10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: compute_basis(m, energy=0.999, method="snapshots"),
+    lambda m: compute_basis(m, r=3, method="snapshots"),
+    lambda m: singular_spectrum(m, method="snapshots"),
+], ids=["energy", "rank", "spectrum"])
+def test_gram_route_solves_one_eigenproblem(call, monkeypatch):
+    eigh, calls = pod.la.eigh, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(pod.la, "eigh", counted)
+    call(planted_matrix(30, 8, np.geomspace(3.0, 1e-3, 8), seed=16))
+    assert calls == [(8, 8)]
 
 
 def test_pod_basis_validates_orthonormality():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from ddrom import regsearch
 from ddrom.opinf import RegressionConfig
-from ddrom.regsearch import RegGrid, ReducedTraining, search
+from ddrom.regsearch import MAX_CANDIDATES, RegGrid, ReducedTraining, search
 
 
 def rotation_trajectory(radius, m, r=2, theta=0.6, seed=0):
@@ -121,33 +122,50 @@ class TestPerSubdomainSearch:
         assert per.training_error <= glob.training_error + 1e-12
 
     def test_large_k_needs_explicit_opt_in(self):
+        # 4 pairs over 7 subdomains is 4**7 = 16384 > MAX_CANDIDATES
         trajs = [rotation_trajectory(0.9, 20, seed=i)[0] for i in range(7)]
-        grid = RegGrid(lambda_linear=(1e-8, 1e-4), lambda_quadratic=(1e-8,),
+        grid = RegGrid(lambda_linear=(1e-8, 1e-4), lambda_quadratic=(1e-8, 1e-4),
                        mode="per_subdomain")
+        assert 4**7 > MAX_CANDIDATES
+        with pytest.raises(ValueError, match="16384 candidates.*allow_large_k"):
+            search(training_for(trajs), grid)
+
+    @pytest.mark.parametrize("n_pairs", [1, 2])
+    def test_large_k_within_the_budget_runs_without_opt_in(self, n_pairs):
+        trajs = [rotation_trajectory(0.9, 20, seed=i)[0] for i in range(7)]
+        grid = RegGrid(lambda_linear=(1e-8, 1e-4)[:n_pairs],
+                       lambda_quadratic=(1e-8,), mode="per_subdomain")
+        result = search(training_for(trajs), grid)
+        assert len(result.trials) == n_pairs**7
+
+    # 101 * 101 = 10201 pairs; 11**4 = 14641 per-subdomain candidates
+    @pytest.mark.parametrize("mode, n_linear, n_quadratic",
+                             [("global", 101, 101), ("per_subdomain", 11, 1)])
+    def test_budget_is_refused_before_any_fit(self, mode, n_linear, n_quadratic,
+                                              monkeypatch):
+        def no_fit(self, configs):
+            raise AssertionError("a candidate was fitted before the refusal")
+
+        monkeypatch.setattr(ReducedTraining, "fit", no_fit)
+        grid = RegGrid(lambda_linear=tuple(np.logspace(-6.0, 4.0, n_linear)),
+                       lambda_quadratic=tuple(np.logspace(-6.0, 4.0, n_quadratic)),
+                       mode=mode)
+        trajs = [rotation_trajectory(0.9, 20, seed=i)[0] for i in range(4)]
         with pytest.raises(ValueError, match="allow_large_k"):
             search(training_for(trajs), grid)
 
-    def test_large_k_allowed_when_asked(self):
-        trajs = [rotation_trajectory(0.9, 20, seed=i)[0] for i in range(7)]
-        grid = RegGrid(lambda_linear=(1e-8,), lambda_quadratic=(1e-8,),
-                       mode="per_subdomain", allow_large_k=True)
-        result = search(training_for(trajs), grid)
-        assert len(result.trials) == 1
+    def test_large_k_allowed_when_asked(self, monkeypatch):
+        monkeypatch.setattr(regsearch, "MAX_CANDIDATES", 3)
+        trajs = [rotation_trajectory(0.9, 20, seed=i)[0] for i in range(2)]
+        pairs = dict(lambda_linear=(1e-8, 1e-4), lambda_quadratic=(1e-8,),
+                     mode="per_subdomain")
+        with pytest.raises(ValueError, match="allow_large_k"):
+            search(training_for(trajs), RegGrid(**pairs))
+        result = search(training_for(trajs), RegGrid(allow_large_k=True, **pairs))
+        assert len(result.trials) == 4
 
 
 class TestSearchMechanics:
-    def test_threaded_equals_serial(self):
-        q0, _ = rotation_trajectory(0.95, 35, seed=4)
-        q1, _ = rotation_trajectory(0.9, 35, seed=5)
-        grid = RegGrid(lambda_linear=(1e-10, 1e-4, 1e0),
-                       lambda_quadratic=(1e-10, 1e-4))
-        serial = search(training_for([q0, q1]), grid, max_workers=1)
-        threaded = search(training_for([q0, q1]), grid, max_workers=4)
-        assert serial.chosen == threaded.chosen
-        assert serial.training_error == threaded.training_error
-        assert [t.candidate for t in serial.trials] == \
-               [t.candidate for t in threaded.trials]
-
     def test_rollout_must_cover_training(self):
         q, _ = rotation_trajectory(0.9, 30)
         grid = RegGrid(lambda_linear=(1e-8,), lambda_quadratic=(1e-8,),

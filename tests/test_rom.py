@@ -303,6 +303,37 @@ class TestArtifactRoundTrip:
         with pytest.raises(SnapFormatError, match="magic"):
             load_rom(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [
+        "singular_values", "basis", "linear", "quadratic", "coupling", "constant",
+    ])
+    def test_non_finite_values_are_refused(self, tmp_path, where, bad):
+        rom = coupled_pair_rom(form="continuous")
+        ops = rom.operators[1]
+        rom.operators[1] = RomOperators(
+            linear=ops.linear, quadratic=ops.quadratic, coupling=ops.coupling,
+            form=ops.form, constant=np.array([0.25, -0.5, 0.125]),
+        )
+        rom.bases[1] = PodBasis(basis=rom.bases[1].basis,
+                                singular_values=np.array([3.5, 2.25, 1.375]))
+        ops, basis = rom.operators[1], rom.bases[1]
+        value = {
+            "singular_values": basis.singular_values[0],
+            "basis": basis.basis[2, 1],
+            "linear": ops.linear[0, 1],
+            "quadratic": ops.quadratic[1, 2],
+            "coupling": ops.coupling[0][2, 0],
+            "constant": ops.constant[1],
+        }[where]
+        path = tmp_path / "model.bin"
+        save_rom(rom, path)
+        raw = path.read_bytes()
+        old = struct.pack("<d", value)
+        assert raw.count(old) == 1
+        path.write_bytes(raw.replace(old, struct.pack("<d", bad)))
+        with pytest.raises(SnapFormatError, match="finite"):
+            load_rom(path)
+
     def test_huge_declared_point_count(self, tmp_path):
         path = tmp_path / "model.bin"
         save_rom(single_domain_rom(), path)
@@ -325,7 +356,6 @@ class TestModelLoaderFuzz:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(mutation=_MODEL_MUTATIONS)
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_malformed_models_raise_only_format_errors(self, tmp_path, mutation):
         path = tmp_path / "model.bin"
         save_rom(coupled_pair_rom(form="continuous"), path)
@@ -338,9 +368,17 @@ class TestModelLoaderFuzz:
                 raw[int(where * (len(raw) - 1))] ^= 1 << bit
         path.write_bytes(bytes(raw))
         try:
-            load_rom(path)
+            model = load_rom(path)
         except SnapFormatError:
-            pass
+            return
+        values = [model.dt, model.decomposition.overlap, model.decomposition.interior,
+                  model.geometry.coords, model.scaling.mean_field, model.scaling.scale]
+        for basis, ops in zip(model.bases, model.operators):
+            values += [basis.basis, basis.singular_values, ops.linear,
+                       ops.quadratic, *ops.coupling.values()]
+            if ops.constant is not None:
+                values.append(ops.constant)
+        assert all(np.all(np.isfinite(v)) for v in values)
 
 
 def test_continuous_rk4_converges_at_fourth_order():
