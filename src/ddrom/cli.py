@@ -13,6 +13,7 @@ import argparse
 import configparser
 import csv
 import io
+import resource
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -197,6 +198,13 @@ def decompose_header(k: int) -> tuple[str, ...]:
     )
 
 
+def _peak_rss_bytes() -> int:
+    """This process's resident high-water mark, as the OS measured it."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # bytes on macOS, KiB elsewhere
+    return peak if sys.platform == "darwin" else 1024 * peak
+
+
 def snapshot_matrix_bytes(rows: int, columns: int) -> int:
     """Bytes needed to hold a dense float64 snapshot matrix."""
     return int(rows) * int(columns) * 8
@@ -206,8 +214,8 @@ def snapshot_matrix_bytes(rows: int, columns: int) -> int:
 # shared pipeline pieces
 
 
-def _load_set(cfg):
-    sset = load_snapshots(_path(cfg, "snapshots"))
+def _load_set(cfg, path):
+    sset = load_snapshots(path)
     n_train = _get(cfg, "time", "n_train", int, default=None)
     if n_train is not None:
         sset = sset.with_data(sset.data, n_train=n_train)
@@ -227,31 +235,35 @@ def _build_decomposition(cfg, geometry):
     raise ValueError(f"unknown topology {topology!r}")
 
 
-def _preprocess(cfg, sset):
+def _open_blocks(cfg, path) -> preprocess.BlockSource:
+    """The block source of a snapshot file, with the config's training split."""
+    n_train = _get(cfg, "time", "n_train", int, default=None)
+    return preprocess.BlockSource(path, n_train)
+
+
+def _fit_scaling(cfg, source: preprocess.BlockSource) -> preprocess.ScalingRecord:
     kind = _get(cfg, "preprocess", "scaling", str, default="max_abs")
     transforms = _get(cfg, "preprocess", "transforms", _str_list, default=None)
-    transformed = preprocess.transform_variables(sset, transforms)
-    return preprocess.center_scale(transformed, kind=kind, transforms=transforms)
+    return source.fit(kind, transforms)
 
 
-def _training_matrices(scaled, dec):
-    m = scaled.time.n_train
-    # rows and training columns in one step, so no block keeps the full
-    # rows x n_t copy behind it alive
-    rows = scaled.layout.point_rows
-    return [scaled.data[rows(idx), :m] for idx in dec.dof_indices]
-
-
-def _compute_bases(cfg, matrices):
+def _project_blocks(cfg, source, dec):
+    """Each subdomain's POD basis and reduced training data, one block at a
+    time."""
     r = _get(cfg, "pod", "r", int, default=None)
     energy = _get(cfg, "pod", "energy", float, default=None)
     if (r is None) == (energy is None):
         raise ValueError("config must set exactly one of [pod] r and [pod] energy")
     method = _get(cfg, "pod", "method", str, default="svd")
-    return [
-        pod.compute_basis(mat, r=r, energy=energy, method=method, subdomain_id=i)
-        for i, mat in enumerate(matrices)
-    ]
+    bases, reduced = [], []
+    for i, block in enumerate(source.blocks(dec.dof_indices)):
+        basis = pod.compute_basis(
+            block, r=r, energy=energy, method=method, subdomain_id=i
+        )
+        bases.append(basis)
+        reduced.append(basis.basis.T @ block)
+        del block  # before the next block is read
+    return bases, reduced
 
 
 def _coefficient_counts(dec, bases, include_constant: bool) -> list[int]:
@@ -382,17 +394,17 @@ def _train_pipeline(cfg) -> _Trained:
             "config: set fixed [opinf] lambdas or enable [regsearch]"
         )
     with _stage("load"):
-        sset = _load_set(cfg)
-        dt = _time_step(sset.time)
-    with _stage("preprocess"):
-        scaled, record = _preprocess(cfg, sset)
-    with _stage("decompose"):
-        dec = _build_decomposition(cfg, sset.geometry)
-    with _stage("pod"):
-        matrices = _training_matrices(scaled, dec)
-        bases = _compute_bases(cfg, matrices)
-        _check_budget(dec, bases, scaled.time.n_train, include_constant)
-        reduced = [b.basis.T @ mat for b, mat in zip(bases, matrices)]
+        source = _open_blocks(cfg, _path(cfg, "snapshots"))
+    with source:
+        with _stage("load"):
+            dt = _time_step(source.time)
+        with _stage("preprocess"):
+            record = _fit_scaling(cfg, source)
+        with _stage("decompose"):
+            dec = _build_decomposition(cfg, source.geometry)
+        with _stage("pod"):
+            bases, reduced = _project_blocks(cfg, source, dec)
+            _check_budget(dec, bases, source.time.n_train, include_constant)
     with _stage("derivatives"):
         derivatives = None
         if form == "continuous":
@@ -424,8 +436,8 @@ def _train_pipeline(cfg) -> _Trained:
                 )
             )
     return _Trained(
-        layout=sset.layout,
-        geometry=sset.geometry,
+        layout=source.layout,
+        geometry=source.geometry,
         record=record,
         decomposition=dec,
         bases=bases,
@@ -480,7 +492,7 @@ def cmd_gen(cfg, args) -> int:
 
 def cmd_decompose(cfg, args) -> int:
     with _stage("load"):
-        sset = _load_set(cfg)
+        sset = _load_set(cfg, _path(cfg, "snapshots"))
     with _stage("decompose"):
         dec = _build_decomposition(cfg, sset.geometry)
         weights = decomp.blending_weights(dec, sset.geometry)
@@ -499,13 +511,14 @@ def cmd_decompose(cfg, args) -> int:
     return 0
 
 
-def _svd_rows(cfg, sset):
-    scaled, _ = _preprocess(cfg, sset)
-    dec = _build_decomposition(cfg, sset.geometry)
+def _svd_rows(cfg, source: preprocess.BlockSource):
+    _fit_scaling(cfg, source)
+    dec = _build_decomposition(cfg, source.geometry)
     method = _get(cfg, "pod", "method", str, default="svd")
     rows = []
-    for i, mat in enumerate(_training_matrices(scaled, dec)):
-        sigma = pod.singular_spectrum(mat, method=method)
+    for i, block in enumerate(source.blocks(dec.dof_indices)):
+        sigma = pod.singular_spectrum(block, method=method)
+        del block  # before the next block is read
         energy = np.cumsum(sigma**2)
         total = energy[-1] if energy[-1] > 0 else 1.0
         for j, s in enumerate(sigma):
@@ -515,9 +528,9 @@ def _svd_rows(cfg, sset):
 
 def cmd_svdreport(cfg, args) -> int:
     with _stage("load"):
-        sset = _load_set(cfg)
-    with _stage("svd"):
-        rows = _svd_rows(cfg, sset)
+        source = _open_blocks(cfg, _path(cfg, "snapshots"))
+    with _stage("svd"), source:
+        rows = _svd_rows(cfg, source)
     out_dir = _output_dir(cfg, args)
     path = out_dir / "svd_report.csv"
     _write_csv(path, SVD_REPORT_HEADER, rows)
@@ -566,7 +579,8 @@ def cmd_train(cfg, args) -> int:
     if run.search is not None:
         print(f"regularization: {_choice_text(run.search)}")
     print(f"training matrix: {full_bytes} bytes full, {largest_bytes} bytes "
-          f"largest subdomain (x{full_bytes / largest_bytes:.2f} reduction)")
+          f"largest subdomain (x{full_bytes / largest_bytes:.2f} reduction); "
+          f"peak resident memory {_peak_rss_bytes() / 1e6:.1f} MB")
     print(f"wrote {artifact}")
     return 0
 
@@ -625,14 +639,10 @@ def cmd_predict(cfg, args) -> int:
 
 def cmd_evaluate(cfg, args) -> int:
     with _stage("load"):
-        truth_path = _get(cfg, "paths", "truth", str, default=None)
-        if truth_path is None:
-            truth = _load_set(cfg)
-        else:
-            truth = load_snapshots(truth_path)
-            n_train = _get(cfg, "time", "n_train", int, default=None)
-            if n_train is not None:
-                truth = truth.with_data(truth.data, n_train=n_train)
+        truth_path = _get(cfg, "paths", "truth", str, default=None) or _path(
+            cfg, "snapshots"
+        )
+        truth = _load_set(cfg, truth_path)
         approx = load_snapshots(_path(cfg, "prediction"))
         if truth.data.shape != approx.data.shape:
             raise ValueError(
@@ -675,16 +685,19 @@ def cmd_evaluate(cfg, args) -> int:
         for idx in instants:
             if not 0 <= idx < truth.n_t:
                 raise ValueError(f"probe instant {idx} out of range")
-        profile = metrics.line_probe(approx, v_idx, np.asarray(probe, dtype=int))
+        profile = metrics.line_probe(
+            approx, v_idx, np.asarray(probe, dtype=int), list(instants)
+        )
         times = [float(truth.time.timestamps[i]) for i in instants]
         prof_rows = [
-            [float(profile.coordinate[p]), *(profile.values[p, i] for i in instants)]
+            [float(profile.coordinate[p]), *profile.values[p]]
             for p in range(len(probe))
         ]
         _write_csv(out_dir / "profiles.csv", profile_header(times), prof_rows)
 
-    with _stage("svd"):
-        _write_csv(out_dir / "svd_report.csv", SVD_REPORT_HEADER, _svd_rows(cfg, truth))
+    with _stage("svd"), _open_blocks(cfg, truth_path) as source:
+        svd_rows = _svd_rows(cfg, source)
+        _write_csv(out_dir / "svd_report.csv", SVD_REPORT_HEADER, svd_rows)
 
     for v, name in enumerate(report.variables):
         pred = report.prediction[v]

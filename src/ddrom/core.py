@@ -25,6 +25,8 @@ __all__ = [
     "save_snapshots",
     "load_snapshots",
     "load_initial_state",
+    "SnapshotFile",
+    "row_runs",
 ]
 
 SNAP_MAGIC = b"DDOI"
@@ -38,12 +40,22 @@ _TRAIN_MAX = 2**31 - 1
 
 _TWO_PI = 2.0 * np.pi
 
-# largest read buffer used to check the columns of a file that are not kept
+# largest buffer SnapshotFile.chunks reads columns through
 _SCAN_BYTES = 1 << 22
 
 
 class SnapFormatError(ValueError):
     """A snapshot file is malformed, truncated, or of an unknown version."""
+
+
+def row_runs(rows) -> list[tuple[int, int, int]]:
+    """The runs of consecutive values in the non-empty index array ``rows``,
+    as ``(start, stop, first)``: ``rows[start:stop]`` counts up from
+    ``first``."""
+    rows = np.asarray(rows)
+    cut = np.flatnonzero(np.diff(rows) != 1) + 1
+    starts = [0, *cut.tolist()]
+    return list(zip(starts, [*cut.tolist(), rows.size], rows[starts].tolist()))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -391,14 +403,6 @@ class _Reader:
         raw = np.frombuffer(self.take(8 * count, what), dtype="<f8")
         return raw.reshape(shape, order=order)
 
-    def columns(self, out: np.ndarray, what: str) -> np.ndarray:
-        """Fill the column-major float64 matrix ``out`` from the file."""
-        view = memoryview(out.T).cast("B")
-        if view.nbytes > self.left or self.fh.readinto(view) != view.nbytes:
-            raise self._truncated(what)
-        self.left -= view.nbytes
-        return out
-
     def name(self, what: str) -> str:
         chunks = bytearray()
         while True:
@@ -476,17 +480,103 @@ def _read_header(reader: _Reader) -> SnapshotHeader:
         raise SnapFormatError(f"bad header: {exc}") from exc
 
 
+class SnapshotFile:
+    """A snapshot file opened for positional reads of its data matrix.
+
+    The header is parsed and checked on opening (see :func:`load_snapshots`);
+    the data matrix stays on disk.  Reads name values by their flat index in
+    the column-major payload, ``column * n + row``.  Use as a context manager,
+    or call :meth:`close`.
+    """
+
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        try:
+            self.header = _read_header(_Reader(self._fh))
+        except BaseException:
+            self._fh.close()
+            raise
+        self._start = self._fh.tell()
+        layout, time = self.header.layout, self.header.time
+        self.n = layout.n
+        self._size = layout.n * time.n_t
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "SnapshotFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def read(self, out: np.ndarray, index: int) -> np.ndarray:
+        """Fill ``out`` (1-D, or a column-major matrix) with consecutive
+        payload values from flat index ``index`` on."""
+        self._fill(memoryview(out.T).cast("B"), index)
+        return out
+
+    def _fill(self, view: memoryview, index: int) -> None:
+        if index < 0 or 8 * index + view.nbytes > 8 * self._size:
+            raise ValueError("read past the end of the data matrix")
+        offset, done = self._start + 8 * index, 0
+        while done < view.nbytes:
+            got = os.preadv(self._fh.fileno(), [view[done:]], offset + done)
+            if got <= 0:
+                raise SnapFormatError("truncated file while reading data")
+            done += got
+
+    def chunks(self, start: int, stop: int, rows=None):
+        """Columns ``start .. stop-1`` as ``(first column, matrix)`` pairs,
+        restricted to the row indices ``rows`` when given.
+
+        Each matrix is a column-major view of one buffer of at most 4 MiB
+        (or one column, if that is larger, and never wider than the range),
+        filled with one read, or with one read per run of consecutive rows
+        and column when ``rows`` is given.  The buffer is reused: a matrix
+        is valid until the next one is produced.
+        """
+        height, runs = self.n, None
+        if rows is not None:
+            rows = np.asarray(rows)
+            if rows.size and (rows.min() < 0 or rows.max() >= self.n):
+                raise ValueError("row index out of range")
+            height = rows.size
+            runs = row_runs(rows) if height else []
+        if height == 0 or stop <= start:
+            return
+        width = min(stop - start, max(1, _SCAN_BYTES // (8 * height)))
+        buf = np.empty((height, width), dtype="<f8", order="F")
+        view = memoryview(buf.T).cast("B")
+        for j in range(start, stop, width):
+            chunk = buf[:, : min(width, stop - j)]
+            if runs is None:
+                self.read(chunk, j * self.n)
+            else:
+                for c in range(chunk.shape[1]):
+                    at, index = 8 * c * height, (j + c) * self.n
+                    for a, b, row in runs:
+                        self._fill(view[at + 8 * a : at + 8 * b], index + row)
+            yield j, chunk
+
+    def check_finite(self, start: int, stop: int) -> None:
+        """Raise :class:`SnapFormatError` if columns ``start .. stop-1`` hold
+        a non-finite value."""
+        for _, chunk in self.chunks(start, stop):
+            if not np.isfinite(chunk).all():
+                raise SnapFormatError("non-finite data")
+
+
 def load_snapshots(path) -> SnapshotSet:
     """Read a snapshot set written by :func:`save_snapshots`.
 
     Raises :class:`SnapFormatError` on a malformed, truncated, or padded
     file and on non-finite values.
     """
-    with open(path, "rb") as fh:
-        reader = _Reader(fh)
-        head = _read_header(reader)
+    with SnapshotFile(path) as snap:
+        head = snap.header
         data = np.empty((head.layout.n, head.time.n_t), dtype="<f8", order="F")
-        reader.columns(data, "data")
+        snap.read(data, 0)
     data.setflags(write=False)
     try:
         return SnapshotSet(head.layout, head.geometry, head.time, data)
@@ -497,23 +587,12 @@ def load_snapshots(path) -> SnapshotSet:
 def load_initial_state(path) -> tuple[SnapshotHeader, np.ndarray]:
     """Read a snapshot file's header and its first column.
 
-    The remaining columns are read and checked as :func:`load_snapshots`
-    checks them, through one buffer of at most 4 MiB (or one column, if
-    that is larger, and never more than those columns), then dropped.
+    The remaining columns are checked as :func:`load_snapshots` checks them,
+    through :meth:`SnapshotFile.chunks`, then dropped.
     """
-    with open(path, "rb") as fh:
-        reader = _Reader(fh)
-        head = _read_header(reader)
-        n, rest = head.layout.n, head.time.n_t - 1
-        state = reader.columns(np.empty(n, dtype="<f8"), "data")
-        width = min(rest, max(1, _SCAN_BYTES // (8 * n)))
-        scan = np.empty((n, width), dtype="<f8", order="F")
-        finite = np.isfinite(state).all()
-        while finite and rest > 0:
-            count = min(width, rest)
-            finite = np.isfinite(reader.columns(scan[:, :count], "data")).all()
-            rest -= count
-    if not finite:
-        raise SnapFormatError("non-finite data")
-    return head, state
-
+    with SnapshotFile(path) as snap:
+        state = snap.read(np.empty(snap.n, dtype="<f8"), 0)
+        if not np.isfinite(state).all():
+            raise SnapFormatError("non-finite data")
+        snap.check_finite(1, snap.header.time.n_t)
+    return snap.header, state

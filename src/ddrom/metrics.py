@@ -27,6 +27,9 @@ __all__ = [
 
 DEFAULT_THRESHOLDS = (0.05, 0.10, 0.20)
 
+# largest column chunk the pointwise error bins hold a temporary for
+_CHUNK_BYTES = 1 << 22
+
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -68,7 +71,7 @@ class LineProbe:
     """Field values along an ordered list of points, one column per instant."""
 
     coordinate: np.ndarray
-    values: np.ndarray  # (|probe|, n_t)
+    values: np.ndarray  # (|probe|, number of instants)
     times: np.ndarray
 
 
@@ -162,30 +165,35 @@ def pointwise_error_bins(
         raise ValueError("thresholds must be positive")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be strictly increasing")
+    # column chunks, so no temporary is full size; every value is the one
+    # the whole matrix gives
+    width = max(1, _CHUNK_BYTES // (8 * ref.n))
+    chunks = [slice(c, c + width) for c in range(0, ref.n_t, width)]
     if floor is None:
-        floor = 1e-12 * float(np.abs(ref.data).max())
+        floor = 1e-12 * float(max(np.abs(ref.data[:, c]).max() for c in chunks))
     if floor <= 0.0:
         floor = np.finfo(np.float64).tiny
     r = ref.variable_block(variable)
     a = approx.variable_block(variable)
-    rel = np.abs(a - r) / np.maximum(np.abs(r), floor)
-    # side="left" puts values equal to a threshold into the bin below it,
-    # which closes every bin's upper edge
-    bins = np.searchsorted(thresholds, rel, side="left")
     n_bins = len(thresholds) + 1
     n_x = r.shape[0]
     fractions = np.empty((ref.n_t, n_bins))
-    for kcol in range(ref.n_t):
-        fractions[kcol] = np.bincount(bins[:, kcol], minlength=n_bins) / n_x
+    for c in chunks:
+        rel = np.abs(a[:, c] - r[:, c]) / np.maximum(np.abs(r[:, c]), floor)
+        # side="left" puts values equal to a threshold into the bin below
+        # it, which closes every bin's upper edge
+        bins = np.searchsorted(thresholds, rel, side="left")
+        for kcol, kbins in enumerate(bins.T, start=c.start):
+            fractions[kcol] = np.bincount(kbins, minlength=n_bins) / n_x
     return BinReport(
         thresholds=thresholds, times=ref.time.timestamps, fractions=fractions
     )
 
 
-def line_probe(sset: SnapshotSet, variable: int, probe) -> LineProbe:
+def line_probe(sset: SnapshotSet, variable: int, probe, instants=None) -> LineProbe:
     """Values along an ordered list of point indices, with the probe's own
     coordinate axis attached (angles for annular geometries, else the
-    first coordinate)."""
+    first coordinate), at the column indices ``instants`` (default: all)."""
     probe = np.asarray(probe)
     if probe.ndim != 1 or probe.size < 1:
         raise ValueError("probe must be a non-empty 1-D list of point indices")
@@ -193,9 +201,13 @@ def line_probe(sset: SnapshotSet, variable: int, probe) -> LineProbe:
         raise ValueError("probe indices must be integers")
     if np.any(probe < 0) or np.any(probe >= sset.layout.n_x):
         raise ValueError("probe index out of range")
+    if instants is None:
+        instants = np.arange(sset.n_t)
     block = sset.variable_block(variable)
     geom = sset.geometry
     coord = (geom.angular if geom.angular is not None else geom.coords[:, 0])[probe]
     return LineProbe(
-        coordinate=coord, values=block[probe], times=sset.time.timestamps
+        coordinate=coord,
+        values=block[np.ix_(probe, instants)],
+        times=sset.time.timestamps[instants],
     )

@@ -53,13 +53,9 @@ class PodBasis:
             raise ValueError("singular values must be nonnegative and descending")
         if basis.shape[1] > basis.shape[0]:
             raise ValueError("more modes than rows")
-        # entries of unit columns are at most 1 in magnitude; checked first so
-        # a non-finite or huge entry cannot reach (or overflow) the product
-        if not np.all(np.abs(basis) <= 1.0 + ORTHO_TOL):
-            raise ValueError("basis entries must be finite and at most 1 in magnitude")
-        gram = basis.T @ basis
-        if np.abs(gram - np.eye(basis.shape[1])).max() > ORTHO_TOL:
-            raise ValueError("basis columns are not orthonormal")
+        problem = _orthonormality_problem(basis)
+        if problem:
+            raise ValueError(problem)
         self.basis = basis
         self.singular_values = sv
 
@@ -72,6 +68,18 @@ class PodBasis:
         return self.basis.shape[0]
 
 
+def _orthonormality_problem(basis: np.ndarray) -> str | None:
+    """Why the columns of ``basis`` are not orthonormal, or None if they are."""
+    # entries of unit columns are at most 1 in magnitude; checked first so
+    # a non-finite or huge entry cannot reach (or overflow) the product
+    if not np.all(np.abs(basis) <= 1.0 + ORTHO_TOL):
+        return "basis entries must be finite and at most 1 in magnitude"
+    gram = basis.T @ basis
+    if np.abs(gram - np.eye(basis.shape[1])).max() > ORTHO_TOL:
+        return "basis columns are not orthonormal"
+    return None
+
+
 def _fix_signs(u: np.ndarray, w: np.ndarray | None = None):
     """Flip mode signs so each column's largest-magnitude entry is positive."""
     cols = np.arange(u.shape[1])
@@ -82,11 +90,6 @@ def _fix_signs(u: np.ndarray, w: np.ndarray | None = None):
     if w is None:
         return u
     return u, w * signs
-
-
-def _economy_svd(m: np.ndarray):
-    u, s, vh = la.svd(m, full_matrices=False)
-    return _fix_signs(u, vh.T) + (s,)
 
 
 def thin_svd(m: np.ndarray):
@@ -103,7 +106,8 @@ def thin_svd(m: np.ndarray):
         raise ValueError("matrix must be tall (rows >= columns)")
     if not np.all(np.isfinite(m)):
         raise ValueError("non-finite entries")
-    u, w, s = _economy_svd(m)
+    u, s, vh = la.svd(m, full_matrices=False)
+    u, w = _fix_signs(u, vh.T)
     return u, s, w
 
 
@@ -144,8 +148,17 @@ def _gram_modes(m: np.ndarray, sigma, evecs, r: int) -> PodBasis:
         raise ValueError(f"r must lie in [1, {min(m.shape)}]")
     if sigma[0] == 0.0 or sigma[r - 1] <= RANK_RTOL * sigma[0]:
         raise ValueError(f"requested r={r} exceeds the numerical rank")
-    basis = m @ (evecs[:, :r] / sigma[:r])
-    return PodBasis(basis=_fix_signs(basis), singular_values=sigma)
+    basis = _fix_signs(m @ (evecs[:, :r] / sigma[:r]))
+    # the Gram matrix squares the spectrum's condition number, so modes of
+    # small sigma_j / sigma_1 come out of M w_j / sigma_j no longer
+    # orthogonal; the SVD route does not square it
+    if _orthonormality_problem(basis):
+        raise ValueError(
+            f"method of snapshots lost orthonormality at r={r} "
+            f"(sigma_r/sigma_1 = {sigma[r - 1] / sigma[0]:.3e}); "
+            "use [pod] method = svd"
+        )
+    return PodBasis(basis=basis, singular_values=sigma)
 
 
 def method_of_snapshots(m: np.ndarray, r: int, block: int = 64) -> PodBasis:
@@ -217,12 +230,15 @@ def compute_basis(
         out.subdomain_id = subdomain_id
         return out
 
-    u, w, s = _economy_svd(m)
+    u, s, _ = la.svd(m, full_matrices=False)
     if r is None:
         r = energy_rank(s, energy)
     if not 1 <= r <= u.shape[1]:
         raise ValueError(f"r must lie in [1, {u.shape[1]}]")
     if s[0] == 0.0 or s[r - 1] <= RANK_RTOL * s[0]:
         raise ValueError(f"requested r={r} exceeds the numerical rank")
-    return PodBasis(basis=u[:, :r], singular_values=s, subdomain_id=subdomain_id)
+    # a column's sign depends on that column alone, so fixing the retained
+    # ones keeps the bits and lets the full U go
+    basis = _fix_signs(u[:, :r])
+    return PodBasis(basis=basis, singular_values=s, subdomain_id=subdomain_id)
 

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SnapshotSet, StateLayout
+from .core import SnapFormatError, SnapshotFile, SnapshotSet, StateLayout
 
 __all__ = [
     "ScalingRecord",
+    "BlockSource",
     "transform_variables",
     "center_scale",
     "apply_record",
@@ -85,17 +86,40 @@ def _check_transforms(n_s: int, transforms) -> tuple[str, ...]:
     return transforms
 
 
-def _transform_matrix(data: np.ndarray, layout: StateLayout, transforms) -> np.ndarray:
-    out = np.array(data, dtype=np.float64)
+def _checked_scale(s, name: str) -> float:
+    if not np.isfinite(s) or s <= 0.0:
+        raise ValueError(
+            f"zero scale for variable {name!r}: constant over the training horizon"
+        )
+    return s
+
+
+def _variable_rows(layout: StateLayout) -> list[slice]:
+    return [layout.rows(v) for v in range(layout.n_s)]
+
+
+def _transform_in_place(work: np.ndarray, rows, transforms, names) -> None:
+    """Apply the per-variable transforms to ``work``, whose variable v
+    occupies the rows ``rows[v]``."""
     for v, t in enumerate(transforms):
         if t == "reciprocal":
-            block = out[layout.rows(v)]
+            block = work[rows[v]]
             if np.any(block == 0.0):
                 raise ValueError(
-                    f"reciprocal transform hit zero in variable "
-                    f"{layout.variable_names[v]!r}"
+                    f"reciprocal transform hit zero in variable {names[v]!r}"
                 )
-            out[layout.rows(v)] = 1.0 / block
+            np.divide(1.0, block, out=block)
+
+
+def _center_scale_in_place(work: np.ndarray, rows, mean: np.ndarray, scale) -> None:
+    work -= mean[:, None]
+    for v, s in enumerate(scale):
+        work[rows[v]] /= s
+
+
+def _transform_matrix(data: np.ndarray, layout: StateLayout, transforms) -> np.ndarray:
+    out = np.array(data, dtype=np.float64)
+    _transform_in_place(out, _variable_rows(layout), transforms, layout.variable_names)
     return out
 
 
@@ -136,12 +160,7 @@ def center_scale(
     for v in range(layout.n_s):
         block = centered[layout.rows(v), :m]
         s = np.abs(block).max() if kind == "max_abs" else block.std()
-        if not np.isfinite(s) or s <= 0.0:
-            raise ValueError(
-                f"zero scale for variable {layout.variable_names[v]!r}: "
-                "constant over the training horizon"
-            )
-        scale[v] = s
+        scale[v] = _checked_scale(s, layout.variable_names[v])
         centered[layout.rows(v)] /= s
     record = ScalingRecord(mean_field, scale, kind, transforms)
     return sset.with_data(centered), record
@@ -156,9 +175,8 @@ def apply_record(data: np.ndarray, layout: StateLayout, record: ScalingRecord):
     if work.shape[0] != record.n or record.n != layout.n:
         raise ValueError("record dimensions do not match the state layout")
     work = _transform_matrix(work, layout, record.transform_spec)
-    work -= record.mean_field[:, None]
-    for v in range(layout.n_s):
-        work[layout.rows(v)] /= record.scale[v]
+    rows = _variable_rows(layout)
+    _center_scale_in_place(work, rows, record.mean_field, record.scale)
     return work[:, 0] if vec else work
 
 
@@ -187,3 +205,139 @@ def _invert_in_place(work: np.ndarray, layout: StateLayout, record: ScalingRecor
                     f"{layout.variable_names[v]!r}"
                 )
             np.divide(1.0, block, out=block)
+
+
+class BlockSource:
+    """The training blocks of a snapshot file, transformed, centred and
+    scaled, read one subdomain at a time.
+
+    No step holds the snapshot matrix: opening parses the header and checks
+    the prediction columns for non-finite values through one bounded
+    buffer; :meth:`fit` takes the :class:`ScalingRecord` in passes over the
+    training columns through that buffer; :meth:`blocks` reads each
+    subdomain's rows of the training columns into a fresh array.  The
+    record and the blocks carry the same bits as :func:`transform_variables`
+    and :func:`center_scale` give on the column-major matrix the file holds
+    (``std_dev`` scales to within a few ulp: they sum in another order).
+    Use as a context manager, or call :meth:`close`.
+    """
+
+    def __init__(self, path, n_train: int | None = None):
+        self._file = SnapshotFile(path)
+        try:
+            head = self._file.header
+            self.layout, self.geometry = head.layout, head.geometry
+            self.time = head.time
+            if n_train is not None:
+                self.time = head.time.with_train_count(n_train)
+            self._file.check_finite(self.time.n_train, self.time.n_t)
+        except BaseException:
+            self._file.close()
+            raise
+        self._record: ScalingRecord | None = None
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "BlockSource":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _training(self, transforms, check: bool = False):
+        """The transformed training columns, in chunks of the read buffer;
+        with ``check``, non-finite values are refused as the loaders refuse
+        them."""
+        rows, names = _variable_rows(self.layout), self.layout.variable_names
+        for _, chunk in self._file.chunks(0, self.time.n_train):
+            if check and not np.isfinite(chunk).all():
+                raise SnapFormatError("non-finite data")
+            _transform_in_place(chunk, rows, transforms, names)
+            yield chunk
+
+    def fit(self, kind: str = "max_abs", transforms=None) -> ScalingRecord:
+        """The scaling record of the training columns, as
+        :func:`center_scale` takes it after :func:`transform_variables`."""
+        if kind not in SCALING_KINDS:
+            raise ValueError(f"unknown scaling kind {kind!r}")
+        layout = self.layout
+        transforms = _check_transforms(layout.n_s, transforms)
+        mean = self._mean(transforms)
+        if kind == "max_abs":
+            scale = self._largest_magnitudes(transforms, mean)
+        else:
+            # two passes per variable, as ndarray.std takes them: the mean
+            # of the centred block, then the mean square deviation from it
+            count = layout.n_x * self.time.n_train
+            means = self._sums(transforms, mean) / count
+            scale = np.sqrt(self._sums(transforms, mean, means) / count)
+        for v, s in enumerate(scale):
+            _checked_scale(s, layout.variable_names[v])
+        self._record = ScalingRecord(mean, scale, kind, transforms)
+        return self._record
+
+    # Each pass is a method of its own: a loop variable that outlived its
+    # loop would keep the read buffer alive beside the next pass's buffer.
+
+    def _mean(self, transforms) -> np.ndarray:
+        # one column after another, as numpy sums the rows of the
+        # column-major matrix in data[:, :m].mean(axis=1)
+        total = np.zeros(self.layout.n)
+        for chunk in self._training(transforms, check=True):
+            for column in chunk.T:
+                total += column
+        return total / self.time.n_train
+
+    def _largest_magnitudes(self, transforms, mean) -> np.ndarray:
+        rows = _variable_rows(self.layout)
+        largest = np.zeros(self.layout.n_s)
+        for chunk in self._training(transforms):
+            chunk -= mean[:, None]
+            np.abs(chunk, out=chunk)
+            for v, r in enumerate(rows):
+                largest[v] = np.maximum(largest[v], chunk[r].max())
+        return largest
+
+    def _sums(self, transforms, mean, means=None) -> np.ndarray:
+        """Per variable, the sum of the centred training values, or with
+        ``means`` the sum of their squared deviations from those means,
+        column after column."""
+        rows = _variable_rows(self.layout)
+        sums = np.zeros(self.layout.n_s)
+        for chunk in self._training(transforms):
+            chunk -= mean[:, None]
+            for v, r in enumerate(rows):
+                part = chunk[r]
+                if means is not None:
+                    part -= means[v]
+                    part *= part
+                for s in part.sum(axis=0):
+                    sums[v] += s
+        return sums
+
+    def blocks(self, dof_indices):
+        """Yield each subdomain's scaled training block, a fresh
+        ``(n_s * |idx|, n_train)`` array of the rows ``point_rows(idx)``.
+
+        Only the caller holds a block: drop it before asking for the next
+        one, and at most one block is alive at a time.
+        """
+        if self._record is None:
+            raise ValueError("fit the scaling record before reading blocks")
+        for idx in dof_indices:
+            yield self._block(np.asarray(idx))
+
+    def _block(self, idx: np.ndarray) -> np.ndarray:
+        layout, record = self.layout, self._record
+        rows = layout.point_rows(idx)
+        # row-major, like the row selection scaled.data[rows, :m] of the
+        # loaded matrix that it equals, so products of it round the same
+        block = np.empty((rows.size, self.time.n_train))
+        for j, chunk in self._file.chunks(0, self.time.n_train, rows):
+            block[:, j : j + chunk.shape[1]] = chunk
+        names = layout.variable_names
+        var_rows = [slice(v * idx.size, (v + 1) * idx.size) for v in range(layout.n_s)]
+        _transform_in_place(block, var_rows, record.transform_spec, names)
+        _center_scale_in_place(block, var_rows, record.mean_field[rows], record.scale)
+        return block

@@ -23,6 +23,7 @@ from .core import (
     StateLayout,
     TimeGrid,
     _Reader,
+    row_runs,
 )
 from .decomp import BlendingWeights, Decomposition, blending_weights
 from .decomp import recombine  # noqa: F401  perfbench/tracing.py wraps rom.recombine
@@ -178,7 +179,7 @@ def predict_full(
     """Run the model from a raw full state and return the blended,
     unscaled trajectory as a snapshot set (initial state included).
 
-    Memory: one (n, steps+1) output plus about two lifted subdomain blocks.
+    Memory: one (n, steps+1) output plus one lifted subdomain block.
     Each block ``w_i * (V_i @ Q_i)`` is added into its rows of the output
     in ascending subdomain order, which sums the same terms in the same
     order as :func:`ddrom.decomp.recombine` on zero-padded fields.
@@ -191,7 +192,15 @@ def predict_full(
         weight = np.tile(rom.weights.weights[i], rom.layout.n_s)[rows]
         block = rom.bases[i].basis @ trajectories[i]
         block *= weight[:, None]
-        out[rows] += block
+        # a fancy-indexed += gathers and scatters a block-sized copy; an
+        # in-place += on runs of rows takes numpy's iteration buffers
+        # instead (up to getbufsize() elements per operand), the smaller
+        # cost once the block outgrows one buffer
+        if block.size <= np.getbufsize():
+            out[rows] += block
+        else:
+            for a, b, row in row_runs(rows):
+                out[row : row + b - a] += block[a:b]
         del block  # freed before the next block's product is formed
     preprocess._invert_in_place(out, rom.layout, rom.scaling)
     out.setflags(write=False)

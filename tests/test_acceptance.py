@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg as la
 
 from ddrom import cli
-from ddrom.core import Geometry, StateLayout
+from ddrom.core import Geometry, SnapshotSet, StateLayout, TimeGrid, save_snapshots
 from ddrom.decomp import (
     Decomposition,
     annular_sector_fraction,
@@ -568,3 +568,61 @@ def test_c14_predict_peak_is_one_output_plus_subdomain_blocks(k, ci_log):
         f"{output / 1e6:.1f} MB, largest block {block / 1e6:.2f} MB"
     )
     assert peak <= output + 3 * block
+
+
+TRAIN_MEMORY_CONFIG = """\
+[paths]
+snapshots = {dir}/snaps.bin
+artifact = {dir}/model.bin
+output_dir = {dir}/out
+
+[decomposition]
+topology = annular
+k = {k}
+overlap = 0.1
+
+[pod]
+r = 4
+
+[opinf]
+form = discrete
+lambda_linear = 1e-6
+lambda_quadratic = 1e-3
+"""
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_c15_train_peak_is_a_few_subdomain_blocks(k, tmp_path, ci_log):
+    """Training reads one subdomain's training block at a time from the
+    snapshot file, so its traced peak is a few of the largest blocks plus
+    full-length vectors, never the snapshot matrix or a copy of it."""
+    n_x, n_t, n_train = 20_000, 100, 80
+    rng = np.random.default_rng(115)
+    sset = SnapshotSet(
+        StateLayout(n_s=1, n_x=n_x, variable_names=("u",)), Geometry.circle(n_x),
+        TimeGrid(0.01 * np.arange(n_t), n_train=n_train),
+        rng.standard_normal((n_x, n_t)),
+    )
+    save_snapshots(sset, tmp_path / "snaps.bin")
+    del sset
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TRAIN_MEMORY_CONFIG.format(dir=tmp_path, k=k))
+    dec = decompose_sectors(Geometry.circle(n_x), k, 0.1)
+    block = max(idx.size for idx in dec.dof_indices) * n_train * 8
+
+    tracemalloc.start()
+    try:
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # full-length vectors: the mean field and its running sum, the point
+    # coordinates and angles, the subdomains' point and row indices; the
+    # scaling passes' read buffer (at most 4 MiB) is held apart from the
+    # blocks and stays under the block term at these sizes
+    vectors = 16 * n_x * 8
+    ci_log(
+        f"train memory k={k}: peak {peak / 1e6:.1f} MB, largest block "
+        f"{block / 1e6:.2f} MB, bound 4 blocks + {vectors / 1e6:.2f} MB"
+    )
+    assert peak <= 4 * block + vectors

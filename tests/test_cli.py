@@ -125,6 +125,8 @@ class TestPipeline:
         assert "bytes full" in text
         assert "largest subdomain" in text
         assert "d(r)=" in text
+        peak = float(text.split("peak resident memory ")[1].split(" MB")[0])
+        assert peak > 0.0
 
     def test_reports_have_documented_headers(self, workdir):
         tmp, cfg = workdir
@@ -282,6 +284,21 @@ class TestErrorReporting:
         code = run("predict", cfg)
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, stage", [(0, "preprocess"), (30, "load")])
+    def test_non_finite_training_or_prediction_column_fails_train(
+            self, workdir, capsys, column, stage):
+        # 64 points, 31 columns of which the first 25 train
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        raw = bytearray((tmp / "snaps.bin").read_bytes())
+        at = len(raw) - 8 * 64 * (31 - column) + 8 * 63
+        raw[at:at + 8] = np.array([np.nan]).tobytes()
+        (tmp / "snaps.bin").write_bytes(bytes(raw))
+        code = run("train", cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"train: {stage}: non-finite data" in err
 
     def test_non_uniform_time_grid_is_refused(self, workdir, capsys):
         tmp, cfg = workdir

@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 
@@ -16,6 +17,8 @@ from ddrom.core import (
     load_snapshots,
     save_snapshots,
 )
+
+from ddrom.preprocess import BlockSource
 
 from conftest import make_set
 
@@ -228,7 +231,18 @@ def _forge(raw: bytes, field: str, value: int) -> bytes:
     return bytes(out)
 
 
-READERS = [load_snapshots, load_initial_state]
+def read_blocks(path):
+    """Everything the training block source reads of a file: the header,
+    the prediction columns, the scaling passes and two blocks, one of them
+    a run of single rows."""
+    with BlockSource(path) as source:
+        source.fit("max_abs")
+        n_x = source.layout.n_x
+        for _ in source.blocks([np.arange(0, n_x, 2), np.arange(n_x)]):
+            pass
+
+
+READERS = [load_snapshots, load_initial_state, read_blocks]
 
 
 class TestInitialState:
@@ -306,6 +320,16 @@ class TestInitialState:
                 reader(path)
 
 
+def test_file_cut_short_after_opening_is_a_format_error(tmp_path):
+    path = tmp_path / "s.bin"
+    save_snapshots(make_set(np.arange(24.0).reshape(6, 4), n_s=2, n_train=3), path)
+    with BlockSource(path) as source:
+        # into the last training column
+        os.truncate(path, path.stat().st_size - 8 * 6 - 8)
+        with pytest.raises(SnapFormatError, match="truncated"):
+            source.fit()
+
+
 def _valid_file_bytes(tmp_path) -> bytes:
     rng = np.random.default_rng(11)
     sset = make_set(rng.standard_normal((6, 4)), n_s=2, periodic=True,
@@ -349,3 +373,9 @@ class TestLoaderFuzz:
                 reader(path)
             except SnapFormatError:
                 pass
+            except ValueError:
+                # the scaling may refuse the values of a well-formed file
+                # (a flipped exponent overflows the mean); the format
+                # itself must then pass the full reader
+                assert reader is read_blocks
+                load_snapshots(path)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ddrom import metrics
 from ddrom.metrics import (
     DEFAULT_THRESHOLDS,
     error_report,
@@ -140,7 +141,30 @@ class TestPointwiseBins:
         assert rep.fractions.shape == (2, 4)
 
 
+    def test_column_chunks_give_the_whole_matrix_answer(self, monkeypatch):
+        rng = np.random.default_rng(55)
+        ref = rng.standard_normal((40, 9)) * 3.0
+        ref[5, 2] = 0.0
+        approx = ref * (1.0 + 0.2 * rng.standard_normal((40, 9)))
+        a, b = make_set(ref, n_s=2), make_set(approx, n_s=2)
+        # one pass over the whole matrix, as the report once was taken
+        floor = 1e-12 * np.abs(ref).max()
+        rel = np.abs(approx[20:] - ref[20:]) / np.maximum(np.abs(ref[20:]), floor)
+        bins = np.searchsorted(DEFAULT_THRESHOLDS, rel, side="left")
+        whole = np.stack([np.bincount(bins[:, k], minlength=4) / 20 for k in range(9)])
+        monkeypatch.setattr(metrics, "_CHUNK_BYTES", 8 * 40 * 2)  # two columns
+        rep = pointwise_error_bins(a, b, variable=1)
+        np.testing.assert_array_equal(rep.fractions, whole)
+
+
 class TestLineProbe:
+    def test_only_the_asked_instants(self):
+        data = np.arange(30.0).reshape(6, 5)
+        sset = make_set(data)
+        lp = line_probe(sset, 0, np.array([4, 1]), [3, 0, 3])
+        np.testing.assert_array_equal(lp.values, data[[4, 1]][:, [3, 0, 3]])
+        np.testing.assert_array_equal(lp.times, sset.time.timestamps[[3, 0, 3]])
+
     def test_circle_probe_reports_angles(self):
         data = np.arange(16.0).reshape(8, 2)
         sset = make_set(data, periodic=True)

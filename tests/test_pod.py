@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ddrom import pod
+from ddrom.fomlab import FomSpec, simulate
 from ddrom.pod import (
     PodBasis,
     compute_basis,
@@ -163,3 +164,15 @@ def test_pod_basis_validates_orthonormality():
     bad = np.ones((4, 2))
     with pytest.raises(ValueError, match="orthonormal"):
         PodBasis(basis=bad, singular_values=np.array([2.0, 1.0]))
+
+
+def test_gram_route_names_its_loss_of_orthonormality():
+    """The README Burgers snapshots, unscaled: the Gram route keeps r = 5
+    orthonormal and refuses r = 6 by name, pointing to the SVD route."""
+    data = simulate(FomSpec(kind="burgers", n_x=64, nu=0.02, dt=1e-4,
+                            n_steps=3000, stride=100)).data
+    assert compute_basis(data, r=5, method="snapshots").r == 5
+    with pytest.raises(ValueError, match=r"lost orthonormality at r=6 "
+                       r"\(sigma_r/sigma_1 = 9\.\d+e-05\); use \[pod\] method = svd"):
+        compute_basis(data, r=6, method="snapshots")
+    assert compute_basis(data, r=6, method="svd").r == 6

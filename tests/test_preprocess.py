@@ -4,7 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ddrom.core import (
+    Geometry,
+    SnapshotSet,
+    StateLayout,
+    TimeGrid,
+    load_snapshots,
+    save_snapshots,
+)
+from ddrom.decomp import decompose_sectors
 from ddrom.preprocess import (
+    BlockSource,
     ScalingRecord,
     apply_record,
     center_scale,
@@ -143,3 +153,59 @@ def test_round_trip_property(data):
     back = invert_record(scaled.data, sset.layout, record)
     scale = max(np.abs(data).max(), 1.0)
     assert np.abs(back - data).max() <= 1e-12 * scale
+
+
+def _ulps(a, b) -> float:
+    return float(np.max(np.abs(a - b) / np.spacing(np.abs(b))))
+
+
+@pytest.mark.parametrize("kind", ["max_abs", "std_dev"])
+@pytest.mark.parametrize("n_s", [1, 2])
+def test_block_source_matches_the_whole_matrix(tmp_path, kind, n_s):
+    """The streamed record and blocks against transform_variables and
+    center_scale on the whole matrix: the mean field and max_abs scales bit
+    for bit, std_dev scales to 4 ulp, and every block the rows of the
+    scaled matrix (bit for bit where the scales are)."""
+    rng = np.random.default_rng(40 + n_s)
+    n_x, n_t, m = 300, 40, 31
+    # the last variable is positive and goes through the reciprocal
+    n = n_s * n_x
+    data = rng.standard_normal((n, n_t)) * rng.uniform(0.1, 10.0, (n, 1))
+    data[-n_x:] = np.abs(data[-n_x:]) + 0.5
+    names = tuple(f"v{i}" for i in range(n_s))
+    transforms = ("identity",) * (n_s - 1) + ("reciprocal",)
+    sset = SnapshotSet(StateLayout(n_s, n_x, names), Geometry.circle(n_x),
+                       TimeGrid(0.1 * np.arange(n_t), n_train=m), data)
+    path = tmp_path / "s.bin"
+    save_snapshots(sset, path)
+    # the oracle works on the column-major matrix the file holds, whose
+    # row means numpy sums one column after another
+    sset = load_snapshots(path)
+    scaled, expected = center_scale(transform_variables(sset, transforms),
+                                    kind=kind, transforms=transforms)
+
+    # blocks that wrap past point 0 read two runs of rows per variable
+    dec = decompose_sectors(sset.geometry, 3, 0.3)
+    with BlockSource(path) as source:
+        record = source.fit(kind, transforms)
+        blocks = list(source.blocks(dec.dof_indices))
+    assert np.array_equal(record.mean_field, expected.mean_field)
+    assert record.transform_spec == expected.transform_spec
+    if kind == "max_abs":
+        assert np.array_equal(record.scale, expected.scale)
+    else:
+        assert _ulps(record.scale, expected.scale) <= 4
+    for idx, block in zip(dec.dof_indices, blocks):
+        want = scaled.data[sset.layout.point_rows(idx), :m]
+        if np.array_equal(record.scale, expected.scale):
+            assert np.array_equal(block, want)
+        else:
+            np.testing.assert_allclose(block, want, rtol=1e-14, atol=1e-14)
+
+
+def test_block_source_refuses_reading_before_fitting(tmp_path):
+    path = tmp_path / "s.bin"
+    save_snapshots(make_set(np.arange(8.0).reshape(4, 2)), path)
+    with BlockSource(path) as source:
+        with pytest.raises(ValueError, match="fit the scaling record"):
+            next(source.blocks([np.arange(4)]))
