@@ -13,7 +13,6 @@ import argparse
 import configparser
 import csv
 import io
-import resource
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -198,8 +197,13 @@ def decompose_header(k: int) -> tuple[str, ...]:
     )
 
 
-def _peak_rss_bytes() -> int:
-    """This process's resident high-water mark, as the OS measured it."""
+def _peak_rss_bytes() -> int | None:
+    """This process's resident high-water mark, as the OS measured it, or
+    None where the OS reports none (the resource module is POSIX only)."""
+    try:
+        import resource
+    except ImportError:
+        return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # bytes on macOS, KiB elsewhere
     return peak if sys.platform == "darwin" else 1024 * peak
@@ -256,9 +260,11 @@ def _project_blocks(cfg, source, dec):
         raise ValueError("config must set exactly one of [pod] r and [pod] energy")
     method = _get(cfg, "pod", "method", str, default="svd")
     bases, reduced = [], []
-    for i, block in enumerate(source.blocks(dec.dof_indices)):
+    # no enumerate: the result tuple it reuses would keep each block alive
+    # while the next one is read
+    for block in source.blocks(dec.dof_indices):
         basis = pod.compute_basis(
-            block, r=r, energy=energy, method=method, subdomain_id=i
+            block, r=r, energy=energy, method=method, subdomain_id=len(bases)
         )
         bases.append(basis)
         reduced.append(basis.basis.T @ block)
@@ -515,10 +521,12 @@ def _svd_rows(cfg, source: preprocess.BlockSource):
     _fit_scaling(cfg, source)
     dec = _build_decomposition(cfg, source.geometry)
     method = _get(cfg, "pod", "method", str, default="svd")
-    rows = []
-    for i, block in enumerate(source.blocks(dec.dof_indices)):
-        sigma = pod.singular_spectrum(block, method=method)
+    spectra = []
+    for block in source.blocks(dec.dof_indices):  # no enumerate, as above
+        spectra.append(pod.singular_spectrum(block, method=method))
         del block  # before the next block is read
+    rows = []
+    for i, sigma in enumerate(spectra):
         energy = np.cumsum(sigma**2)
         total = energy[-1] if energy[-1] > 0 else 1.0
         for j, s in enumerate(sigma):
@@ -578,9 +586,11 @@ def cmd_train(cfg, args) -> int:
         )
     if run.search is not None:
         print(f"regularization: {_choice_text(run.search)}")
+    peak = _peak_rss_bytes()
+    measured = "" if peak is None else f"; peak resident memory {peak / 1e6:.1f} MB"
     print(f"training matrix: {full_bytes} bytes full, {largest_bytes} bytes "
-          f"largest subdomain (x{full_bytes / largest_bytes:.2f} reduction); "
-          f"peak resident memory {_peak_rss_bytes() / 1e6:.1f} MB")
+          f"largest subdomain (x{full_bytes / largest_bytes:.2f} reduction)"
+          f"{measured}")
     print(f"wrote {artifact}")
     return 0
 
@@ -639,9 +649,9 @@ def cmd_predict(cfg, args) -> int:
 
 def cmd_evaluate(cfg, args) -> int:
     with _stage("load"):
-        truth_path = _get(cfg, "paths", "truth", str, default=None) or _path(
-            cfg, "snapshots"
-        )
+        truth_path = _get(cfg, "paths", "truth", str, default=None)
+        if truth_path is None:
+            truth_path = _path(cfg, "snapshots")
         truth = _load_set(cfg, truth_path)
         approx = load_snapshots(_path(cfg, "prediction"))
         if truth.data.shape != approx.data.shape:

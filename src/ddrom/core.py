@@ -26,7 +26,6 @@ __all__ = [
     "load_snapshots",
     "load_initial_state",
     "SnapshotFile",
-    "row_runs",
 ]
 
 SNAP_MAGIC = b"DDOI"
@@ -40,22 +39,13 @@ _TRAIN_MAX = 2**31 - 1
 
 _TWO_PI = 2.0 * np.pi
 
-# largest buffer SnapshotFile.chunks reads columns through
+# largest column-chunk buffer: SnapshotFile.chunks reads through one,
+# rom.predict_full adds each subdomain block through one
 _SCAN_BYTES = 1 << 22
 
 
 class SnapFormatError(ValueError):
     """A snapshot file is malformed, truncated, or of an unknown version."""
-
-
-def row_runs(rows) -> list[tuple[int, int, int]]:
-    """The runs of consecutive values in the non-empty index array ``rows``,
-    as ``(start, stop, first)``: ``rows[start:stop]`` counts up from
-    ``first``."""
-    rows = np.asarray(rows)
-    cut = np.flatnonzero(np.diff(rows) != 1) + 1
-    starts = [0, *cut.tolist()]
-    return list(zip(starts, [*cut.tolist(), rows.size], rows[starts].tolist()))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -513,51 +503,28 @@ class SnapshotFile:
     def read(self, out: np.ndarray, index: int) -> np.ndarray:
         """Fill ``out`` (1-D, or a column-major matrix) with consecutive
         payload values from flat index ``index`` on."""
-        self._fill(memoryview(out.T).cast("B"), index)
-        return out
-
-    def _fill(self, view: memoryview, index: int) -> None:
+        view = memoryview(out.T).cast("B")
         if index < 0 or 8 * index + view.nbytes > 8 * self._size:
             raise ValueError("read past the end of the data matrix")
-        offset, done = self._start + 8 * index, 0
-        while done < view.nbytes:
-            got = os.preadv(self._fh.fileno(), [view[done:]], offset + done)
-            if got <= 0:
-                raise SnapFormatError("truncated file while reading data")
-            done += got
+        self._fh.seek(self._start + 8 * index)
+        if self._fh.readinto(view) != view.nbytes:
+            raise SnapFormatError("truncated file while reading data")
+        return out
 
-    def chunks(self, start: int, stop: int, rows=None):
-        """Columns ``start .. stop-1`` as ``(first column, matrix)`` pairs,
-        restricted to the row indices ``rows`` when given.
+    def chunks(self, start: int, stop: int):
+        """Columns ``start .. stop-1`` as ``(first column, matrix)`` pairs.
 
         Each matrix is a column-major view of one buffer of at most 4 MiB
         (or one column, if that is larger, and never wider than the range),
-        filled with one read, or with one read per run of consecutive rows
-        and column when ``rows`` is given.  The buffer is reused: a matrix
-        is valid until the next one is produced.
+        filled with one read.  The buffer is reused: a matrix is valid until
+        the next one is produced.
         """
-        height, runs = self.n, None
-        if rows is not None:
-            rows = np.asarray(rows)
-            if rows.size and (rows.min() < 0 or rows.max() >= self.n):
-                raise ValueError("row index out of range")
-            height = rows.size
-            runs = row_runs(rows) if height else []
-        if height == 0 or stop <= start:
+        if stop <= start:
             return
-        width = min(stop - start, max(1, _SCAN_BYTES // (8 * height)))
-        buf = np.empty((height, width), dtype="<f8", order="F")
-        view = memoryview(buf.T).cast("B")
+        width = min(stop - start, max(1, _SCAN_BYTES // (8 * self.n)))
+        buf = np.empty((self.n, width), dtype="<f8", order="F")
         for j in range(start, stop, width):
-            chunk = buf[:, : min(width, stop - j)]
-            if runs is None:
-                self.read(chunk, j * self.n)
-            else:
-                for c in range(chunk.shape[1]):
-                    at, index = 8 * c * height, (j + c) * self.n
-                    for a, b, row in runs:
-                        self._fill(view[at + 8 * a : at + 8 * b], index + row)
-            yield j, chunk
+            yield j, self.read(buf[:, : min(width, stop - j)], j * self.n)
 
     def check_finite(self, start: int, stop: int) -> None:
         """Raise :class:`SnapFormatError` if columns ``start .. stop-1`` hold

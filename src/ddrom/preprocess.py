@@ -332,10 +332,12 @@ class BlockSource:
         layout, record = self.layout, self._record
         rows = layout.point_rows(idx)
         # row-major, like the row selection scaled.data[rows, :m] of the
-        # loaded matrix that it equals, so products of it round the same
+        # loaded matrix that it equals, so products of it round the same;
+        # whole columns are read and their rows picked in memory, so the
+        # number of reads does not depend on how the rows are ordered
         block = np.empty((rows.size, self.time.n_train))
-        for j, chunk in self._file.chunks(0, self.time.n_train, rows):
-            block[:, j : j + chunk.shape[1]] = chunk
+        for j, chunk in self._file.chunks(0, self.time.n_train):
+            block[:, j : j + chunk.shape[1]] = chunk[rows]
         names = layout.variable_names
         var_rows = [slice(v * idx.size, (v + 1) * idx.size) for v in range(layout.n_s)]
         _transform_in_place(block, var_rows, record.transform_spec, names)

@@ -23,7 +23,7 @@ from .core import (
     StateLayout,
     TimeGrid,
     _Reader,
-    row_runs,
+    _SCAN_BYTES,
 )
 from .decomp import BlendingWeights, Decomposition, blending_weights
 from .decomp import recombine  # noqa: F401  perfbench/tracing.py wraps rom.recombine
@@ -179,7 +179,8 @@ def predict_full(
     """Run the model from a raw full state and return the blended,
     unscaled trajectory as a snapshot set (initial state included).
 
-    Memory: one (n, steps+1) output plus one lifted subdomain block.
+    Memory: one (n, steps+1) output, one lifted subdomain block and a
+    copy of at most 4 MiB (or one block column, if larger) of its rows.
     Each block ``w_i * (V_i @ Q_i)`` is added into its rows of the output
     in ascending subdomain order, which sums the same terms in the same
     order as :func:`ddrom.decomp.recombine` on zero-padded fields.
@@ -192,15 +193,11 @@ def predict_full(
         weight = np.tile(rom.weights.weights[i], rom.layout.n_s)[rows]
         block = rom.bases[i].basis @ trajectories[i]
         block *= weight[:, None]
-        # a fancy-indexed += gathers and scatters a block-sized copy; an
-        # in-place += on runs of rows takes numpy's iteration buffers
-        # instead (up to getbufsize() elements per operand), the smaller
-        # cost once the block outgrows one buffer
-        if block.size <= np.getbufsize():
-            out[rows] += block
-        else:
-            for a, b, row in row_runs(rows):
-                out[row : row + b - a] += block[a:b]
+        # a fancy-indexed += gathers and scatters a copy of what it adds
+        # to; in column chunks that copy stays within 4 MiB
+        width = max(1, _SCAN_BYTES // (8 * rows.size))
+        for c in range(0, steps + 1, width):
+            out[rows, c : c + width] += block[:, c : c + width]
         del block  # freed before the next block's product is formed
     preprocess._invert_in_place(out, rom.layout, rom.scaling)
     out.setflags(write=False)

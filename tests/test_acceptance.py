@@ -618,8 +618,8 @@ def test_c15_train_peak_is_a_few_subdomain_blocks(k, tmp_path, ci_log):
         tracemalloc.stop()
     # full-length vectors: the mean field and its running sum, the point
     # coordinates and angles, the subdomains' point and row indices; the
-    # scaling passes' read buffer (at most 4 MiB) is held apart from the
-    # blocks and stays under the block term at these sizes
+    # read buffer (at most 4 MiB), alive beside a block only while that
+    # block is read, stays under the block term at these sizes
     vectors = 16 * n_x * 8
     ci_log(
         f"train memory k={k}: peak {peak / 1e6:.1f} MB, largest block "

@@ -300,6 +300,16 @@ class TestErrorReporting:
         assert code == 1
         assert f"train: {stage}: non-finite data" in err
 
+    def test_empty_truth_path_fails_evaluate(self, workdir, capsys):
+        # only a missing key falls back to the training snapshots
+        tmp, cfg = workdir
+        for cmd in ("gen", "train", "predict"):
+            assert run(cmd, cfg) == 0
+        cfg.write_text(cfg.read_text().replace("[paths]\n", "[paths]\ntruth =\n"))
+        code = run("evaluate", cfg)
+        assert code == 1
+        assert "evaluate: load:" in capsys.readouterr().err
+
     def test_non_uniform_time_grid_is_refused(self, workdir, capsys):
         tmp, cfg = workdir
         assert run("gen", cfg) == 0

@@ -161,11 +161,13 @@ def _ulps(a, b) -> float:
 
 @pytest.mark.parametrize("kind", ["max_abs", "std_dev"])
 @pytest.mark.parametrize("n_s", [1, 2])
-def test_block_source_matches_the_whole_matrix(tmp_path, kind, n_s):
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_block_source_matches_the_whole_matrix(tmp_path, kind, n_s, order):
     """The streamed record and blocks against transform_variables and
     center_scale on the whole matrix: the mean field and max_abs scales bit
     for bit, std_dev scales to 4 ulp, and every block the rows of the
-    scaled matrix (bit for bit where the scales are)."""
+    scaled matrix (bit for bit where the scales are), whether a subdomain's
+    points are stored together or scattered through the file."""
     rng = np.random.default_rng(40 + n_s)
     n_x, n_t, m = 300, 40, 31
     # the last variable is positive and goes through the reciprocal
@@ -174,7 +176,13 @@ def test_block_source_matches_the_whole_matrix(tmp_path, kind, n_s):
     data[-n_x:] = np.abs(data[-n_x:]) + 0.5
     names = tuple(f"v{i}" for i in range(n_s))
     transforms = ("identity",) * (n_s - 1) + ("reciprocal",)
-    sset = SnapshotSet(StateLayout(n_s, n_x, names), Geometry.circle(n_x),
+    geometry = Geometry.circle(n_x)
+    if order == "shuffled":
+        ring = Geometry.annulus(n_x)
+        perm = rng.permutation(n_x)
+        geometry = Geometry(ring.coords[perm], periodic=True,
+                            angular=ring.angular[perm])
+    sset = SnapshotSet(StateLayout(n_s, n_x, names), geometry,
                        TimeGrid(0.1 * np.arange(n_t), n_train=m), data)
     path = tmp_path / "s.bin"
     save_snapshots(sset, path)
@@ -184,7 +192,8 @@ def test_block_source_matches_the_whole_matrix(tmp_path, kind, n_s):
     scaled, expected = center_scale(transform_variables(sset, transforms),
                                     kind=kind, transforms=transforms)
 
-    # blocks that wrap past point 0 read two runs of rows per variable
+    # sorted: blocks that wrap past point 0 take two runs of rows per
+    # variable; shuffled: about one run per point
     dec = decompose_sectors(sset.geometry, 3, 0.3)
     with BlockSource(path) as source:
         record = source.fit(kind, transforms)
