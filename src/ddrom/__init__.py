@@ -34,7 +34,6 @@ from .metrics import (
     error_report,
     line_probe,
     pointwise_error_bins,
-    relative_error_curve,
     squared_l2_relative_error,
 )
 from .opinf import (
@@ -56,7 +55,6 @@ from .pod import (
     method_of_snapshots,
     retained_energy,
     singular_spectrum,
-    thin_svd,
 )
 from .preprocess import (
     ScalingRecord,
@@ -102,7 +100,6 @@ __all__ = [
     "error_report",
     "line_probe",
     "pointwise_error_bins",
-    "relative_error_curve",
     "squared_l2_relative_error",
     "RegressionConfig",
     "RomOperators",
@@ -120,7 +117,6 @@ __all__ = [
     "method_of_snapshots",
     "retained_energy",
     "singular_spectrum",
-    "thin_svd",
     "ScalingRecord",
     "apply_record",
     "center_scale",

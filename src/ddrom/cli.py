@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import io
 import sys
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +25,9 @@ import numpy as np
 from . import decomp, fomlab, metrics, opinf, pod, preprocess, regsearch, rom
 from .core import (
     Geometry,
+    SnapshotFile,
     StateLayout,
+    TimeGrid,
     load_initial_state,
     load_snapshots,
     save_snapshots,
@@ -218,12 +222,11 @@ def snapshot_matrix_bytes(rows: int, columns: int) -> int:
 # shared pipeline pieces
 
 
-def _load_set(cfg, path):
-    sset = load_snapshots(path)
+def _train_time(cfg, time: TimeGrid) -> TimeGrid:
+    """``time`` with the config's training split, if it sets one; refuses
+    ``n_train > n_t``."""
     n_train = _get(cfg, "time", "n_train", int, default=None)
-    if n_train is not None:
-        sset = sset.with_data(sset.data, n_train=n_train)
-    return sset
+    return time if n_train is None else time.with_train_count(n_train)
 
 
 def _build_decomposition(cfg, geometry):
@@ -462,21 +465,8 @@ def cmd_gen(cfg, args) -> int:
     with _stage("config"):
         fields = {}
         section = cfg.get("fom", {})
-        spec_casts = {
-            "kind": str,
-            "n_x": int,
-            "length": float,
-            "nu": float,
-            "amplitude": float,
-            "wave_speed": float,
-            "n_pulses": int,
-            "pulse_width": float,
-            "decay": float,
-            "frequency": float,
-            "dt": float,
-            "n_steps": int,
-            "stride": int,
-        }
+        hints = typing.get_type_hints(fomlab.FomSpec)
+        spec_casts = {f.name: hints[f.name] for f in dataclasses.fields(fomlab.FomSpec)}
         for key in section:
             if key not in spec_casts:
                 raise ValueError(f"unknown [fom] key {key!r}")
@@ -484,9 +474,7 @@ def cmd_gen(cfg, args) -> int:
         spec = fomlab.FomSpec(**fields)
     with _stage("simulate"):
         sset = fomlab.simulate(spec)
-        n_train = _get(cfg, "time", "n_train", int, default=None)
-        if n_train is not None:
-            sset = sset.with_data(sset.data, n_train=n_train)
+        sset = sset.with_data(sset.data, _train_time(cfg, sset.time).n_train)
     with _stage("write"):
         out = _path(cfg, "snapshots")
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -497,20 +485,23 @@ def cmd_gen(cfg, args) -> int:
 
 
 def cmd_decompose(cfg, args) -> int:
-    with _stage("load"):
-        sset = _load_set(cfg, _path(cfg, "snapshots"))
+    # the geometry comes from the header; the data is only scanned for
+    # non-finite values, through the read buffer
+    with _stage("load"), SnapshotFile(_path(cfg, "snapshots")) as snap:
+        snap.check_finite(0, snap.header.time.n_t)
+        _train_time(cfg, snap.header.time)
+    geometry = snap.header.geometry
     with _stage("decompose"):
-        dec = _build_decomposition(cfg, sset.geometry)
-        weights = decomp.blending_weights(dec, sset.geometry)
+        dec = _build_decomposition(cfg, geometry)
+        weights = decomp.blending_weights(dec, geometry)
     out_dir = _output_dir(cfg, args)
     member = np.zeros((dec.k, dec.n_x), dtype=int)
     for i, idx in enumerate(dec.dof_indices):
         member[i, idx] = 1
-    rows = []
-    for p in range(dec.n_x):
-        rows.append(
-            [p, *member[:, p].tolist(), *(weights.weights[:, p].tolist())]
-        )
+    rows = (
+        [p, *m, *w]
+        for p, (m, w) in enumerate(zip(member.T, weights.weights.T))
+    )
     path = out_dir / "decomposition.csv"
     _write_csv(path, decompose_header(dec.k), rows)
     print(f"wrote {path} (k={dec.k}, sizes {list(dec.subdomain_sizes())})")
@@ -622,9 +613,8 @@ def cmd_predict(cfg, args) -> int:
         model = rom.load_rom(_path(cfg, "artifact"))
         ic_path = _get(cfg, "paths", "ic", str, default=None)
         head, initial = load_initial_state(ic_path or _path(cfg, "snapshots"))
-        n_train = _get(cfg, "time", "n_train", int, default=None)
-        if not ic_path and n_train is not None:
-            head.time.with_train_count(n_train)  # refuses n_train > n_t
+        if not ic_path:
+            _train_time(cfg, head.time)  # refuses n_train > n_t
         if head.layout != model.layout:
             raise ValueError(
                 f"initial-condition layout (n_s={head.layout.n_s}, "
@@ -652,7 +642,8 @@ def cmd_evaluate(cfg, args) -> int:
         truth_path = _get(cfg, "paths", "truth", str, default=None)
         if truth_path is None:
             truth_path = _path(cfg, "snapshots")
-        truth = _load_set(cfg, truth_path)
+        truth = load_snapshots(truth_path)
+        truth = truth.with_data(truth.data, _train_time(cfg, truth.time).n_train)
         approx = load_snapshots(_path(cfg, "prediction"))
         if truth.data.shape != approx.data.shape:
             raise ValueError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,8 @@ _TRAIN_MAX = 2**31 - 1
 _TWO_PI = 2.0 * np.pi
 
 # largest column-chunk buffer: SnapshotFile.chunks reads through one,
-# rom.predict_full adds each subdomain block through one
+# rom.predict_full adds each subdomain block through one, and
+# metrics.pointwise_error_bins bins through one
 _SCAN_BYTES = 1 << 22
 
 
@@ -77,20 +78,13 @@ class StateLayout:
     n_s: int
     n_x: int
     variable_names: tuple[str, ...]
-    variable_units: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.n_s < 1 or self.n_x < 1:
             raise ValueError("layout needs at least one variable and one point")
         object.__setattr__(self, "variable_names", tuple(self.variable_names))
-        units = tuple(self.variable_units)
-        if not units:
-            units = ("",) * self.n_s
-        object.__setattr__(self, "variable_units", units)
         if len(self.variable_names) != self.n_s:
             raise ValueError("expected one name per variable")
-        if len(self.variable_units) != self.n_s:
-            raise ValueError("expected one unit per variable")
         for name in self.variable_names:
             if "\x00" in name:
                 raise ValueError("variable names must not contain NUL")
@@ -237,14 +231,6 @@ class TimeGrid:
     def t_init(self) -> float:
         return float(self.timestamps[0])
 
-    @property
-    def t_train(self) -> float:
-        return float(self.timestamps[self.n_train - 1])
-
-    @property
-    def t_final(self) -> float:
-        return float(self.timestamps[-1])
-
     def with_train_count(self, n_train: int) -> "TimeGrid":
         return TimeGrid(self.timestamps, n_train)
 
@@ -318,30 +304,26 @@ class SnapshotSet:
         )
 
 
-def _pack_header(sset: SnapshotSet) -> bytes:
-    layout, geom, time = sset.layout, sset.geometry, sset.time
-    flags = _FLAG_PERIODIC if geom.periodic else 0
-    if time.n_train != time.n_t:
-        if time.n_train > _TRAIN_MAX:
-            raise SnapFormatError("training column count too large to store")
-        flags |= time.n_train << _TRAIN_SHIFT
-    parts = [
-        SNAP_MAGIC,
-        struct.pack(
-            "<IIQQQQ",
-            SNAP_VERSION,
-            flags,
-            layout.n_s,
-            layout.n_x,
-            time.n_t,
-            geom.dim,
-        ),
-    ]
-    for name in layout.variable_names:
-        parts.append(name.encode("utf-8") + b"\x00")
-    parts.append(np.ascontiguousarray(geom.coords, dtype="<f8").tobytes())
-    parts.append(np.ascontiguousarray(time.timestamps, dtype="<f8").tobytes())
-    return b"".join(parts)
+class _Writer:
+    """Little-endian writes to a binary file, the counterpart of
+    :class:`_Reader`."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def pack(self, fmt: str, *values) -> None:
+        self.fh.write(struct.pack("<" + fmt, *values))
+
+    def array(self, arr, order="C") -> None:
+        """Write ``arr`` as float64 in ``order``; an array already laid out
+        that way is written straight from its memory, without a copy."""
+        arr = np.asarray(arr, dtype="<f8")
+        # the transpose of a column-major matrix is row-major
+        flat = np.ascontiguousarray(arr if order == "C" else arr.T)
+        self.fh.write(memoryview(flat))
+
+    def name(self, text: str) -> None:
+        self.fh.write(text.encode("utf-8") + b"\x00")
 
 
 def save_snapshots(sset: SnapshotSet, path) -> None:
@@ -352,15 +334,25 @@ def save_snapshots(sset: SnapshotSet, path) -> None:
     data matrix column by column (each column variable-major), all values
     little-endian float64.
     """
+    layout, geom, time = sset.layout, sset.geometry, sset.time
     if not np.all(np.isfinite(sset.data)):
         raise SnapFormatError("non-finite data")
-    header = _pack_header(sset)
-    # the transpose of a column-major matrix is row-major, so the file
-    # takes the payload straight from the array's memory
-    payload = np.asfortranarray(sset.data, dtype="<f8")
+    flags = _FLAG_PERIODIC if geom.periodic else 0
+    if time.n_train != time.n_t:
+        if time.n_train > _TRAIN_MAX:
+            raise SnapFormatError("training column count too large to store")
+        flags |= time.n_train << _TRAIN_SHIFT
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(memoryview(payload.T))
+        w = _Writer(fh)
+        fh.write(SNAP_MAGIC)
+        w.pack(
+            "IIQQQQ", SNAP_VERSION, flags, layout.n_s, layout.n_x, time.n_t, geom.dim
+        )
+        for name in layout.variable_names:
+            w.name(name)
+        w.array(geom.coords)
+        w.array(time.timestamps)
+        w.array(sset.data, order="F")
 
 
 class _Reader:

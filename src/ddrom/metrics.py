@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import SnapshotSet
 
 __all__ = [
@@ -19,16 +20,12 @@ __all__ = [
     "BinReport",
     "LineProbe",
     "squared_l2_relative_error",
-    "relative_error_curve",
     "error_report",
     "pointwise_error_bins",
     "line_probe",
 ]
 
 DEFAULT_THRESHOLDS = (0.05, 0.10, 0.20)
-
-# largest column chunk the pointwise error bins hold a temporary for
-_CHUNK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -38,7 +35,6 @@ class ErrorReport:
     variables: tuple[str, ...]
     training: tuple[float, ...]
     prediction: tuple[float | None, ...]
-    horizon_split: int
 
     def __post_init__(self):
         for err in self.training + self.prediction:
@@ -80,22 +76,13 @@ def _check_pair(ref: SnapshotSet, approx: SnapshotSet):
         raise ValueError("reference and approximation dimensions do not match")
 
 
-def _columns_slice(columns, n_t: int) -> slice:
-    if columns is None:
-        return slice(0, n_t)
-    if isinstance(columns, slice):
-        return columns
-    lo, hi = columns
-    return slice(int(lo), int(hi))
-
-
 def squared_l2_relative_error(
     ref: SnapshotSet, approx: SnapshotSet, variable: int = 0, columns=None
 ) -> float:
     """||ref - approx||_F^2 / ||ref||_F^2 over one variable's block,
-    restricted to a column range given as ``(start, stop)`` or a slice."""
+    restricted to a column range given as ``(start, stop)``."""
     _check_pair(ref, approx)
-    cols = _columns_slice(columns, ref.n_t)
+    cols = slice(None) if columns is None else slice(*columns)
     r = ref.variable_block(variable)[:, cols]
     a = approx.variable_block(variable)[:, cols]
     denom = float(np.sum(r * r))
@@ -103,20 +90,6 @@ def squared_l2_relative_error(
         raise ValueError("reference block is identically zero on the range")
     diff = r - a
     return float(np.sum(diff * diff) / denom)
-
-
-def relative_error_curve(
-    ref: SnapshotSet, approx: SnapshotSet, variable: int = 0
-) -> np.ndarray:
-    """Per-instant squared relative errors: one Frobenius ratio per column."""
-    _check_pair(ref, approx)
-    r = ref.variable_block(variable)
-    a = approx.variable_block(variable)
-    denom = np.sum(r * r, axis=0)
-    if np.any(denom == 0.0):
-        raise ValueError("reference block has an identically zero column")
-    diff = r - a
-    return np.sum(diff * diff, axis=0) / denom
 
 
 def error_report(ref: SnapshotSet, approx: SnapshotSet) -> ErrorReport:
@@ -140,7 +113,6 @@ def error_report(ref: SnapshotSet, approx: SnapshotSet) -> ErrorReport:
         variables=ref.layout.variable_names,
         training=tuple(training),
         prediction=tuple(prediction),
-        horizon_split=m,
     )
 
 
@@ -167,7 +139,7 @@ def pointwise_error_bins(
         raise ValueError("thresholds must be strictly increasing")
     # column chunks, so no temporary is full size; every value is the one
     # the whole matrix gives
-    width = max(1, _CHUNK_BYTES // (8 * ref.n))
+    width = max(1, core._SCAN_BYTES // (8 * ref.n))
     chunks = [slice(c, c + width) for c in range(0, ref.n_t, width)]
     if floor is None:
         floor = 1e-12 * float(max(np.abs(ref.data[:, c]).max() for c in chunks))

@@ -361,28 +361,20 @@ def infer_discrete(reduced, adjacency, config: RegressionConfig):
     )
 
 
-def coefficient_count(
-    r: int,
-    neighbor_dims=(),
-    include_quadratic: bool = True,
-    include_constant: bool = False,
-) -> int:
+def coefficient_count(r: int, neighbor_dims=(), include_constant: bool = False) -> int:
     """Coefficients per reduced equation at dimension r.
 
     ``neighbor_dims`` entries are neighbor dimensions; ``None`` means the
     neighbor is reduced to the same r.  A constant term adds one column.
     """
-    total = r + (quadratic_dim(r) if include_quadratic else 0) + int(include_constant)
+    total = r + quadratic_dim(r) + int(include_constant)
     for dim in neighbor_dims:
         total += r if dim is None else int(dim)
     return total
 
 
 def max_reduced_dimension(
-    n_train: int,
-    neighbor_dims=(),
-    include_quadratic: bool = True,
-    include_constant: bool = False,
+    n_train: int, neighbor_dims=(), include_constant: bool = False
 ) -> int:
     """Largest r whose coefficient count fits the training column budget.
 
@@ -394,9 +386,6 @@ def max_reduced_dimension(
     if n_train < 1:
         raise ValueError("n_train must be positive")
     r = 0
-    while (
-        coefficient_count(r + 1, neighbor_dims, include_quadratic, include_constant)
-        <= n_train
-    ):
+    while coefficient_count(r + 1, neighbor_dims, include_constant) <= n_train:
         r += 1
     return r

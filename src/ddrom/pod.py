@@ -16,15 +16,16 @@ import scipy.linalg as la
 
 __all__ = [
     "PodBasis",
-    "thin_svd",
     "method_of_snapshots",
     "retained_energy",
     "energy_rank",
+    "singular_spectrum",
     "compute_basis",
 ]
 
 RANK_RTOL = 1e-12  # modes with sigma_j <= RANK_RTOL * sigma_1 are unusable
 ORTHO_TOL = 1e-10
+GRAM_BLOCK = 64  # columns per block of the accumulated Gram matrix
 
 
 @dataclass
@@ -80,58 +81,33 @@ def _orthonormality_problem(basis: np.ndarray) -> str | None:
     return None
 
 
-def _fix_signs(u: np.ndarray, w: np.ndarray | None = None):
+def _fix_signs(u: np.ndarray) -> np.ndarray:
     """Flip mode signs so each column's largest-magnitude entry is positive."""
     cols = np.arange(u.shape[1])
     lead = np.abs(u).argmax(axis=0)
     signs = np.sign(u[lead, cols])
     signs[signs == 0.0] = 1.0
-    u = u * signs
-    if w is None:
-        return u
-    return u, w * signs
+    return u * signs
 
 
-def thin_svd(m: np.ndarray):
-    """Thin SVD of a tall matrix: M = U diag(S) W^T.
-
-    Returns (U, S, W) with U of shape (p, q), S descending, W of shape
-    (q, q), signs fixed so each column of U has a positive largest-magnitude
-    entry.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("expected a matrix")
-    if m.shape[0] < m.shape[1]:
-        raise ValueError("matrix must be tall (rows >= columns)")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("non-finite entries")
-    u, s, vh = la.svd(m, full_matrices=False)
-    u, w = _fix_signs(u, vh.T)
-    return u, s, w
-
-
-def _gram_eigen(m: np.ndarray, block: int = 64):
+def _gram_eigen(m: np.ndarray):
     """Singular values (descending) and right singular vectors of ``m`` from
     the eigendecomposition of its column Gram matrix.
 
-    The Gram matrix M^T M is accumulated block against block (``block``
-    columns at a time) so no product of the full matrix with itself is ever
-    formed in one piece.
+    The Gram matrix M^T M is accumulated block against block
+    (``GRAM_BLOCK`` columns at a time) so no product of the full matrix with
+    itself is ever formed in one piece.
     """
     if m.ndim != 2:
         raise ValueError("expected a matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("non-finite entries")
-    if block < 1:
-        raise ValueError("block size must be positive")
     q = m.shape[1]
     gram = np.empty((q, q))
-    starts = range(0, q, block)
-    for a in starts:
-        aa = slice(a, min(a + block, q))
-        for b in range(a, q, block):
-            bb = slice(b, min(b + block, q))
+    for a in range(0, q, GRAM_BLOCK):
+        aa = slice(a, min(a + GRAM_BLOCK, q))
+        for b in range(a, q, GRAM_BLOCK):
+            bb = slice(b, min(b + GRAM_BLOCK, q))
             g = m[:, aa].T @ m[:, bb]
             gram[aa, bb] = g
             if b > a:
@@ -161,14 +137,11 @@ def _gram_modes(m: np.ndarray, sigma, evecs, r: int) -> PodBasis:
     return PodBasis(basis=basis, singular_values=sigma)
 
 
-def method_of_snapshots(m: np.ndarray, r: int, block: int = 64) -> PodBasis:
-    """Leading r modes via the eigendecomposition of the column Gram matrix.
-
-    The Gram matrix is accumulated ``block`` columns at a time; modes come
-    out as M w_j / sigma_j.
-    """
+def method_of_snapshots(m: np.ndarray, r: int) -> PodBasis:
+    """Leading r modes via the eigendecomposition of the column Gram matrix;
+    modes come out as M w_j / sigma_j."""
     m = np.asarray(m, dtype=np.float64)
-    return _gram_modes(m, *_gram_eigen(m, block), r)
+    return _gram_modes(m, *_gram_eigen(m), r)
 
 
 def retained_energy(singular_values: np.ndarray, r: int) -> float:

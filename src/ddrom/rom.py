@@ -10,7 +10,6 @@ its neighbors at the same stage values.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ from .core import (
     TimeGrid,
     _Reader,
     _SCAN_BYTES,
+    _Writer,
 )
 from .decomp import BlendingWeights, Decomposition, blending_weights
 from .decomp import recombine  # noqa: F401  perfbench/tracing.py wraps rom.recombine
@@ -120,52 +120,52 @@ def reduce_initial_condition(rom: CoupledRom, full_state: np.ndarray):
     ]
 
 
-def _apply_all(operators, states):
-    return [op.apply(states[i], states) for i, op in enumerate(operators)]
-
-
 def roll_reduced(operators, form: str, dt: float, init, steps: int):
     """Advance coupled reduced states; returns one (r_i, steps+1) matrix per
     subdomain with the initial state as column 0.
 
     Continuous models advance with the classical fourth-order Runge-Kutta
     scheme, all subdomains synchronously; discrete models iterate the
-    learned map.  Raises :class:`DivergenceError` when a state stops being
-    finite.
+    learned map.  The subdomain states are stacked in one vector, subdomain
+    i in rows ``parts[i]``, and the matrices returned are row views of one
+    (sum of r_i, steps+1) trajectory.  Raises :class:`DivergenceError` when
+    a state stops being finite.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    states = [np.array(q, dtype=np.float64) for q in init]
-    if len(states) != len(operators):
+    init = [np.asarray(q, dtype=np.float64) for q in init]
+    if len(init) != len(operators):
         raise ValueError("need one initial state per subdomain")
-    for q, op in zip(states, operators):
+    parts, start = [], 0
+    for q, op in zip(init, operators):
         if q.shape != (op.r,):
             raise ValueError("initial state dimension mismatch")
-    out = [np.empty((q.size, steps + 1)) for q in states]
-    for traj, q in zip(out, states):
-        traj[:, 0] = q
+        parts.append(slice(start, start + op.r))
+        start += op.r
+
+    def rhs(q):
+        own = [q[p] for p in parts]
+        return np.concatenate(
+            [op.apply(own[i], own) for i, op in enumerate(operators)]
+        )
+
+    q = np.concatenate(init)
+    out = np.empty((q.size, steps + 1))
+    out[:, 0] = q
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for s in range(1, steps + 1):
             if form == "discrete":
-                states = _apply_all(operators, states)
+                q = rhs(q)
             else:
-                k1 = _apply_all(operators, states)
-                mid1 = [q + (0.5 * dt) * v for q, v in zip(states, k1)]
-                k2 = _apply_all(operators, mid1)
-                mid2 = [q + (0.5 * dt) * v for q, v in zip(states, k2)]
-                k3 = _apply_all(operators, mid2)
-                end = [q + dt * v for q, v in zip(states, k3)]
-                k4 = _apply_all(operators, end)
-                states = [
-                    q + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-                    for q, a, b, c, d in zip(states, k1, k2, k3, k4)
-                ]
-            for q in states:
-                if not np.all(np.isfinite(q)):
-                    raise DivergenceError(s)
-            for traj, q in zip(out, states):
-                traj[:, s] = q
-    return out
+                k1 = rhs(q)
+                k2 = rhs(q + (0.5 * dt) * k1)
+                k3 = rhs(q + (0.5 * dt) * k2)
+                k4 = rhs(q + dt * k3)
+                q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(q)):
+                raise DivergenceError(s)
+            out[:, s] = q
+    return [out[p] for p in parts]
 
 
 def integrate(rom: CoupledRom, init, steps: int):
@@ -207,22 +207,6 @@ def predict_full(
 
 # ---------------------------------------------------------------------------
 # model artifact serialization
-
-
-class _Writer:
-    def __init__(self, fh):
-        self.fh = fh
-
-    def pack(self, fmt, *values):
-        self.fh.write(struct.pack("<" + fmt, *values))
-
-    def array(self, arr, order="C"):
-        self.fh.write(np.ascontiguousarray(
-            arr if order == "C" else np.asfortranarray(arr), dtype="<f8"
-        ).tobytes(order=order))
-
-    def name(self, text: str):
-        self.fh.write(text.encode("utf-8") + b"\x00")
 
 
 def save_rom(rom: CoupledRom, path) -> None:

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,36 @@ class TestPipeline:
         # weights sum to one on every row
         for row in rows[1:]:
             assert abs(float(row[3]) + float(row[4]) - 1.0) <= 1e-12
+
+    def test_decompose_peak_stays_below_the_snapshot_matrix(self, tmp_path):
+        """decompose takes the geometry from the file's header and only
+        scans the data through the read buffer, so its traced peak stays
+        far below the snapshot matrix."""
+        n_x, n_t = 20_000, 100
+        sset = SnapshotSet(
+            StateLayout(n_s=1, n_x=n_x, variable_names=("u",)),
+            Geometry.circle(n_x),
+            TimeGrid(0.01 * np.arange(n_t), n_train=80),
+            np.random.default_rng(118).standard_normal((n_x, n_t)),
+        )
+        save_snapshots(sset, tmp_path / "snaps.bin")
+        matrix = sset.data.nbytes
+        del sset
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"[paths]\nsnapshots = {tmp_path}/snaps.bin\n"
+            f"output_dir = {tmp_path}/out\n\n[time]\nn_train = 80\n\n"
+            "[decomposition]\ntopology = annular\nk = 4\noverlap = 0.1\n"
+        )
+        tracemalloc.start()
+        try:
+            assert run("decompose", cfg) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        with open(tmp_path / "out" / "decomposition.csv", newline="") as fh:
+            assert sum(1 for _ in fh) == n_x + 1
+        assert peak < matrix / 2, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestDeterminism:

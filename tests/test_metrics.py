@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from ddrom import metrics
+from ddrom import core
 from ddrom.metrics import (
     DEFAULT_THRESHOLDS,
     error_report,
     line_probe,
     pointwise_error_bins,
-    relative_error_curve,
     squared_l2_relative_error,
 )
 
@@ -59,20 +58,6 @@ class TestSquaredError:
         b = make_set(np.ones((4, 4)))
         with pytest.raises(ValueError):
             squared_l2_relative_error(a, b)
-
-
-def test_relative_error_curve_is_per_column():
-    rng = np.random.default_rng(52)
-    ref = rng.standard_normal((5, 7)) + 3.0
-    approx = ref.copy()
-    approx[:, 4] += 0.5
-    a, b = make_set(ref), make_set(approx)
-    curve = relative_error_curve(a, b)
-    assert curve.shape == (7,)
-    assert curve[4] > 0.0
-    np.testing.assert_allclose(np.delete(curve, 4), 0.0, atol=1e-30)
-    want = brute_force_error(ref[:, 4:5], approx[:, 4:5])
-    assert curve[4] == pytest.approx(want, rel=1e-12)
 
 
 class TestErrorReport:
@@ -152,7 +137,7 @@ class TestPointwiseBins:
         rel = np.abs(approx[20:] - ref[20:]) / np.maximum(np.abs(ref[20:]), floor)
         bins = np.searchsorted(DEFAULT_THRESHOLDS, rel, side="left")
         whole = np.stack([np.bincount(bins[:, k], minlength=4) / 20 for k in range(9)])
-        monkeypatch.setattr(metrics, "_CHUNK_BYTES", 8 * 40 * 2)  # two columns
+        monkeypatch.setattr(core, "_SCAN_BYTES", 8 * 40 * 2)  # two columns
         rep = pointwise_error_bins(a, b, variable=1)
         np.testing.assert_array_equal(rep.fractions, whole)
 

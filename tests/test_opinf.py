@@ -294,7 +294,6 @@ class TestBudget:
         # r + r(r+1)/2 + sum of neighbor dims
         assert coefficient_count(6, ()) == 27
         assert coefficient_count(6, (6, 6)) == 39
-        assert coefficient_count(6, (4,), include_quadratic=False) == 10
         assert coefficient_count(6, (6, 6), include_constant=True) == 40
 
     def test_none_neighbor_dims_mean_same_r(self):

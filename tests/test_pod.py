@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from ddrom import pod
 from ddrom.fomlab import FomSpec, simulate
@@ -10,7 +11,6 @@ from ddrom.pod import (
     method_of_snapshots,
     retained_energy,
     singular_spectrum,
-    thin_svd,
 )
 
 
@@ -22,48 +22,24 @@ def planted_matrix(rows, cols, sigma, seed=0):
     return u @ np.diag(sigma) @ w.T
 
 
-class TestThinSvd:
-    def test_reconstruction(self):
-        rng = np.random.default_rng(1)
-        m = rng.standard_normal((20, 8))
-        u, s, w = thin_svd(m)
-        np.testing.assert_allclose(u @ np.diag(s) @ w.T, m, atol=1e-12)
-        assert np.all(np.diff(s) <= 0.0)
-
-    def test_orthonormal_factors(self):
-        m = planted_matrix(30, 10, np.geomspace(10.0, 1e-3, 10))
-        u, s, w = thin_svd(m)
-        np.testing.assert_allclose(u.T @ u, np.eye(10), atol=1e-12)
-        np.testing.assert_allclose(w.T @ w, np.eye(10), atol=1e-12)
-
-    def test_sign_convention(self):
-        rng = np.random.default_rng(2)
-        u, _, _ = thin_svd(rng.standard_normal((25, 6)))
-        lead = np.abs(u).argmax(axis=0)
-        assert np.all(u[lead, np.arange(6)] > 0.0)
-
-    def test_wide_matrix_refused(self):
-        with pytest.raises(ValueError, match="tall"):
-            thin_svd(np.zeros((3, 5)))
-
-
 class TestMethodOfSnapshots:
     def test_matches_direct_svd(self):
         sigma = np.geomspace(100.0, 1e-4, 12)
         m = planted_matrix(60, 12, sigma, seed=3)
         r = 5
         snap = method_of_snapshots(m, r)
-        u, s, _ = thin_svd(m)
+        u, s, _ = la.svd(m, full_matrices=False)
         np.testing.assert_allclose(snap.singular_values[:r], s[:r], rtol=1e-10)
         # projectors agree even if individual modes could differ by sign
         p_snap = snap.basis @ snap.basis.T
         p_svd = u[:, :r] @ u[:, :r].T
         assert np.abs(p_snap - p_svd).max() <= 1e-8
 
-    def test_block_size_does_not_change_the_answer(self):
+    def test_block_size_does_not_change_the_answer(self, monkeypatch):
         m = planted_matrix(40, 17, np.geomspace(5.0, 1e-2, 17), seed=4)
-        a = method_of_snapshots(m, 6, block=64)
-        b = method_of_snapshots(m, 6, block=3)
+        a = method_of_snapshots(m, 6)
+        monkeypatch.setattr(pod, "GRAM_BLOCK", 3)
+        b = method_of_snapshots(m, 6)
         np.testing.assert_allclose(a.basis, b.basis, atol=1e-10)
         np.testing.assert_allclose(a.singular_values, b.singular_values,
                                    rtol=1e-10)
@@ -73,10 +49,11 @@ class TestMethodOfSnapshots:
         with pytest.raises(ValueError, match="numerical rank"):
             method_of_snapshots(m, 3)
 
-    def test_gram_route_handles_many_rows(self):
+    def test_gram_route_handles_many_rows(self, monkeypatch):
         # the selling point: only cols x cols products are ever formed
         m = planted_matrix(500, 10, np.geomspace(1.0, 1e-3, 10), seed=5)
-        basis = method_of_snapshots(m, 4, block=4)
+        monkeypatch.setattr(pod, "GRAM_BLOCK", 4)
+        basis = method_of_snapshots(m, 4)
         np.testing.assert_allclose(basis.basis.T @ basis.basis, np.eye(4),
                                    atol=1e-10)
 
@@ -130,6 +107,13 @@ class TestComputeBasis:
         a = compute_basis(m, r=4, method="svd")
         b = compute_basis(m, r=4, method="snapshots")
         assert np.abs(a.basis @ a.basis.T - b.basis @ b.basis.T).max() <= 1e-8
+
+    def test_sign_convention(self):
+        m = np.random.default_rng(2).standard_normal((25, 6))
+        for method in ("svd", "snapshots"):
+            u = compute_basis(m, r=6, method=method).basis
+            lead = np.abs(u).argmax(axis=0)
+            assert np.all(u[lead, np.arange(6)] > 0.0), method
 
     def test_subdomain_id_is_attached(self):
         m = planted_matrix(20, 4, np.geomspace(1, 0.1, 4))
