@@ -24,9 +24,7 @@ import numpy as np
 
 from . import decomp, fomlab, metrics, opinf, pod, preprocess, regsearch, rom
 from .core import (
-    Geometry,
     SnapshotFile,
-    StateLayout,
     TimeGrid,
     load_initial_state,
     load_snapshots,
@@ -95,8 +93,36 @@ def serialize_config(sections: dict[str, dict[str, str]]) -> str:
     return out.getvalue()
 
 
+# the keys each config section takes
+_CONFIG_KEYS = {
+    "paths": ("snapshots", "artifact", "prediction", "output_dir", "ic", "truth"),
+    "time": ("n_train", "steps"),
+    "fom": tuple(f.name for f in dataclasses.fields(fomlab.FomSpec)),
+    "preprocess": ("scaling", "transforms"),
+    "decomposition": ("topology", "k", "overlap"),
+    "pod": ("r", "energy", "method"),
+    "opinf": (
+        "form", "lambda_linear", "lambda_quadratic", "derivative_scheme", "constant",
+    ),
+    "regsearch": (
+        "enabled", "lambda_linear", "lambda_quadratic", "mode", "t_reg_steps",
+        "kappa", "allow_large_k",
+    ),
+    "metrics": ("variable", "thresholds", "probe", "probe_instants"),
+}
+
+
 def load_config(path) -> dict[str, dict[str, str]]:
-    return parse_config(Path(path).read_text())
+    """The config file's sections, refusing any section or key that no
+    command reads."""
+    cfg = parse_config(Path(path).read_text())
+    for section, keys in cfg.items():
+        if section not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config section [{section}]")
+        for key in keys:
+            if key not in _CONFIG_KEYS[section]:
+                raise ValueError(f"unknown [{section}] key {key!r}")
+    return cfg
 
 
 _MISSING = object()
@@ -368,13 +394,8 @@ def _regsearch_enabled(cfg) -> bool:
 class _Trained:
     """What the train and regsearch commands read of a training run."""
 
-    layout: StateLayout
-    geometry: Geometry
-    record: preprocess.ScalingRecord
-    decomposition: decomp.Decomposition
-    bases: list
+    model: rom.CoupledRom
     training: regsearch.ReducedTraining
-    operators: list
     grid: regsearch.RegGrid | None
     search: regsearch.RegResult | None
 
@@ -387,8 +408,8 @@ def _choice_text(result: regsearch.RegResult) -> str:
 
 
 def _train_pipeline(cfg) -> _Trained:
-    """Everything shared by the train and regsearch commands, up to and
-    including the choice of regularization weights."""
+    """Everything shared by the train and regsearch commands, up to the
+    assembled model with its chosen regularization weights."""
     form = _get(cfg, "opinf", "form", str, default="discrete")
     scheme = _derivative_scheme(cfg)
     include_constant = _get(cfg, "opinf", "constant", _bool, default=False)
@@ -436,25 +457,19 @@ def _train_pipeline(cfg) -> _Trained:
             operators = result.operators
     else:
         with _stage("infer"):
-            operators = training.fit(
-                opinf.RegressionConfig(
-                    form=form,
-                    lambda_linear=fixed[0],
-                    lambda_quadratic=fixed[1],
-                    include_constant=include_constant,
-                )
-            )
-    return _Trained(
-        layout=source.layout,
-        geometry=source.geometry,
-        record=record,
-        decomposition=dec,
-        bases=bases,
-        training=training,
-        operators=operators,
-        grid=grid,
-        search=result,
-    )
+            operators = training.fit([fixed] * training.k)
+    with _stage("model"):
+        model = rom.CoupledRom(
+            layout=source.layout,
+            geometry=source.geometry,
+            decomposition=dec,
+            bases=bases,
+            operators=operators,
+            scaling=record,
+            form=form,
+            dt=dt,
+        )
+    return _Trained(model=model, training=training, grid=grid, search=result)
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +478,10 @@ def _train_pipeline(cfg) -> _Trained:
 
 def cmd_gen(cfg, args) -> int:
     with _stage("config"):
-        fields = {}
-        section = cfg.get("fom", {})
-        hints = typing.get_type_hints(fomlab.FomSpec)
-        spec_casts = {f.name: hints[f.name] for f in dataclasses.fields(fomlab.FomSpec)}
-        for key in section:
-            if key not in spec_casts:
-                raise ValueError(f"unknown [fom] key {key!r}")
-            fields[key] = spec_casts[key](section[key])
-        spec = fomlab.FomSpec(**fields)
+        casts = typing.get_type_hints(fomlab.FomSpec)  # keys checked on load
+        spec = fomlab.FomSpec(
+            **{key: casts[key](raw) for key, raw in cfg.get("fom", {}).items()}
+        )
     with _stage("simulate"):
         sset = fomlab.simulate(spec)
         sset = sset.with_data(sset.data, _train_time(cfg, sset.time).n_train)
@@ -539,20 +549,11 @@ def cmd_svdreport(cfg, args) -> int:
 
 def cmd_train(cfg, args) -> int:
     run = _train_pipeline(cfg)
-    training, dec, bases = run.training, run.decomposition, run.bases
-    residuals = training.residuals(run.operators)
+    model, training = run.model, run.training
+    dec, bases = model.decomposition, model.bases
+    residuals = training.residuals(model.operators)
 
     with _stage("write"):
-        model = rom.CoupledRom(
-            layout=run.layout,
-            geometry=run.geometry,
-            decomposition=dec,
-            bases=bases,
-            operators=run.operators,
-            scaling=run.record,
-            form=training.form,
-            dt=training.dt,
-        )
         artifact = _path(cfg, "artifact")
         artifact.parent.mkdir(parents=True, exist_ok=True)
         rom.save_rom(model, artifact)
@@ -566,8 +567,8 @@ def cmd_train(cfg, args) -> int:
         _write_csv(out_dir / "traindump.csv", TRAINDUMP_HEADER, dump_rows)
 
     m = training.n_columns
-    full_bytes = snapshot_matrix_bytes(run.layout.n, m)
-    sizes = [run.layout.n_s * idx.size for idx in dec.dof_indices]
+    full_bytes = snapshot_matrix_bytes(model.layout.n, m)
+    sizes = [model.layout.n_s * idx.size for idx in dec.dof_indices]
     largest = max(sizes)
     largest_bytes = snapshot_matrix_bytes(largest, m)
     for row in dump_rows:
@@ -750,9 +751,6 @@ def main(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(cfg, args)
-    except PipelineError as exc:
-        print(f"error: {args.command}: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ each column was recorded.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import struct
@@ -283,8 +284,13 @@ class SnapshotSet:
         return self.data[self.layout.rows(variable)]
 
     def with_data(self, data, n_train: int | None = None) -> "SnapshotSet":
-        """Same layout/geometry/times, different matrix."""
+        """Same layout/geometry/times, different matrix.  Passing the set's
+        own matrix shares it, already checked, without a second scan."""
         time = self.time if n_train is None else self.time.with_train_count(n_train)
+        if data is self.data:
+            out = copy.copy(self)
+            out.time = time
+            return out
         return SnapshotSet(self.layout, self.geometry, time, data)
 
     def __eq__(self, other):

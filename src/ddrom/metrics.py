@@ -162,10 +162,10 @@ def pointwise_error_bins(
     )
 
 
-def line_probe(sset: SnapshotSet, variable: int, probe, instants=None) -> LineProbe:
+def line_probe(sset: SnapshotSet, variable: int, probe, instants) -> LineProbe:
     """Values along an ordered list of point indices, with the probe's own
     coordinate axis attached (angles for annular geometries, else the
-    first coordinate), at the column indices ``instants`` (default: all)."""
+    first coordinate), at the column indices ``instants``."""
     probe = np.asarray(probe)
     if probe.ndim != 1 or probe.size < 1:
         raise ValueError("probe must be a non-empty 1-D list of point indices")
@@ -173,8 +173,6 @@ def line_probe(sset: SnapshotSet, variable: int, probe, instants=None) -> LinePr
         raise ValueError("probe indices must be integers")
     if np.any(probe < 0) or np.any(probe >= sset.layout.n_x):
         raise ValueError("probe index out of range")
-    if instants is None:
-        instants = np.arange(sset.n_t)
     block = sset.variable_block(variable)
     geom = sset.geometry
     coord = (geom.angular if geom.angular is not None else geom.coords[:, 0])[probe]

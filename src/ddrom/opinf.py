@@ -12,8 +12,9 @@ discrete route fits the next snapshot.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.linalg as la
@@ -199,6 +200,20 @@ def solve_tikhonov(data: np.ndarray, rhs: np.ndarray, blocks) -> np.ndarray:
     return solution
 
 
+# per scheme: the divisor (a factor of dt), the central stencil as (column
+# offset, weight) pairs, and for each leading column j = 0, 1, ... its
+# one-sided weights of columns 0, 1, ...; the trailing columns use the
+# leading stencils mirrored, with negated weights
+_STENCILS = {
+    2: (2.0, ((1, 1.0), (-1, -1.0)), ((-3.0, 4.0, -1.0),)),
+    4: (
+        12.0,
+        ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0)),
+        ((-25.0, 48.0, -36.0, 16.0, -3.0), (-3.0, -10.0, 18.0, -6.0, 1.0)),
+    ),
+}
+
+
 def estimate_time_derivatives(
     states: np.ndarray, dt: float, scheme: int = 2
 ) -> np.ndarray:
@@ -212,59 +227,27 @@ def estimate_time_derivatives(
         raise ValueError("expected a (r, m) matrix")
     if not np.isfinite(dt) or dt <= 0.0:
         raise ValueError("dt must be positive")
-    m = states.shape[1]
-    out = np.empty_like(states)
-    if scheme == 2:
-        if m < 3:
-            raise ValueError("order-2 differences need at least 3 columns")
-        out[:, 1:-1] = (states[:, 2:] - states[:, :-2]) / (2.0 * dt)
-        out[:, 0] = (
-            -3.0 * states[:, 0] + 4.0 * states[:, 1] - states[:, 2]
-        ) / (2.0 * dt)
-        out[:, -1] = (
-            3.0 * states[:, -1] - 4.0 * states[:, -2] + states[:, -3]
-        ) / (2.0 * dt)
-    elif scheme == 4:
-        if m < 5:
-            raise ValueError("order-4 differences need at least 5 columns")
-        out[:, 2:-2] = (
-            -states[:, 4:]
-            + 8.0 * states[:, 3:-1]
-            - 8.0 * states[:, 1:-3]
-            + states[:, :-4]
-        ) / (12.0 * dt)
-        first = (
-            -25.0 * states[:, 0]
-            + 48.0 * states[:, 1]
-            - 36.0 * states[:, 2]
-            + 16.0 * states[:, 3]
-            - 3.0 * states[:, 4]
-        ) / (12.0 * dt)
-        second = (
-            -3.0 * states[:, 0]
-            - 10.0 * states[:, 1]
-            + 18.0 * states[:, 2]
-            - 6.0 * states[:, 3]
-            + states[:, 4]
-        ) / (12.0 * dt)
-        out[:, 0] = first
-        out[:, 1] = second
-        out[:, -1] = (
-            25.0 * states[:, -1]
-            - 48.0 * states[:, -2]
-            + 36.0 * states[:, -3]
-            - 16.0 * states[:, -4]
-            + 3.0 * states[:, -5]
-        ) / (12.0 * dt)
-        out[:, -2] = (
-            3.0 * states[:, -1]
-            + 10.0 * states[:, -2]
-            - 18.0 * states[:, -3]
-            + 6.0 * states[:, -4]
-            - states[:, -5]
-        ) / (12.0 * dt)
-    else:
+    if scheme not in _STENCILS:
         raise ValueError("derivative scheme must be order 2 or 4")
+    factor, central, leading = _STENCILS[scheme]
+    m, h, width = states.shape[1], len(leading), len(leading[0])
+    if m < width:
+        raise ValueError(
+            f"order-{scheme} differences need at least {width} columns"
+        )
+    out = np.empty_like(states)
+    # terms are added in the order listed, starting from the first
+    out[:, h : m - h] = reduce(
+        operator.add, (w * states[:, h + o : m - h + o] for o, w in central)
+    )
+    for j, weights in enumerate(leading):
+        out[:, j] = reduce(
+            operator.add, (w * states[:, c] for c, w in enumerate(weights))
+        )
+        out[:, m - 1 - j] = reduce(
+            operator.add, (-w * states[:, m - 1 - c] for c, w in enumerate(weights))
+        )
+    out /= factor * dt
     return out
 
 

@@ -49,12 +49,7 @@ class ScalingRecord:
             raise ValueError("mean_field and scale must be 1-D")
         if self.scaling_kind not in SCALING_KINDS:
             raise ValueError(f"unknown scaling kind {self.scaling_kind!r}")
-        spec = tuple(self.transform_spec) or ("identity",) * scale.size
-        if len(spec) != scale.size:
-            raise ValueError("expected one transform per variable")
-        for t in spec:
-            if t not in TRANSFORMS:
-                raise ValueError(f"unknown transform {t!r}")
+        spec = _check_transforms(scale.size, tuple(self.transform_spec) or None)
         if mean.size % scale.size != 0:
             raise ValueError("mean_field length must be a multiple of n_s")
         if not np.all(np.isfinite(scale)) or np.any(scale <= 0.0):
@@ -98,16 +93,18 @@ def _variable_rows(layout: StateLayout) -> list[slice]:
     return [layout.rows(v) for v in range(layout.n_s)]
 
 
-def _transform_in_place(work: np.ndarray, rows, transforms, names) -> None:
+def _transform_in_place(
+    work: np.ndarray, rows, transforms, names,
+    at_zero: str = "reciprocal transform hit zero",
+) -> None:
     """Apply the per-variable transforms to ``work``, whose variable v
-    occupies the rows ``rows[v]``."""
+    occupies the rows ``rows[v]``; each transform is its own inverse.
+    ``at_zero`` begins the message refusing a reciprocal of zero."""
     for v, t in enumerate(transforms):
         if t == "reciprocal":
             block = work[rows[v]]
             if np.any(block == 0.0):
-                raise ValueError(
-                    f"reciprocal transform hit zero in variable {names[v]!r}"
-                )
+                raise ValueError(f"{at_zero} in variable {names[v]!r}")
             np.divide(1.0, block, out=block)
 
 
@@ -193,18 +190,14 @@ def _invert_in_place(work: np.ndarray, layout: StateLayout, record: ScalingRecor
     """:func:`invert_record` on a float64 (n, m) matrix, overwriting it."""
     if work.shape[0] != record.n or record.n != layout.n:
         raise ValueError("record dimensions do not match the state layout")
-    for v in range(layout.n_s):
-        work[layout.rows(v)] *= record.scale[v]
+    rows = _variable_rows(layout)
+    for v, s in enumerate(record.scale):
+        work[rows[v]] *= s
     work += record.mean_field[:, None]
-    for v, t in enumerate(record.transform_spec):
-        if t == "reciprocal":
-            block = work[layout.rows(v)]
-            if np.any(block == 0.0):
-                raise ValueError(
-                    "cannot invert reciprocal transform at zero in variable "
-                    f"{layout.variable_names[v]!r}"
-                )
-            np.divide(1.0, block, out=block)
+    _transform_in_place(
+        work, rows, record.transform_spec, layout.variable_names,
+        at_zero="cannot invert reciprocal transform at zero",
+    )
 
 
 class BlockSource:

@@ -131,9 +131,18 @@ class ReducedTraining:
     def n_columns(self) -> int:
         return self.reduced[0].shape[1]
 
-    def fit(self, configs):
-        """Operators of every subdomain from one shared regression config
-        or one config per subdomain."""
+    def fit(self, pairs):
+        """Operators of every subdomain, from one (lambda_linear,
+        lambda_quadratic) weight pair per subdomain."""
+        configs = [
+            RegressionConfig(
+                form=self.form,
+                lambda_linear=ll,
+                lambda_quadratic=lq,
+                include_constant=self.include_constant,
+            )
+            for ll, lq in pairs
+        ]
         if self.form == "discrete":
             return infer_discrete(self.reduced, self.adjacency, configs)
         return infer_continuous(
@@ -158,16 +167,7 @@ class ReducedTraining:
 
 
 def _evaluate(training, pairs, t_reg, bounds, init):
-    configs = [
-        RegressionConfig(
-            form=training.form,
-            lambda_linear=ll,
-            lambda_quadratic=lq,
-            include_constant=training.include_constant,
-        )
-        for ll, lq in pairs
-    ]
-    operators = training.fit(configs)
+    operators = training.fit(pairs)
     dt = training.dt if training.dt is not None else 1.0
     try:
         rolled = roll_reduced(operators, training.form, dt, init, t_reg)

@@ -85,6 +85,19 @@ class TestConfigHandling:
         code = run("decompose", cfg)
         assert code == 1
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("n_train = 25", "ntrain = 300", "unknown [time] key 'ntrain'"),
+        ("scaling = max_abs", "scalling = std_dev",
+         "unknown [preprocess] key 'scalling'"),
+        ("[pod]", "[pods]", "unknown config section [pods]"),
+    ])
+    def test_unknown_section_or_key_is_refused(self, workdir, capsys, old, new,
+                                               message):
+        tmp, cfg = workdir
+        cfg.write_text(cfg.read_text().replace(old, new))
+        assert run("gen", cfg) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestFormatting:
     def test_floats_use_repr(self):

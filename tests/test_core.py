@@ -1,7 +1,9 @@
+import ast
 import os
 import struct
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +127,20 @@ class TestSnapshotSet:
         view = data[:, :2]
         view.setflags(write=False)
         assert make_set(view).data is not view
+
+    def test_new_split_of_the_own_matrix_is_not_rescanned(self):
+        # about 16 MB: a second finiteness scan alone would allocate a
+        # boolean temporary of nbytes / 8
+        sset = make_set(np.ones((20000, 100)))
+        tracemalloc.start()
+        try:
+            split = sset.with_data(sset.data, 60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sset.data.nbytes / 64
+        assert split.data is sset.data and split.time.n_train == 60
+        assert sset.time.n_train == 100
 
     def test_variable_block(self):
         data = np.arange(12.0).reshape(6, 2)
@@ -381,3 +397,27 @@ def test_package_exports_are_exported_by_their_modules():
         and name not in sys.modules[getattr(ddrom, name).__module__].__all__
     ]
     assert missing == []
+
+
+def test_modules_use_every_name_they_import():
+    """A name a module imports must appear in its code; docstrings and
+    ``__all__`` strings do not count.  Lines marked ``# noqa`` keep an
+    import on purpose (``rom.recombine`` is there to be wrapped)."""
+    unused = []
+    for path in sorted(Path(ddrom.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "# noqa" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno} {name}")
+    assert unused == []

@@ -154,7 +154,7 @@ class TestLineProbe:
         data = np.arange(16.0).reshape(8, 2)
         sset = make_set(data, periodic=True)
         probe = np.array([0, 3, 5])
-        lp = line_probe(sset, 0, probe)
+        lp = line_probe(sset, 0, probe, range(sset.n_t))
         np.testing.assert_allclose(lp.coordinate,
                                    sset.geometry.angular[probe])
         np.testing.assert_array_equal(lp.values, data[probe])
@@ -162,19 +162,19 @@ class TestLineProbe:
     def test_interval_probe_reports_positions(self):
         data = np.arange(12.0).reshape(6, 2)
         sset = make_set(data)
-        lp = line_probe(sset, 0, np.array([1, 4]))
+        lp = line_probe(sset, 0, np.array([1, 4]), range(sset.n_t))
         np.testing.assert_allclose(lp.coordinate,
                                    sset.geometry.coords[[1, 4], 0])
 
     def test_second_variable(self):
         data = np.arange(24.0).reshape(12, 2)
         sset = make_set(data, n_s=2)
-        lp = line_probe(sset, 1, np.array([0, 5]))
+        lp = line_probe(sset, 1, np.array([0, 5]), range(sset.n_t))
         np.testing.assert_array_equal(lp.values, data[[6, 11]])
 
     def test_bad_indices(self):
         sset = make_set(np.ones((6, 2)))
         with pytest.raises(ValueError, match="range"):
-            line_probe(sset, 0, np.array([9]))
+            line_probe(sset, 0, np.array([9]), range(sset.n_t))
         with pytest.raises(ValueError, match="integer"):
-            line_probe(sset, 0, np.array([0.5]))
+            line_probe(sset, 0, np.array([0.5]), range(sset.n_t))

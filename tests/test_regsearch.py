@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ddrom import regsearch
-from ddrom.opinf import RegressionConfig
 from ddrom.regsearch import MAX_CANDIDATES, RegGrid, ReducedTraining, search
 
 
@@ -36,11 +35,10 @@ class TestFitAndResiduals:
         derivatives = [a @ q] if form == "continuous" else None
         training = ReducedTraining(reduced=[q], adjacency=[set()], form=form,
                                    dt=0.1, derivatives=derivatives)
-        exact = training.fit(RegressionConfig(form=form))
+        exact = training.fit([(0.0, 0.0)])
         np.testing.assert_allclose(exact[0].linear, a, atol=1e-8)
         assert training.residuals(exact)[0] <= 1e-10
-        heavy = training.fit(RegressionConfig(
-            form=form, lambda_linear=1e2, lambda_quadratic=1e2))
+        heavy = training.fit([(1e2, 1e2)])
         assert training.residuals(heavy)[0] > 1e-3
 
 
