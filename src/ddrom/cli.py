@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import dataclasses
 import io
 import sys
 import typing
@@ -93,54 +92,6 @@ def serialize_config(sections: dict[str, dict[str, str]]) -> str:
     return out.getvalue()
 
 
-# the keys each config section takes
-_CONFIG_KEYS = {
-    "paths": ("snapshots", "artifact", "prediction", "output_dir", "ic", "truth"),
-    "time": ("n_train", "steps"),
-    "fom": tuple(f.name for f in dataclasses.fields(fomlab.FomSpec)),
-    "preprocess": ("scaling", "transforms"),
-    "decomposition": ("topology", "k", "overlap"),
-    "pod": ("r", "energy", "method"),
-    "opinf": (
-        "form", "lambda_linear", "lambda_quadratic", "derivative_scheme", "constant",
-    ),
-    "regsearch": (
-        "enabled", "lambda_linear", "lambda_quadratic", "mode", "t_reg_steps",
-        "kappa", "allow_large_k",
-    ),
-    "metrics": ("variable", "thresholds", "probe", "probe_instants"),
-}
-
-
-def load_config(path) -> dict[str, dict[str, str]]:
-    """The config file's sections, refusing any section or key that no
-    command reads."""
-    cfg = parse_config(Path(path).read_text())
-    for section, keys in cfg.items():
-        if section not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config section [{section}]")
-        for key in keys:
-            if key not in _CONFIG_KEYS[section]:
-                raise ValueError(f"unknown [{section}] key {key!r}")
-    return cfg
-
-
-_MISSING = object()
-
-
-def _get(cfg, section: str, key: str, cast=str, default=_MISSING):
-    try:
-        raw = cfg[section][key]
-    except KeyError:
-        if default is _MISSING:
-            raise ValueError(f"config is missing [{section}] {key}") from None
-        return default
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config [{section}] {key}: {exc}") from exc
-
-
 def _bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "1", "on"):
@@ -162,8 +113,73 @@ def _str_list(raw: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
 
-def _path(cfg, key: str, default=_MISSING) -> Path:
-    return Path(_get(cfg, "paths", key, str, default))
+_REQUIRED = object()  # a key with no default
+
+# every key of every config section: (type, default).  FomSpec and RegGrid
+# hold the defaults of [fom] and [regsearch]; only keys the file sets reach them.
+_CONFIG = {
+    "paths": {
+        "snapshots": (Path, _REQUIRED), "artifact": (Path, _REQUIRED),
+        "prediction": (Path, _REQUIRED), "output_dir": (Path, Path(".")),
+        "ic": (str, None), "truth": (str, None),
+    },
+    "time": {"n_train": (int, None), "steps": (int, None)},
+    "fom": {
+        key: (cast, _REQUIRED)
+        for key, cast in typing.get_type_hints(fomlab.FomSpec).items()
+    },
+    "preprocess": {"scaling": (str, "max_abs"), "transforms": (_str_list, None)},
+    "decomposition": {
+        "topology": (str, "single"), "k": (int, _REQUIRED),
+        "overlap": (float, _REQUIRED),
+    },
+    "pod": {"r": (int, None), "energy": (float, None), "method": (str, "svd")},
+    "opinf": {
+        "form": (str, "discrete"), "derivative_scheme": (int, 2),
+        "lambda_linear": (float, None), "lambda_quadratic": (float, None),
+        "constant": (_bool, False),
+    },
+    "regsearch": {
+        "enabled": (_bool, False), "mode": (str, _REQUIRED),
+        "lambda_linear": (_float_list, _REQUIRED),
+        "lambda_quadratic": (_float_list, _REQUIRED),
+        "t_reg_steps": (int, _REQUIRED), "kappa": (float, _REQUIRED),
+        "allow_large_k": (_bool, _REQUIRED),
+    },
+    "metrics": {
+        "variable": (str, None), "probe": (_int_list, None),
+        "thresholds": (_float_list, metrics.DEFAULT_THRESHOLDS),
+        "probe_instants": (_int_list, None),
+    },
+}
+
+
+def load_config(path) -> dict[str, dict[str, str]]:
+    """The config file's sections, refusing any section or key that no
+    command reads."""
+    cfg = parse_config(Path(path).read_text())
+    for section, keys in cfg.items():
+        if section not in _CONFIG:
+            raise ValueError(f"unknown config section [{section}]")
+        for key in keys:
+            if key not in _CONFIG[section]:
+                raise ValueError(f"unknown [{section}] key {key!r}")
+    return cfg
+
+
+def _get(cfg, section: str, key: str):
+    """A config value, cast to its type, or its default if the file omits it."""
+    cast, default = _CONFIG[section][key]
+    try:
+        raw = cfg[section][key]
+    except KeyError:
+        if default is _REQUIRED:
+            raise ValueError(f"config is missing [{section}] {key}") from None
+        return default
+    try:
+        return cast(raw)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config [{section}] {key}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +267,16 @@ def snapshot_matrix_bytes(rows: int, columns: int) -> int:
 def _train_time(cfg, time: TimeGrid) -> TimeGrid:
     """``time`` with the config's training split, if it sets one; refuses
     ``n_train > n_t``."""
-    n_train = _get(cfg, "time", "n_train", int, default=None)
+    n_train = _get(cfg, "time", "n_train")
     return time if n_train is None else time.with_train_count(n_train)
 
 
 def _build_decomposition(cfg, geometry):
-    topology = _get(cfg, "decomposition", "topology", str, default="single")
+    topology = _get(cfg, "decomposition", "topology")
     if topology == "single":
         return decomp.Decomposition.single(geometry.n_x)
-    k = _get(cfg, "decomposition", "k", int)
-    overlap = _get(cfg, "decomposition", "overlap", float)
+    k = _get(cfg, "decomposition", "k")
+    overlap = _get(cfg, "decomposition", "overlap")
     if topology == "interval":
         return decomp.decompose_interval(geometry, k, overlap)
     if topology == "annular":
@@ -270,24 +286,22 @@ def _build_decomposition(cfg, geometry):
 
 def _open_blocks(cfg, path) -> preprocess.BlockSource:
     """The block source of a snapshot file, with the config's training split."""
-    n_train = _get(cfg, "time", "n_train", int, default=None)
-    return preprocess.BlockSource(path, n_train)
+    return preprocess.BlockSource(path, _get(cfg, "time", "n_train"))
 
 
 def _fit_scaling(cfg, source: preprocess.BlockSource) -> preprocess.ScalingRecord:
-    kind = _get(cfg, "preprocess", "scaling", str, default="max_abs")
-    transforms = _get(cfg, "preprocess", "transforms", _str_list, default=None)
-    return source.fit(kind, transforms)
+    return source.fit(
+        _get(cfg, "preprocess", "scaling"), _get(cfg, "preprocess", "transforms")
+    )
 
 
 def _project_blocks(cfg, source, dec):
     """Each subdomain's POD basis and reduced training data, one block at a
     time."""
-    r = _get(cfg, "pod", "r", int, default=None)
-    energy = _get(cfg, "pod", "energy", float, default=None)
+    r, energy = _get(cfg, "pod", "r"), _get(cfg, "pod", "energy")
     if (r is None) == (energy is None):
         raise ValueError("config must set exactly one of [pod] r and [pod] energy")
-    method = _get(cfg, "pod", "method", str, default="svd")
+    method = _get(cfg, "pod", "method")
     bases, reduced = [], []
     # no enumerate: the result tuple it reuses would keep each block alive
     # while the next one is read
@@ -352,15 +366,14 @@ def _time_step(time) -> float:
 
 
 def _derivative_scheme(cfg) -> int:
-    scheme = _get(cfg, "opinf", "derivative_scheme", int, default=2)
+    scheme = _get(cfg, "opinf", "derivative_scheme")
     if scheme not in (2, 4):
         raise ValueError(f"[opinf] derivative_scheme must be 2 or 4, got {scheme}")
     return scheme
 
 
 def _fixed_lambdas(cfg):
-    ll = _get(cfg, "opinf", "lambda_linear", float, default=None)
-    lq = _get(cfg, "opinf", "lambda_quadratic", float, default=None)
+    ll, lq = _get(cfg, "opinf", "lambda_linear"), _get(cfg, "opinf", "lambda_quadratic")
     if (ll is None) != (lq is None):
         raise ValueError(
             "config must set both [opinf] lambda_linear and lambda_quadratic"
@@ -368,26 +381,11 @@ def _fixed_lambdas(cfg):
     return None if ll is None else (ll, lq)
 
 
-def _search_grid(cfg):
-    kwargs = {}
-    ll = _get(cfg, "regsearch", "lambda_linear", _float_list, default=None)
-    lq = _get(cfg, "regsearch", "lambda_quadratic", _float_list, default=None)
-    if ll is not None:
-        kwargs["lambda_linear"] = ll
-    if lq is not None:
-        kwargs["lambda_quadratic"] = lq
-    kwargs["mode"] = _get(cfg, "regsearch", "mode", str, default="global")
-    t_reg = _get(cfg, "regsearch", "t_reg_steps", int, default=None)
-    if t_reg is not None:
-        kwargs["t_reg_steps"] = t_reg
-    kwargs["bound_factor"] = _get(cfg, "regsearch", "kappa", float, default=1.2)
-    if _get(cfg, "regsearch", "allow_large_k", _bool, default=False):
-        kwargs["allow_large_k"] = True
-    return regsearch.RegGrid(**kwargs)
-
-
-def _regsearch_enabled(cfg) -> bool:
-    return _get(cfg, "regsearch", "enabled", _bool, default=False)
+def _search_grid(cfg) -> regsearch.RegGrid:
+    """The search grid of the [regsearch] keys the file sets; RegGrid
+    fills in the rest."""
+    keys = [key for key in cfg.get("regsearch", {}) if key != "enabled"]
+    return regsearch.RegGrid(**{key: _get(cfg, "regsearch", key) for key in keys})
 
 
 @dataclass(frozen=True)
@@ -410,11 +408,11 @@ def _choice_text(result: regsearch.RegResult) -> str:
 def _train_pipeline(cfg) -> _Trained:
     """Everything shared by the train and regsearch commands, up to the
     assembled model with its chosen regularization weights."""
-    form = _get(cfg, "opinf", "form", str, default="discrete")
+    form = _get(cfg, "opinf", "form")
     scheme = _derivative_scheme(cfg)
-    include_constant = _get(cfg, "opinf", "constant", _bool, default=False)
+    include_constant = _get(cfg, "opinf", "constant")
     fixed = _fixed_lambdas(cfg)
-    use_search = _regsearch_enabled(cfg)
+    use_search = _get(cfg, "regsearch", "enabled")
     if use_search and fixed is not None:
         raise PipelineError(
             "config: set either fixed [opinf] lambdas or [regsearch] enabled, not both"
@@ -424,7 +422,7 @@ def _train_pipeline(cfg) -> _Trained:
             "config: set fixed [opinf] lambdas or enable [regsearch]"
         )
     with _stage("load"):
-        source = _open_blocks(cfg, _path(cfg, "snapshots"))
+        source = _open_blocks(cfg, _get(cfg, "paths", "snapshots"))
     with source:
         with _stage("load"):
             dt = _time_step(source.time)
@@ -476,17 +474,15 @@ def _train_pipeline(cfg) -> _Trained:
 # commands
 
 
-def cmd_gen(cfg, args) -> int:
+def cmd_gen(cfg) -> int:
+    values = {key: _get(cfg, "fom", key) for key in cfg.get("fom", {})}
     with _stage("config"):
-        casts = typing.get_type_hints(fomlab.FomSpec)  # keys checked on load
-        spec = fomlab.FomSpec(
-            **{key: casts[key](raw) for key, raw in cfg.get("fom", {}).items()}
-        )
+        spec = fomlab.FomSpec(**values)
     with _stage("simulate"):
         sset = fomlab.simulate(spec)
         sset = sset.with_data(sset.data, _train_time(cfg, sset.time).n_train)
     with _stage("write"):
-        out = _path(cfg, "snapshots")
+        out = _get(cfg, "paths", "snapshots")
         out.parent.mkdir(parents=True, exist_ok=True)
         save_snapshots(sset, out)
     print(f"wrote {out} ({sset.layout.n_s} variables, {sset.layout.n_x} points, "
@@ -494,17 +490,17 @@ def cmd_gen(cfg, args) -> int:
     return 0
 
 
-def cmd_decompose(cfg, args) -> int:
+def cmd_decompose(cfg) -> int:
     # the geometry comes from the header; the data is only scanned for
     # non-finite values, through the read buffer
-    with _stage("load"), SnapshotFile(_path(cfg, "snapshots")) as snap:
+    with _stage("load"), SnapshotFile(_get(cfg, "paths", "snapshots")) as snap:
         snap.check_finite(0, snap.header.time.n_t)
         _train_time(cfg, snap.header.time)
     geometry = snap.header.geometry
     with _stage("decompose"):
         dec = _build_decomposition(cfg, geometry)
         weights = decomp.blending_weights(dec, geometry)
-    out_dir = _output_dir(cfg, args)
+    out_dir = _output_dir(cfg)
     member = np.zeros((dec.k, dec.n_x), dtype=int)
     for i, idx in enumerate(dec.dof_indices):
         member[i, idx] = 1
@@ -521,7 +517,7 @@ def cmd_decompose(cfg, args) -> int:
 def _svd_rows(cfg, source: preprocess.BlockSource):
     _fit_scaling(cfg, source)
     dec = _build_decomposition(cfg, source.geometry)
-    method = _get(cfg, "pod", "method", str, default="svd")
+    method = _get(cfg, "pod", "method")
     spectra = []
     for block in source.blocks(dec.dof_indices):  # no enumerate, as above
         spectra.append(pod.singular_spectrum(block, method=method))
@@ -535,30 +531,30 @@ def _svd_rows(cfg, source: preprocess.BlockSource):
     return rows
 
 
-def cmd_svdreport(cfg, args) -> int:
+def cmd_svdreport(cfg) -> int:
     with _stage("load"):
-        source = _open_blocks(cfg, _path(cfg, "snapshots"))
+        source = _open_blocks(cfg, _get(cfg, "paths", "snapshots"))
     with _stage("svd"), source:
         rows = _svd_rows(cfg, source)
-    out_dir = _output_dir(cfg, args)
+    out_dir = _output_dir(cfg)
     path = out_dir / "svd_report.csv"
     _write_csv(path, SVD_REPORT_HEADER, rows)
     print(f"wrote {path}")
     return 0
 
 
-def cmd_train(cfg, args) -> int:
+def cmd_train(cfg) -> int:
     run = _train_pipeline(cfg)
     model, training = run.model, run.training
     dec, bases = model.decomposition, model.bases
     residuals = training.residuals(model.operators)
 
     with _stage("write"):
-        artifact = _path(cfg, "artifact")
+        artifact = _get(cfg, "paths", "artifact")
         artifact.parent.mkdir(parents=True, exist_ok=True)
         rom.save_rom(model, artifact)
 
-        out_dir = _output_dir(cfg, args)
+        out_dir = _output_dir(cfg)
         counts = _coefficient_counts(dec, bases, training.include_constant)
         dump_rows = [
             [i, dec.dof_indices[i].size, basis.rows, basis.r, counts[i], residuals[i]]
@@ -587,12 +583,12 @@ def cmd_train(cfg, args) -> int:
     return 0
 
 
-def cmd_regsearch(cfg, args) -> int:
-    if not _regsearch_enabled(cfg):
+def cmd_regsearch(cfg) -> int:
+    if not _get(cfg, "regsearch", "enabled"):
         raise PipelineError("config: [regsearch] enabled must be true")
     run = _train_pipeline(cfg)
     result, mode = run.search, run.grid.mode
-    out_dir = _output_dir(cfg, args)
+    out_dir = _output_dir(cfg)
     rows = []
     if mode == "per_subdomain":
         for t_idx, trial in enumerate(result.trials):
@@ -609,11 +605,11 @@ def cmd_regsearch(cfg, args) -> int:
     return 0
 
 
-def cmd_predict(cfg, args) -> int:
+def cmd_predict(cfg) -> int:
     with _stage("load"):
-        model = rom.load_rom(_path(cfg, "artifact"))
-        ic_path = _get(cfg, "paths", "ic", str, default=None)
-        head, initial = load_initial_state(ic_path or _path(cfg, "snapshots"))
+        model = rom.load_rom(_get(cfg, "paths", "artifact"))
+        ic_path = _get(cfg, "paths", "ic")
+        head, initial = load_initial_state(ic_path or _get(cfg, "paths", "snapshots"))
         if not ic_path:
             _train_time(cfg, head.time)  # refuses n_train > n_t
         if head.layout != model.layout:
@@ -623,35 +619,39 @@ def cmd_predict(cfg, args) -> int:
                 f"does not match the model (n_s={model.layout.n_s}, "
                 f"n_x={model.layout.n_x}, variables {model.layout.variable_names})"
             )
-    steps = args.steps
-    if steps is None:
-        steps = _get(cfg, "time", "steps", int, default=None)
+    steps = _get(cfg, "time", "steps")
     if steps is None:
         steps = head.time.n_t - 1
     with _stage("integrate"):
         trajectory = rom.predict_full(model, initial, steps, t_start=head.time.t_init)
     with _stage("write"):
-        out = _path(cfg, "prediction")
+        out = _get(cfg, "paths", "prediction")
         out.parent.mkdir(parents=True, exist_ok=True)
         save_snapshots(trajectory, out)
     print(f"wrote {out} ({steps} steps of {model.dt:g})")
     return 0
 
 
-def cmd_evaluate(cfg, args) -> int:
+def cmd_evaluate(cfg) -> int:
     with _stage("load"):
-        truth_path = _get(cfg, "paths", "truth", str, default=None)
+        truth_path = _get(cfg, "paths", "truth")
         if truth_path is None:
-            truth_path = _path(cfg, "snapshots")
+            truth_path = _get(cfg, "paths", "snapshots")
         truth = load_snapshots(truth_path)
         truth = truth.with_data(truth.data, _train_time(cfg, truth.time).n_train)
-        approx = load_snapshots(_path(cfg, "prediction"))
+        approx = load_snapshots(_get(cfg, "paths", "prediction"))
         if truth.data.shape != approx.data.shape:
             raise ValueError(
                 f"dimension mismatch: truth {truth.data.shape} vs "
                 f"prediction {approx.data.shape}"
             )
-    out_dir = _output_dir(cfg, args)
+        t_true, t_pred = truth.time.timestamps, approx.time.timestamps
+        if np.abs(t_pred - t_true).max() > DT_RTOL * _time_step(truth.time):
+            raise ValueError(
+                f"prediction times t = {t_pred[0]:g} to {t_pred[-1]:g} do not "
+                f"match the truth's t = {t_true[0]:g} to {t_true[-1]:g}"
+            )
+    out_dir = _output_dir(cfg)
 
     with _stage("metrics"):
         report = metrics.error_report(truth, approx)
@@ -663,30 +663,24 @@ def cmd_evaluate(cfg, args) -> int:
             )
         _write_csv(out_dir / "error_report.csv", ERROR_REPORT_HEADER, rows)
 
-        variable = _get(cfg, "metrics", "variable", str, default=None)
+        variable = _get(cfg, "metrics", "variable")
         v_idx = 0 if variable is None else truth.layout.variable_index(variable)
-        thresholds = _get(
-            cfg, "metrics", "thresholds", _float_list,
-            default=metrics.DEFAULT_THRESHOLDS,
-        )
+        thresholds = _get(cfg, "metrics", "thresholds")
         bins = metrics.pointwise_error_bins(truth, approx, v_idx, thresholds)
         bin_rows = [
             [t, *fr.tolist()] for t, fr in zip(bins.times, bins.fractions)
         ]
         _write_csv(out_dir / "bin_report.csv", bin_report_header(thresholds), bin_rows)
 
-        probe = _get(cfg, "metrics", "probe", _int_list, default=None)
+        probe = _get(cfg, "metrics", "probe")
         if probe is None:
             probe = tuple(range(truth.layout.n_x))
-        instants = _get(cfg, "metrics", "probe_instants", _int_list, default=None)
+        instants = _get(cfg, "metrics", "probe_instants")
         if instants is None:
             last_train = truth.time.n_train - 1
             instants = tuple(
                 sorted({last_train, truth.n_t - 1})
             )
-        for idx in instants:
-            if not 0 <= idx < truth.n_t:
-                raise ValueError(f"probe instant {idx} out of range")
         profile = metrics.line_probe(
             approx, v_idx, np.asarray(probe, dtype=int), list(instants)
         )
@@ -709,11 +703,8 @@ def cmd_evaluate(cfg, args) -> int:
     return 0
 
 
-def _output_dir(cfg, args) -> Path:
-    out = getattr(args, "output", None)
-    if out is None:
-        out = _get(cfg, "paths", "output_dir", str, default=".")
-    path = Path(out)
+def _output_dir(cfg) -> Path:
+    path = _get(cfg, "paths", "output_dir")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -736,8 +727,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the config file")
-    parser.add_argument("--output", help="directory for CSV outputs")
-    parser.add_argument("--steps", type=int, help="prediction steps")
     return parser
 
 
@@ -750,7 +739,7 @@ def main(argv=None) -> int:
         return 1
     handler = _HANDLERS[args.command]
     try:
-        return handler(cfg, args)
+        return handler(cfg)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -121,15 +121,13 @@ def pointwise_error_bins(
     approx: SnapshotSet,
     variable: int = 0,
     thresholds=DEFAULT_THRESHOLDS,
-    floor: float | None = None,
 ) -> BinReport:
     """Distribution of pointwise relative errors over time.
 
     Per instant and spatial DOF, the relative error is
     |approx - ref| / max(|ref|, floor); the report holds the fraction of
-    DOFs in each threshold bin (upper edges closed).  The default floor is
-    1e-12 times the largest reference magnitude, guarding near-zero
-    denominators.
+    DOFs in each threshold bin (upper edges closed).  The floor is 1e-12
+    times the largest reference magnitude, guarding near-zero denominators.
     """
     _check_pair(ref, approx)
     thresholds = tuple(float(t) for t in thresholds)
@@ -141,8 +139,7 @@ def pointwise_error_bins(
     # the whole matrix gives
     width = max(1, core._SCAN_BYTES // (8 * ref.n))
     chunks = [slice(c, c + width) for c in range(0, ref.n_t, width)]
-    if floor is None:
-        floor = 1e-12 * float(max(np.abs(ref.data[:, c]).max() for c in chunks))
+    floor = 1e-12 * float(max(np.abs(ref.data[:, c]).max() for c in chunks))
     if floor <= 0.0:
         floor = np.finfo(np.float64).tiny
     r = ref.variable_block(variable)
@@ -165,7 +162,8 @@ def pointwise_error_bins(
 def line_probe(sset: SnapshotSet, variable: int, probe, instants) -> LineProbe:
     """Values along an ordered list of point indices, with the probe's own
     coordinate axis attached (angles for annular geometries, else the
-    first coordinate), at the column indices ``instants``."""
+    first coordinate), at the column indices ``instants``; refuses indices
+    outside the set, negative ones included."""
     probe = np.asarray(probe)
     if probe.ndim != 1 or probe.size < 1:
         raise ValueError("probe must be a non-empty 1-D list of point indices")
@@ -173,6 +171,9 @@ def line_probe(sset: SnapshotSet, variable: int, probe, instants) -> LineProbe:
         raise ValueError("probe indices must be integers")
     if np.any(probe < 0) or np.any(probe >= sset.layout.n_x):
         raise ValueError("probe index out of range")
+    for idx in instants:
+        if not 0 <= idx < sset.n_t:
+            raise ValueError(f"probe instant {idx} out of range")
     block = sset.variable_block(variable)
     geom = sset.geometry
     coord = (geom.angular if geom.angular is not None else geom.coords[:, 0])[probe]

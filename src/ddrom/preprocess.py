@@ -130,26 +130,22 @@ def transform_variables(sset: SnapshotSet, transforms) -> SnapshotSet:
 def center_scale(
     sset: SnapshotSet,
     kind: str = "max_abs",
-    train_count: int | None = None,
     transforms=None,
 ) -> tuple[SnapshotSet, ScalingRecord]:
     """Center on the training-mean field and scale each variable.
 
-    The mean is taken over the first ``train_count`` columns only
-    (defaulting to the set's training split).  For ``max_abs`` the scale is
-    the largest centered magnitude in the training block, putting training
-    values in [-1, 1]; for ``std_dev`` it is the standard deviation of the
-    centered training block.  ``transforms`` documents any change of
-    variables already applied, so it can be inverted later; it does not
-    transform anything here.
+    The mean is taken over the set's training columns only.  For ``max_abs``
+    the scale is the largest centered magnitude in the training block,
+    putting training values in [-1, 1]; for ``std_dev`` it is the standard
+    deviation of the centered training block.  ``transforms`` documents any
+    change of variables already applied, so it can be inverted later; it
+    does not transform anything here.
     """
     if kind not in SCALING_KINDS:
         raise ValueError(f"unknown scaling kind {kind!r}")
     layout = sset.layout
     transforms = _check_transforms(layout.n_s, transforms)
-    m = sset.time.n_train if train_count is None else int(train_count)
-    if not 1 <= m <= sset.n_t:
-        raise ValueError("train_count must lie in [1, n_t]")
+    m = sset.time.n_train
 
     mean_field = sset.data[:, :m].mean(axis=1)
     centered = sset.data - mean_field[:, None]

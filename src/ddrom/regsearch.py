@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opinf import RegressionConfig, infer_continuous, infer_discrete
+from .opinf import FORMS, RegressionConfig, infer_continuous, infer_discrete
 from .rom import DivergenceError, roll_reduced
 
 __all__ = [
@@ -43,7 +43,7 @@ class RegGrid:
 
     ``t_reg_steps`` is how far each candidate model is rolled from the
     training initial state (default: the training horizon plus 30%);
-    ``bound_factor`` is the allowed excursion of each reduced coordinate
+    ``kappa`` is the allowed excursion of each reduced coordinate
     relative to its largest training magnitude.  ``allow_large_k`` lets a
     search evaluate more than ``MAX_CANDIDATES`` candidates.
     """
@@ -52,7 +52,7 @@ class RegGrid:
     lambda_quadratic: tuple[float, ...] = field(default_factory=default_candidates)
     mode: str = "global"
     t_reg_steps: int | None = None
-    bound_factor: float = 1.2
+    kappa: float = 1.2
     allow_large_k: bool = False
 
     def __post_init__(self):
@@ -69,8 +69,8 @@ class RegGrid:
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.t_reg_steps is not None and self.t_reg_steps < 1:
             raise ValueError("t_reg_steps must be positive")
-        if not np.isfinite(self.bound_factor) or self.bound_factor <= 0.0:
-            raise ValueError("bound_factor must be positive")
+        if not np.isfinite(self.kappa) or self.kappa <= 0.0:
+            raise ValueError("kappa must be positive")
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class ReducedTraining:
     include_constant: bool = False
 
     def __post_init__(self):
-        if self.form not in ("continuous", "discrete"):
+        if self.form not in FORMS:
             raise ValueError(f"unknown form {self.form!r}")
         if self.form == "continuous":
             if self.dt is None or self.dt <= 0.0:
@@ -214,9 +214,7 @@ def search(training: ReducedTraining, grid: RegGrid) -> RegResult:
     else:
         candidates = itertools.product(pairs, repeat=k)
 
-    bounds = [
-        grid.bound_factor * np.abs(q).max(axis=1) for q in training.reduced
-    ]
+    bounds = [grid.kappa * np.abs(q).max(axis=1) for q in training.reduced]
     init = [q[:, 0] for q in training.reduced]
     trials = []
     best, best_ops = None, None

@@ -25,9 +25,9 @@ from .core import (
     _SCAN_BYTES,
     _Writer,
 )
-from .decomp import BlendingWeights, Decomposition, blending_weights
+from .decomp import TOPOLOGIES, BlendingWeights, Decomposition, blending_weights
 from .decomp import recombine  # noqa: F401  perfbench/tracing.py wraps rom.recombine
-from .opinf import RomOperators, quadratic_dim
+from .opinf import FORMS, RomOperators, quadratic_dim
 from .pod import PodBasis
 
 __all__ = [
@@ -43,11 +43,6 @@ __all__ = [
 
 ROM_MAGIC = b"DDRM"
 ROM_VERSION = 1
-
-_FORM_CODE = {"continuous": 0, "discrete": 1}
-_TOPOLOGY_CODE = {"single": 0, "interval": 1, "annular": 2}
-_KIND_CODE = {"max_abs": 0, "std_dev": 1}
-_TRANSFORM_CODE = {"identity": 0, "reciprocal": 1}
 
 
 class DivergenceError(RuntimeError):
@@ -76,7 +71,7 @@ class CoupledRom:
         dec = self.decomposition
         if len(self.bases) != dec.k or len(self.operators) != dec.k:
             raise ValueError("need one basis and one operator set per subdomain")
-        if self.form not in _FORM_CODE:
+        if self.form not in FORMS:
             raise ValueError(f"unknown form {self.form!r}")
         if not np.isfinite(self.dt) or self.dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -216,7 +211,7 @@ def save_rom(rom: CoupledRom, path) -> None:
     with open(path, "wb") as fh:
         w = _Writer(fh)
         fh.write(ROM_MAGIC)
-        w.pack("II", ROM_VERSION, _FORM_CODE[rom.form])
+        w.pack("II", ROM_VERSION, FORMS.index(rom.form))
         w.pack("Qd", rom.k, rom.dt)
 
         layout, geom = rom.layout, rom.geometry
@@ -231,7 +226,7 @@ def save_rom(rom: CoupledRom, path) -> None:
             w.array(geom.angular)
 
         dec = rom.decomposition
-        w.pack("Id", _TOPOLOGY_CODE[dec.topology], dec.overlap)
+        w.pack("Id", TOPOLOGIES.index(dec.topology), dec.overlap)
         for i in range(dec.k):
             idx = dec.dof_indices[i]
             w.pack("Q", idx.size)
@@ -243,9 +238,9 @@ def save_rom(rom: CoupledRom, path) -> None:
                 w.pack("Q", j)
 
         rec = rom.scaling
-        w.pack("I", _KIND_CODE[rec.scaling_kind])
+        w.pack("I", preprocess.SCALING_KINDS.index(rec.scaling_kind))
         for t in rec.transform_spec:
-            w.pack("I", _TRANSFORM_CODE[t])
+            w.pack("I", preprocess.TRANSFORMS.index(t))
         w.array(rec.mean_field)
         w.array(rec.scale)
 
@@ -280,12 +275,14 @@ def load_rom(path) -> CoupledRom:
         raise SnapFormatError(f"bad model: {exc}") from exc
 
 
-def _read_rom(path) -> CoupledRom:
-    code_form = {v: k for k, v in _FORM_CODE.items()}
-    code_topology = {v: k for k, v in _TOPOLOGY_CODE.items()}
-    code_kind = {v: k for k, v in _KIND_CODE.items()}
-    code_transform = {v: k for k, v in _TRANSFORM_CODE.items()}
+def _named(names: tuple[str, ...], code: int, what: str) -> str:
+    """The name an artifact code stands for: its position in ``names``."""
+    if code >= len(names):
+        raise SnapFormatError(f"unknown {what}")
+    return names[code]
 
+
+def _read_rom(path) -> CoupledRom:
     with open(path, "rb") as fh:
         r = _Reader(fh, "model file")
         if r.take(4, "magic") != ROM_MAGIC:
@@ -293,8 +290,7 @@ def _read_rom(path) -> CoupledRom:
         version, form_code = r.pack("II", "header")
         if version != ROM_VERSION:
             raise SnapFormatError(f"unknown version {version}")
-        if form_code not in code_form:
-            raise SnapFormatError("unknown model form")
+        form = _named(FORMS, form_code, "model form")
         k, dt = r.pack("Qd", "header")
         if k < 1 or k > 10**6:
             raise SnapFormatError("implausible subdomain count")
@@ -309,8 +305,7 @@ def _read_rom(path) -> CoupledRom:
         geometry = Geometry(coords, periodic=bool(geo_flags & 1), angular=angular)
 
         topo_code, overlap = r.pack("Id", "decomposition")
-        if topo_code not in code_topology:
-            raise SnapFormatError("unknown topology")
+        topology = _named(TOPOLOGIES, topo_code, "topology")
         dof, interior, adjacency = [], [], []
         for _ in range(k):
             (n_pts,) = r.pack("Q", "subdomain size")
@@ -326,7 +321,7 @@ def _read_rom(path) -> CoupledRom:
                 frozenset(r.pack("Q", "adjacency")[0] for _ in range(n_adj))
             )
         decomposition = Decomposition(
-            topology=code_topology[topo_code],
+            topology=topology,
             n_x=n_x,
             dof_indices=tuple(dof),
             interior=tuple(interior),
@@ -335,18 +330,15 @@ def _read_rom(path) -> CoupledRom:
         )
 
         (kind_code,) = r.pack("I", "scaling kind")
-        if kind_code not in code_kind:
-            raise SnapFormatError("unknown scaling kind")
-        transforms = []
-        for _ in range(n_s):
-            (t_code,) = r.pack("I", "transform")
-            if t_code not in code_transform:
-                raise SnapFormatError("unknown transform")
-            transforms.append(code_transform[t_code])
+        kind = _named(preprocess.SCALING_KINDS, kind_code, "scaling kind")
+        transforms = tuple(
+            _named(preprocess.TRANSFORMS, r.pack("I", "transform")[0], "transform")
+            for _ in range(n_s)
+        )
         mean_field = r.array((n_s * n_x,), "mean field")
         scale = r.array((n_s,), "scale")
         scaling = preprocess.ScalingRecord(
-            mean_field, scale, code_kind[kind_code], tuple(transforms)
+            mean_field, scale, kind, transforms
         )
 
         bases, operators = [], []
@@ -373,7 +365,7 @@ def _read_rom(path) -> CoupledRom:
                     linear=linear,
                     quadratic=quadratic,
                     coupling=coupling,
-                    form=code_form[form_code],
+                    form=form,
                     constant=constant,
                 )
             )
@@ -387,6 +379,6 @@ def _read_rom(path) -> CoupledRom:
         bases=bases,
         operators=operators,
         scaling=scaling,
-        form=code_form[form_code],
+        form=form,
         dt=dt,
     )

@@ -1,5 +1,7 @@
 import csv
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,8 +61,11 @@ def workdir(tmp_path):
     return tmp_path, cfg
 
 
-def run(cmd, cfg, *extra):
-    return cli.main([cmd, "--config", str(cfg), *extra])
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def run(cmd, cfg):
+    return cli.main([cmd, "--config", str(cfg)])
 
 
 class TestConfigHandling:
@@ -97,6 +102,26 @@ class TestConfigHandling:
         cfg.write_text(cfg.read_text().replace(old, new))
         assert run("gen", cfg) == 1
         assert message in capsys.readouterr().err
+
+    def test_readme_names_every_key_in_its_section(self):
+        reference = README.read_text().split("## Configuration reference")[1]
+        reference = reference.split("\n## ")[0]
+        paragraphs = dict(
+            part.split("]`", 1) for part in reference.split("\n`[")[1:]
+        )
+        assert set(paragraphs) == set(cli._CONFIG)
+        for section, keys in cli._CONFIG.items():
+            missing = [key for key in keys
+                       if not re.search(rf"`{key}(`| =)", paragraphs[section])]
+            assert not missing, f"README [{section}] misses {missing}"
+
+    def test_readme_flags_are_the_parser_options(self):
+        line = next(line for line in README.read_text().splitlines()
+                    if line.startswith("Flags:"))
+        options = {opt for action in cli._build_parser()._actions
+                   for opt in action.option_strings}
+        assert set(re.findall(r"--[\w-]+", line)) == options - {"-h", "--help"}
+        assert options - {"-h", "--help"} == {"--config"}
 
 
 class TestFormatting:
@@ -170,11 +195,13 @@ class TestPipeline:
         np.testing.assert_allclose(pred.time.timestamps,
                                    truth.time.timestamps, atol=1e-12)
 
-    def test_steps_flag_overrides(self, workdir):
+    def test_steps_key_sets_the_prediction_length(self, workdir):
         tmp, cfg = workdir
         run("gen", cfg)
         run("train", cfg)
-        assert run("predict", cfg, "--steps", "7") == 0
+        cfg.write_text(cfg.read_text().replace("n_train = 25\n",
+                                               "n_train = 25\nsteps = 7\n"))
+        assert run("predict", cfg) == 0
         pred = load_snapshots(tmp / "pred.bin")
         assert pred.n_t == 8
 
@@ -353,6 +380,23 @@ class TestErrorReporting:
         code = run("evaluate", cfg)
         assert code == 1
         assert "evaluate: load:" in capsys.readouterr().err
+
+    def test_prediction_on_another_time_grid_fails_evaluate(self, workdir,
+                                                            capsys):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        assert run("train", cfg) == 0
+        sset = load_snapshots(tmp / "snaps.bin")
+        shifted = TimeGrid(sset.time.timestamps + 5.0, sset.time.n_train)
+        save_snapshots(SnapshotSet(sset.layout, sset.geometry, shifted,
+                                   sset.data), tmp / "ic.bin")
+        cfg.write_text(cfg.read_text().replace(
+            "[paths]\n", f"[paths]\nic = {tmp}/ic.bin\n"))
+        assert run("predict", cfg) == 0
+        code = run("evaluate", cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "evaluate: load: prediction times t = 5 to" in err
 
     def test_non_uniform_time_grid_is_refused(self, workdir, capsys):
         tmp, cfg = workdir

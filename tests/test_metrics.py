@@ -178,3 +178,10 @@ class TestLineProbe:
             line_probe(sset, 0, np.array([9]), range(sset.n_t))
         with pytest.raises(ValueError, match="integer"):
             line_probe(sset, 0, np.array([0.5]), range(sset.n_t))
+
+    @pytest.mark.parametrize("instant", [-1, 5])
+    def test_instant_outside_the_set(self, instant):
+        # -1 would read the last column, 5 = n_t would raise IndexError
+        sset = make_set(np.ones((6, 5)))
+        with pytest.raises(ValueError, match=f"probe instant {instant} out of range"):
+            line_probe(sset, 0, [0, 1], [instant])
