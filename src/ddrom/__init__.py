@@ -37,6 +37,7 @@ from .metrics import (
     squared_l2_relative_error,
 )
 from .opinf import (
+    ReducedTraining,
     RegressionConfig,
     RomOperators,
     coefficient_count,
@@ -63,7 +64,7 @@ from .preprocess import (
     invert_record,
     transform_variables,
 )
-from .regsearch import RegGrid, RegResult, ReducedTraining, Trial, search
+from .regsearch import RegGrid, RegResult, Trial, search
 from .rom import (
     CoupledRom,
     DivergenceError,

@@ -315,30 +315,19 @@ def _project_blocks(cfg, source, dec):
     return bases, reduced
 
 
-def _coefficient_counts(dec, bases, include_constant: bool) -> list[int]:
-    """d(r) of each subdomain: own, quadratic, neighbor and constant columns."""
-    dims = [b.r for b in bases]
-    return [
-        opinf.coefficient_count(
-            basis.r, [dims[j] for j in sorted(dec.adjacency[i])],
-            include_constant=include_constant,
-        )
-        for i, basis in enumerate(bases)
-    ]
-
-
-def _check_budget(dec, bases, n_train: int, include_constant: bool):
-    counts = _coefficient_counts(dec, bases, include_constant)
-    for i, (basis, d) in enumerate(zip(bases, counts)):
+def _check_budget(training: opinf.ReducedTraining):
+    """Refuse a subdomain with more coefficients than training columns."""
+    n_train = training.n_columns
+    for i, d in enumerate(training.coefficients):
         if d > n_train:
-            neighbors = [None] * len(dec.adjacency[i])
+            neighbors = [None] * len(training.adjacency[i])
             largest = opinf.max_reduced_dimension(
-                n_train, neighbors, include_constant=include_constant
+                n_train, neighbors, include_constant=training.include_constant
             )
             raise ValueError(
-                f"subdomain {i}: r={basis.r} needs d(r)={d} coefficients but "
-                f"only n_train={n_train} columns are available; largest "
-                f"admissible r is {largest}"
+                f"subdomain {i}: r={training.reduced[i].shape[0]} needs d(r)={d} "
+                f"coefficients but only n_train={n_train} columns are available; "
+                f"largest admissible r is {largest}"
             )
 
 
@@ -393,8 +382,8 @@ class _Trained:
     """What the train and regsearch commands read of a training run."""
 
     model: rom.CoupledRom
-    training: regsearch.ReducedTraining
-    grid: regsearch.RegGrid | None
+    training: opinf.ReducedTraining
+    grid: regsearch.RegGrid
     search: regsearch.RegResult | None
 
 
@@ -421,6 +410,8 @@ def _train_pipeline(cfg) -> _Trained:
         raise PipelineError(
             "config: set fixed [opinf] lambdas or enable [regsearch]"
         )
+    with _stage("regsearch"):
+        grid = _search_grid(cfg)  # checked on every path, used by the search only
     with _stage("load"):
         source = _open_blocks(cfg, _get(cfg, "paths", "snapshots"))
     with source:
@@ -432,14 +423,13 @@ def _train_pipeline(cfg) -> _Trained:
             dec = _build_decomposition(cfg, source.geometry)
         with _stage("pod"):
             bases, reduced = _project_blocks(cfg, source, dec)
-            _check_budget(dec, bases, source.time.n_train, include_constant)
     with _stage("derivatives"):
         derivatives = None
         if form == "continuous":
             derivatives = [
                 opinf.estimate_time_derivatives(q, dt, scheme) for q in reduced
             ]
-        training = regsearch.ReducedTraining(
+        training = opinf.ReducedTraining(
             reduced=reduced,
             adjacency=[set(s) for s in dec.adjacency],
             form=form,
@@ -447,10 +437,11 @@ def _train_pipeline(cfg) -> _Trained:
             derivatives=derivatives,
             include_constant=include_constant,
         )
-    grid = result = None
+    with _stage("pod"):
+        _check_budget(training)
+    result = None
     if use_search:
         with _stage("regsearch"):
-            grid = _search_grid(cfg)
             result = regsearch.search(training, grid)
             operators = result.operators
     else:
@@ -546,7 +537,7 @@ def cmd_svdreport(cfg) -> int:
 def cmd_train(cfg) -> int:
     run = _train_pipeline(cfg)
     model, training = run.model, run.training
-    dec, bases = model.decomposition, model.bases
+    dec = model.decomposition
     residuals = training.residuals(model.operators)
 
     with _stage("write"):
@@ -555,10 +546,11 @@ def cmd_train(cfg) -> int:
         rom.save_rom(model, artifact)
 
         out_dir = _output_dir(cfg)
-        counts = _coefficient_counts(dec, bases, training.include_constant)
         dump_rows = [
-            [i, dec.dof_indices[i].size, basis.rows, basis.r, counts[i], residuals[i]]
-            for i, basis in enumerate(bases)
+            [i, dec.dof_indices[i].size, basis.rows, basis.r, d, residual]
+            for i, (basis, d, residual) in enumerate(
+                zip(model.bases, training.coefficients, residuals)
+            )
         ]
         _write_csv(out_dir / "traindump.csv", TRAINDUMP_HEADER, dump_rows)
 
@@ -681,9 +673,7 @@ def cmd_evaluate(cfg) -> int:
             instants = tuple(
                 sorted({last_train, truth.n_t - 1})
             )
-        profile = metrics.line_probe(
-            approx, v_idx, np.asarray(probe, dtype=int), list(instants)
-        )
+        profile = metrics.line_probe(approx, v_idx, probe, instants)
         times = [float(truth.time.timestamps[i]) for i in instants]
         prof_rows = [
             [float(profile.coordinate[p]), *profile.values[p]]

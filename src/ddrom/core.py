@@ -46,6 +46,11 @@ _TWO_PI = 2.0 * np.pi
 _SCAN_BYTES = 1 << 22
 
 
+def _chunk_width(rows: int) -> int:
+    """Columns of ``rows`` float64 values that fit one chunk buffer (at least one)."""
+    return max(1, _SCAN_BYTES // (8 * rows))
+
+
 class SnapFormatError(ValueError):
     """A snapshot file is malformed, truncated, or of an unknown version."""
 
@@ -519,7 +524,7 @@ class SnapshotFile:
         """
         if stop <= start:
             return
-        width = min(stop - start, max(1, _SCAN_BYTES // (8 * self.n)))
+        width = min(stop - start, _chunk_width(self.n))
         buf = np.empty((self.n, width), dtype="<f8", order="F")
         for j in range(start, stop, width):
             yield j, self.read(buf[:, : min(width, stop - j)], j * self.n)

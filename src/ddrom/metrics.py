@@ -137,7 +137,7 @@ def pointwise_error_bins(
         raise ValueError("thresholds must be strictly increasing")
     # column chunks, so no temporary is full size; every value is the one
     # the whole matrix gives
-    width = max(1, core._SCAN_BYTES // (8 * ref.n))
+    width = core._chunk_width(ref.n)
     chunks = [slice(c, c + width) for c in range(0, ref.n_t, width)]
     floor = 1e-12 * float(max(np.abs(ref.data[:, c]).max() for c in chunks))
     if floor <= 0.0:
@@ -171,6 +171,9 @@ def line_probe(sset: SnapshotSet, variable: int, probe, instants) -> LineProbe:
         raise ValueError("probe indices must be integers")
     if np.any(probe < 0) or np.any(probe >= sset.layout.n_x):
         raise ValueError("probe index out of range")
+    instants = np.asarray(instants)
+    if instants.ndim != 1 or not np.issubdtype(instants.dtype, np.integer):
+        raise ValueError("probe instants must be a 1-D list of column indices")
     for idx in instants:
         if not 0 <= idx < sset.n_t:
             raise ValueError(f"probe instant {idx} out of range")

@@ -22,6 +22,7 @@ import scipy.linalg as la
 __all__ = [
     "RomOperators",
     "RegressionConfig",
+    "ReducedTraining",
     "compress_quadratic",
     "quadratic_dim",
     "build_data_matrix",
@@ -251,65 +252,126 @@ def estimate_time_derivatives(
     return out
 
 
-def _check_training_inputs(reduced, adjacency):
-    if len(reduced) != len(adjacency):
-        raise ValueError("need one adjacency set per subdomain")
-    k = len(reduced)
-    for i, nbrs in enumerate(adjacency):
-        for j in nbrs:
-            if j == i or not 0 <= j < k:
+@dataclass
+class ReducedTraining:
+    """Projected training data of every subdomain, as one regression
+    problem per subdomain.
+
+    ``reduced`` holds one (r_i, m) matrix per subdomain and ``adjacency``
+    each subdomain's neighbors.  The discrete form maps columns 0..m-2 to
+    columns 1..m-1; the continuous form maps the states to
+    ``derivatives``.  Inputs are checked, and each subdomain's data matrix
+    is built, once here; every fit and residual reads them.  ``dt`` is the
+    step a search rolls continuous models with; ``include_constant`` fits
+    every model with a constant term.
+    """
+
+    reduced: list
+    adjacency: list
+    form: str = "discrete"
+    dt: float | None = None
+    derivatives: list | None = None
+    include_constant: bool = False
+    inputs: list = field(init=False, repr=False)
+    targets: list = field(init=False, repr=False)
+    data: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.form not in FORMS:
+            raise ValueError(f"unknown form {self.form!r}")
+        k = len(self.reduced)
+        if len(self.adjacency) != k:
+            raise ValueError("need one adjacency set per subdomain")
+        for i, nbrs in enumerate(self.adjacency):
+            if any(j == i or not 0 <= j < k for j in nbrs):
                 raise ValueError("bad adjacency entry")
-    cols = {np.asarray(q).shape[1] for q in reduced}
-    if len(cols) != 1:
-        raise ValueError("all subdomains must share the snapshot count")
+        self.reduced = [np.asarray(q, dtype=np.float64) for q in self.reduced]
+        if len({q.shape[1] for q in self.reduced}) != 1:
+            raise ValueError("all subdomains must share the snapshot count")
+        if self.form == "discrete":
+            if self.n_columns < 2:
+                raise ValueError("discrete form needs at least two snapshot columns")
+            self.inputs = [q[:, :-1] for q in self.reduced]
+            self.targets = [q[:, 1:] for q in self.reduced]
+        else:
+            if self.derivatives is None or len(self.derivatives) != k:
+                raise ValueError("need one derivative matrix per subdomain")
+            self.derivatives = [np.asarray(d, np.float64) for d in self.derivatives]
+            if any(d.shape != q.shape for q, d in zip(self.reduced, self.derivatives)):
+                raise ValueError("derivatives must match the reduced states in shape")
+            self.inputs, self.targets = self.reduced, self.derivatives
+        self.data = [
+            build_data_matrix(
+                own, [self.inputs[j] for j in sorted(nbrs)], self.include_constant
+            )
+            for own, nbrs in zip(self.inputs, self.adjacency)
+        ]
+
+    @property
+    def k(self) -> int:
+        return len(self.reduced)
+
+    @property
+    def n_columns(self) -> int:
+        return self.reduced[0].shape[1]
+
+    @property
+    def coefficients(self) -> list[int]:
+        """d(r) of each subdomain: own, quadratic, neighbor and constant columns."""
+        return [d.shape[1] for d in self.data]
+
+    def fit(self, pairs):
+        """Operators of every subdomain, from one (lambda_linear,
+        lambda_quadratic) weight pair per subdomain."""
+        pairs = list(pairs)
+        if len(pairs) != self.k:
+            raise ValueError("need one weight pair per subdomain")
+        out = []
+        for i, (ll, lq) in enumerate(pairs):
+            r = self.reduced[i].shape[0]
+            s = quadratic_dim(r)
+            # the coupling and constant columns share the linear weight
+            blocks = [(r, ll), (s, lq), (self.data[i].shape[1] - r - s, ll)]
+            solution = solve_tikhonov(self.data[i], self.targets[i].T, blocks)
+            coupling, at = {}, r + s
+            for j in sorted(self.adjacency[i]):
+                coupling[j] = solution[at : at + self.reduced[j].shape[0]].T
+                at += self.reduced[j].shape[0]
+            out.append(
+                RomOperators(
+                    linear=solution[:r].T,
+                    quadratic=solution[r : r + s].T,
+                    coupling=coupling,
+                    form=self.form,
+                    constant=solution[at].copy() if self.include_constant else None,
+                )
+            )
+        return out
+
+    def residuals(self, operators) -> list[float]:
+        """Frobenius norm of each subdomain's misfit on the training data:
+        next snapshots (discrete form) or time derivatives (continuous)."""
+        return [
+            float(np.linalg.norm(ops.apply(own, self.inputs) - target))
+            for ops, own, target in zip(operators, self.inputs, self.targets)
+        ]
 
 
-def _per_subdomain_configs(config, k: int, form: str):
-    """Allow one shared config or one per subdomain."""
+def _infer(form, reduced, adjacency, config, derivatives=None):
+    """Operators from one regression config, or one per subdomain."""
+    k = len(reduced)
     configs = list(config) if isinstance(config, (list, tuple)) else [config] * k
     if len(configs) != k:
         raise ValueError("need one regression config per subdomain")
-    for c in configs:
-        if c.form != form:
-            raise ValueError(f"config.form must be {form!r}")
-    return configs
-
-
-def _fit(inputs, targets, adjacency, config, form: str):
-    """Operators of every subdomain: ``inputs[i]`` (r_i, n) states map to
-    ``targets[i]`` (r_i, n), with coupling to each neighbor's inputs."""
-    configs = _per_subdomain_configs(config, len(inputs), form)
-    out = []
-    for i, (own, cfg) in enumerate(zip(inputs, configs)):
-        nbrs = sorted(adjacency[i])
-        nbr_states = [inputs[j] for j in nbrs]
-        r = own.shape[0]
-        s = quadratic_dim(r)
-        data = build_data_matrix(own, nbr_states, include_constant=cfg.include_constant)
-        blocks = [(r, cfg.lambda_linear), (s, cfg.lambda_quadratic)]
-        n_coupled = sum(nb.shape[0] for nb in nbr_states)
-        if n_coupled:
-            # coupling columns share the linear weight
-            blocks.append((n_coupled, cfg.lambda_linear))
-        if cfg.include_constant:
-            blocks.append((1, cfg.lambda_linear))
-        solution = solve_tikhonov(data, targets[i].T, blocks)
-
-        coupling = {}
-        at = r + s
-        for j, nb in zip(nbrs, nbr_states):
-            coupling[j] = solution[at : at + nb.shape[0]].T
-            at += nb.shape[0]
-        out.append(
-            RomOperators(
-                linear=solution[:r].T,
-                quadratic=solution[r : r + s].T,
-                coupling=coupling,
-                form=form,
-                constant=solution[at].copy() if cfg.include_constant else None,
-            )
-        )
-    return out
+    if any(c.form != form for c in configs):
+        raise ValueError(f"config.form must be {form!r}")
+    if len({c.include_constant for c in configs}) > 1:
+        raise ValueError("regression configs must agree on include_constant")
+    training = ReducedTraining(
+        reduced, adjacency, form, derivatives=derivatives,
+        include_constant=any(c.include_constant for c in configs),
+    )
+    return training.fit([(c.lambda_linear, c.lambda_quadratic) for c in configs])
 
 
 def infer_continuous(reduced, derivatives, adjacency, config: RegressionConfig):
@@ -318,14 +380,7 @@ def infer_continuous(reduced, derivatives, adjacency, config: RegressionConfig):
     ``reduced`` and ``derivatives`` hold one (r_i, m) matrix per
     subdomain; ``adjacency`` lists each subdomain's neighbors.
     """
-    _check_training_inputs(reduced, adjacency)
-    if len(derivatives) != len(reduced):
-        raise ValueError("need one derivative matrix per subdomain")
-    states = [np.asarray(q, dtype=np.float64) for q in reduced]
-    targets = [np.asarray(dq, dtype=np.float64) for dq in derivatives]
-    if any(dq.shape != q.shape for q, dq in zip(states, targets)):
-        raise ValueError("derivatives must match the reduced states in shape")
-    return _fit(states, targets, adjacency, config, "continuous")
+    return _infer("continuous", reduced, adjacency, config, derivatives)
 
 
 def infer_discrete(reduced, adjacency, config: RegressionConfig):
@@ -334,14 +389,7 @@ def infer_discrete(reduced, adjacency, config: RegressionConfig):
     Data columns are snapshots 0..m-2 and targets are snapshots 1..m-1 of
     the same trajectory, so no time derivatives are needed.
     """
-    _check_training_inputs(reduced, adjacency)
-    states = [np.asarray(q, dtype=np.float64) for q in reduced]
-    if states[0].shape[1] < 2:
-        raise ValueError("discrete inference needs at least two snapshot columns")
-    return _fit(
-        [q[:, :-1] for q in states], [q[:, 1:] for q in states],
-        adjacency, config, "discrete",
-    )
+    return _infer("discrete", reduced, adjacency, config)
 
 
 def coefficient_count(r: int, neighbor_dims=(), include_constant: bool = False) -> int:

@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opinf import FORMS, RegressionConfig, infer_continuous, infer_discrete
+from .opinf import ReducedTraining
+# perfbench/tracing.py wraps regsearch.infer_discrete and infer_continuous
+from .opinf import infer_continuous, infer_discrete  # noqa: F401
 from .rom import DivergenceError, roll_reduced
 
 __all__ = [
@@ -92,85 +94,10 @@ class RegResult:
     operators: list = field(compare=False, repr=False)
 
 
-@dataclass
-class ReducedTraining:
-    """Projected training data of every subdomain, and the one place that
-    fits operators to it.
-
-    ``derivatives`` (continuous form only) are the time derivatives the
-    fit targets; ``include_constant`` fits every model with a constant term.
-    """
-
-    reduced: list
-    adjacency: list
-    form: str = "discrete"
-    dt: float | None = None
-    derivatives: list | None = None
-    include_constant: bool = False
-
-    def __post_init__(self):
-        if self.form not in FORMS:
-            raise ValueError(f"unknown form {self.form!r}")
-        if self.form == "continuous":
-            if self.dt is None or self.dt <= 0.0:
-                raise ValueError("continuous search needs a positive dt")
-            if self.derivatives is None:
-                raise ValueError("continuous search needs time derivatives")
-        self.reduced = [np.asarray(q, dtype=np.float64) for q in self.reduced]
-        cols = {q.shape[1] for q in self.reduced}
-        if len(cols) != 1:
-            raise ValueError("all subdomains must share the snapshot count")
-        if next(iter(cols)) < 2:
-            raise ValueError("need at least two training columns")
-
-    @property
-    def k(self) -> int:
-        return len(self.reduced)
-
-    @property
-    def n_columns(self) -> int:
-        return self.reduced[0].shape[1]
-
-    def fit(self, pairs):
-        """Operators of every subdomain, from one (lambda_linear,
-        lambda_quadratic) weight pair per subdomain."""
-        configs = [
-            RegressionConfig(
-                form=self.form,
-                lambda_linear=ll,
-                lambda_quadratic=lq,
-                include_constant=self.include_constant,
-            )
-            for ll, lq in pairs
-        ]
-        if self.form == "discrete":
-            return infer_discrete(self.reduced, self.adjacency, configs)
-        return infer_continuous(
-            self.reduced, self.derivatives, self.adjacency, configs
-        )
-
-    def residuals(self, operators) -> list[float]:
-        """Frobenius norm of each subdomain's misfit on the training data:
-        next snapshots (discrete form) or time derivatives (continuous)."""
-        out = []
-        for i, ops in enumerate(operators):
-            if self.form == "discrete":
-                pred = ops.apply(
-                    self.reduced[i][:, :-1], [q[:, :-1] for q in self.reduced]
-                )
-                target = self.reduced[i][:, 1:]
-            else:
-                pred = ops.apply(self.reduced[i], self.reduced)
-                target = self.derivatives[i]
-            out.append(float(np.linalg.norm(pred - target)))
-        return out
-
-
 def _evaluate(training, pairs, t_reg, bounds, init):
     operators = training.fit(pairs)
-    dt = training.dt if training.dt is not None else 1.0
     try:
-        rolled = roll_reduced(operators, training.form, dt, init, t_reg)
+        rolled = roll_reduced(operators, training.form, training.dt, init, t_reg)
     except DivergenceError:
         return np.inf, False, operators
     m = training.n_columns
@@ -194,6 +121,8 @@ def search(training: ReducedTraining, grid: RegGrid) -> RegResult:
     ``MAX_CANDIDATES`` candidates is refused, before any fit, unless
     ``grid.allow_large_k`` is set.
     """
+    if training.form == "continuous" and (training.dt is None or training.dt <= 0.0):
+        raise ValueError("continuous search needs a positive dt")
     k = training.k
     m = training.n_columns
     t_reg = grid.t_reg_steps

@@ -22,8 +22,8 @@ from .core import (
     StateLayout,
     TimeGrid,
     _Reader,
-    _SCAN_BYTES,
     _Writer,
+    _chunk_width,
 )
 from .decomp import TOPOLOGIES, BlendingWeights, Decomposition, blending_weights
 from .decomp import recombine  # noqa: F401  perfbench/tracing.py wraps rom.recombine
@@ -190,7 +190,7 @@ def predict_full(
         block *= weight[:, None]
         # a fancy-indexed += gathers and scatters a copy of what it adds
         # to; in column chunks that copy stays within 4 MiB
-        width = max(1, _SCAN_BYTES // (8 * rows.size))
+        width = _chunk_width(rows.size)
         for c in range(0, steps + 1, width):
             out[rows, c : c + width] += block[:, c : c + width]
         del block  # freed before the next block's product is formed

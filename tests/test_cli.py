@@ -309,13 +309,31 @@ class TestErrorReporting:
         assert "error" in capsys.readouterr().err
 
     def test_oversized_r_mentions_the_budget(self, workdir, capsys):
+        # k = 2, r = 12: d(r) = 12 own + 78 quadratic + 12 neighbor = 102
         tmp, cfg = workdir
         run("gen", cfg)
+        capsys.readouterr()
         cfg.write_text(cfg.read_text().replace("r = 4", "r = 12"))
         code = run("train", cfg)
         err = capsys.readouterr().err
         assert code == 1
-        assert "d(r)=" in err and "n_train" in err
+        assert err == (
+            "error: train: pod: subdomain 0: r=12 needs d(r)=102 coefficients "
+            "but only n_train=25 columns are available; largest admissible r "
+            "is 5\n"
+        )
+
+    @pytest.mark.parametrize("line, message", [
+        ("kappa = -1", "kappa must be positive"),
+        ("mode = nonsense", "unknown search mode"),
+    ])
+    def test_search_keys_are_checked_on_the_fixed_weight_path(
+            self, workdir, capsys, line, message):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        cfg.write_text(cfg.read_text() + f"\n[regsearch]\nenabled = false\n{line}\n")
+        assert run("train", cfg) == 1
+        assert message in capsys.readouterr().err
 
     def test_ic_with_another_layout_of_the_same_length(self, workdir, capsys):
         tmp, cfg = workdir

@@ -146,9 +146,10 @@ class TestLineProbe:
     def test_only_the_asked_instants(self):
         data = np.arange(30.0).reshape(6, 5)
         sset = make_set(data)
-        lp = line_probe(sset, 0, np.array([4, 1]), [3, 0, 3])
-        np.testing.assert_array_equal(lp.values, data[[4, 1]][:, [3, 0, 3]])
-        np.testing.assert_array_equal(lp.times, sset.time.timestamps[[3, 0, 3]])
+        for instants in ([3, 0, 3], (3, 0, 3)):
+            lp = line_probe(sset, 0, np.array([4, 1]), instants)
+            np.testing.assert_array_equal(lp.values, data[[4, 1]][:, [3, 0, 3]])
+            np.testing.assert_array_equal(lp.times, sset.time.timestamps[[3, 0, 3]])
 
     def test_circle_probe_reports_angles(self):
         data = np.arange(16.0).reshape(8, 2)

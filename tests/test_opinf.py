@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddrom.opinf import (
+    ReducedTraining,
     RegressionConfig,
     RomOperators,
     build_data_matrix,
@@ -286,6 +287,45 @@ class TestInference:
                              lambda_quadratic=0.0),
         ]
         with pytest.raises(ValueError):
+            infer_discrete(trajs, [{1}, {0}], configs)
+
+
+class TestReducedTraining:
+    @pytest.mark.parametrize("adjacency", [[{0}, {0}], [{1}, {2}], [{1}, {-1}]])
+    def test_bad_adjacency_entry_is_refused_at_construction(self, adjacency):
+        trajs = [np.ones((2, 5)), np.ones((2, 5))]
+        with pytest.raises(ValueError, match="bad adjacency entry"):
+            ReducedTraining(reduced=trajs, adjacency=adjacency)
+
+    @pytest.mark.parametrize("derivatives", [[np.ones((2, 4))],
+                                             [np.ones((2, 5))] * 2])
+    def test_misshaped_derivatives_are_refused_at_construction(self, derivatives):
+        with pytest.raises(ValueError, match="derivative"):
+            ReducedTraining(reduced=[np.ones((2, 5))], adjacency=[set()],
+                            form="continuous", derivatives=derivatives)
+
+    def test_coefficients_are_the_data_matrix_widths(self):
+        rng = np.random.default_rng(36)
+        trajs = [rng.standard_normal((r, 30)) for r in (3, 2, 4)]
+        training = ReducedTraining(reduced=trajs, adjacency=[{1, 2}, {0}, {0}],
+                                   include_constant=True)
+        assert training.coefficients == [
+            coefficient_count(3, (2, 4), include_constant=True),
+            coefficient_count(2, (3,), include_constant=True),
+            coefficient_count(4, (3,), include_constant=True),
+        ]
+        assert [d.shape for d in training.data] == [
+            (29, d) for d in training.coefficients
+        ]
+
+    def test_configs_must_agree_on_the_constant(self):
+        rng = np.random.default_rng(38)
+        _, trajs = plant_discrete(rng)
+        configs = [
+            RegressionConfig(form="discrete", include_constant=True),
+            RegressionConfig(form="discrete", include_constant=False),
+        ]
+        with pytest.raises(ValueError, match="include_constant"):
             infer_discrete(trajs, [{1}, {0}], configs)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddrom import regsearch
+from ddrom import opinf, regsearch
 from ddrom.regsearch import MAX_CANDIDATES, RegGrid, ReducedTraining, search
 
 
@@ -191,6 +191,38 @@ class TestSearchMechanics:
         errs = [t.error for t in result.trials]
         best = min(range(len(errs)), key=lambda i: (errs[i], i))
         assert result.chosen == result.trials[best].candidate
+
+    def test_continuous_search_needs_a_positive_dt(self):
+        q, a = rotation_trajectory(0.95, 40)
+        training = ReducedTraining(reduced=[q], adjacency=[set()],
+                                   form="continuous", derivatives=[a @ q])
+        assert training.residuals(training.fit([(0.0, 0.0)]))[0] <= 1e-10
+        grid = RegGrid(lambda_linear=(1e-8,), lambda_quadratic=(1e-8,))
+        with pytest.raises(ValueError, match="continuous search needs a positive dt"):
+            search(training, grid)
+
+    def test_data_matrices_are_built_once_per_subdomain(self, monkeypatch):
+        # continuous form, two coupled subdomains, per-subdomain 2x2 grid:
+        # 16 candidates, 32 fits, and one data matrix per subdomain
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        build = opinf.build_data_matrix
+        monkeypatch.setattr(opinf, "build_data_matrix", counted)
+        trajs = [rotation_trajectory(0.9, 30, seed=i) for i in range(2)]
+        training = ReducedTraining(
+            reduced=[q for q, _ in trajs], adjacency=[{1}, {0}],
+            form="continuous", dt=0.1,
+            derivatives=[(a - np.eye(2)) @ q for q, a in trajs],
+        )
+        grid = RegGrid(lambda_linear=(1e-8, 1e-2), lambda_quadratic=(1e-8, 1e-2),
+                       mode="per_subdomain")
+        result = search(training, grid)
+        assert len(result.trials) == 16
+        assert len(calls) == training.k
 
     def test_continuous_form_requires_derivatives(self):
         q, _ = rotation_trajectory(0.9, 25)
