@@ -303,12 +303,8 @@ def _project_blocks(cfg, source, dec):
         raise ValueError("config must set exactly one of [pod] r and [pod] energy")
     method = _get(cfg, "pod", "method")
     bases, reduced = [], []
-    # no enumerate: the result tuple it reuses would keep each block alive
-    # while the next one is read
     for block in source.blocks(dec.dof_indices):
-        basis = pod.compute_basis(
-            block, r=r, energy=energy, method=method, subdomain_id=len(bases)
-        )
+        basis = pod.compute_basis(block, r=r, energy=energy, method=method)
         bases.append(basis)
         reduced.append(basis.basis.T @ block)
         del block  # before the next block is read
@@ -316,18 +312,22 @@ def _project_blocks(cfg, source, dec):
 
 
 def _check_budget(training: opinf.ReducedTraining):
-    """Refuse a subdomain with more coefficients than training columns."""
-    n_train = training.n_columns
+    """Refuse a subdomain with more coefficients than regression equations:
+    n_train - 1 for the discrete form, n_train for the continuous one."""
+    n_eq = training.inputs[0].shape[1]
     for i, d in enumerate(training.coefficients):
-        if d > n_train:
+        if d > n_eq:
             neighbors = [None] * len(training.adjacency[i])
             largest = opinf.max_reduced_dimension(
-                n_train, neighbors, include_constant=training.include_constant
+                n_eq, neighbors, include_constant=training.include_constant
             )
+            if training.form == "discrete":
+                available = f"the discrete form has only n_train - 1 = {n_eq} equations"
+            else:
+                available = f"only n_train={n_eq} columns are available"
             raise ValueError(
                 f"subdomain {i}: r={training.reduced[i].shape[0]} needs d(r)={d} "
-                f"coefficients but only n_train={n_train} columns are available; "
-                f"largest admissible r is {largest}"
+                f"coefficients but {available}; largest admissible r is {largest}"
             )
 
 

@@ -16,7 +16,6 @@ import scipy.linalg as la
 
 __all__ = [
     "PodBasis",
-    "method_of_snapshots",
     "retained_energy",
     "energy_rank",
     "singular_spectrum",
@@ -39,7 +38,6 @@ class PodBasis:
 
     basis: np.ndarray
     singular_values: np.ndarray
-    subdomain_id: int = 0
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=np.float64)
@@ -118,32 +116,6 @@ def _gram_eigen(m: np.ndarray):
     return np.sqrt(np.clip(evals[order], 0.0, None)), evecs[:, order]
 
 
-def _gram_modes(m: np.ndarray, sigma, evecs, r: int) -> PodBasis:
-    """Leading r modes M w_j / sigma_j from a Gram eigendecomposition."""
-    if not 1 <= r <= min(m.shape):
-        raise ValueError(f"r must lie in [1, {min(m.shape)}]")
-    if sigma[0] == 0.0 or sigma[r - 1] <= RANK_RTOL * sigma[0]:
-        raise ValueError(f"requested r={r} exceeds the numerical rank")
-    basis = _fix_signs(m @ (evecs[:, :r] / sigma[:r]))
-    # the Gram matrix squares the spectrum's condition number, so modes of
-    # small sigma_j / sigma_1 come out of M w_j / sigma_j no longer
-    # orthogonal; the SVD route does not square it
-    if _orthonormality_problem(basis):
-        raise ValueError(
-            f"method of snapshots lost orthonormality at r={r} "
-            f"(sigma_r/sigma_1 = {sigma[r - 1] / sigma[0]:.3e}); "
-            "use [pod] method = svd"
-        )
-    return PodBasis(basis=basis, singular_values=sigma)
-
-
-def method_of_snapshots(m: np.ndarray, r: int) -> PodBasis:
-    """Leading r modes via the eigendecomposition of the column Gram matrix;
-    modes come out as M w_j / sigma_j."""
-    m = np.asarray(m, dtype=np.float64)
-    return _gram_modes(m, *_gram_eigen(m), r)
-
-
 def retained_energy(singular_values: np.ndarray, r: int) -> float:
     """Fraction of squared-singular-value energy kept by the first r modes."""
     sv = np.asarray(singular_values, dtype=np.float64)
@@ -182,36 +154,40 @@ def compute_basis(
     r: int | None = None,
     energy: float | None = None,
     method: str = "svd",
-    subdomain_id: int = 0,
 ) -> PodBasis:
     """Basis of a snapshot matrix by mode count or energy target.
 
     Exactly one of ``r`` and ``energy`` must be given.  ``method`` selects
-    the SVD route or the Gram-matrix route ("snapshots").
+    the SVD route or the method of snapshots ("snapshots"), whose modes come
+    out as M w_j / sigma_j from the Gram matrix's eigenvectors w_j.
     """
     if (r is None) == (energy is None):
         raise ValueError("give exactly one of r and energy")
     if method not in ("svd", "snapshots"):
         raise ValueError(f"unknown method {method!r}")
     m = np.asarray(m, dtype=np.float64)
-
-    if method == "snapshots":
+    if method == "svd":
+        u, sigma, _ = la.svd(m, full_matrices=False)
+    else:
         sigma, evecs = _gram_eigen(m)
-        if r is None:
-            r = energy_rank(sigma, energy)
-        out = _gram_modes(m, sigma, evecs, r)
-        out.subdomain_id = subdomain_id
-        return out
-
-    u, s, _ = la.svd(m, full_matrices=False)
     if r is None:
-        r = energy_rank(s, energy)
-    if not 1 <= r <= u.shape[1]:
-        raise ValueError(f"r must lie in [1, {u.shape[1]}]")
-    if s[0] == 0.0 or s[r - 1] <= RANK_RTOL * s[0]:
+        r = energy_rank(sigma, energy)
+    if not 1 <= r <= min(m.shape):
+        raise ValueError(f"r must lie in [1, {min(m.shape)}]")
+    if sigma[0] == 0.0 or sigma[r - 1] <= RANK_RTOL * sigma[0]:
         raise ValueError(f"requested r={r} exceeds the numerical rank")
-    # a column's sign depends on that column alone, so fixing the retained
-    # ones keeps the bits and lets the full U go
-    basis = _fix_signs(u[:, :r])
-    return PodBasis(basis=basis, singular_values=s, subdomain_id=subdomain_id)
-
+    if method == "svd":
+        # a column's sign depends on that column alone, so fixing the
+        # retained ones keeps the bits and lets the full U go
+        return PodBasis(basis=_fix_signs(u[:, :r]), singular_values=sigma)
+    basis = _fix_signs(m @ (evecs[:, :r] / sigma[:r]))
+    # the Gram matrix squares the spectrum's condition number, so modes of
+    # small sigma_j / sigma_1 come out of M w_j / sigma_j no longer
+    # orthogonal; the SVD route does not square it
+    if _orthonormality_problem(basis):
+        raise ValueError(
+            f"method of snapshots lost orthonormality at r={r} "
+            f"(sigma_r/sigma_1 = {sigma[r - 1] / sigma[0]:.3e}); "
+            "use [pod] method = svd"
+        )
+    return PodBasis(basis=basis, singular_values=sigma)

@@ -24,7 +24,6 @@ __all__ = [
     "RegGrid",
     "Trial",
     "RegResult",
-    "ReducedTraining",
     "default_candidates",
     "search",
 ]

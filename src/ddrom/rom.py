@@ -342,7 +342,7 @@ def _read_rom(path) -> CoupledRom:
         )
 
         bases, operators = [], []
-        for i in range(k):
+        for _ in range(k):
             ri, rows, n_sigma = r.pack("QQQ", "subdomain dimensions")
             if not 1 <= ri <= rows or n_sigma < ri:
                 raise SnapFormatError("implausible basis dimensions")
@@ -357,9 +357,7 @@ def _read_rom(path) -> CoupledRom:
                 coupling[int(j)] = r.array((ri, rj), "coupling block")
             (has_c,) = r.pack("B", "constant flag")
             constant = r.array((ri,), "constant term") if has_c else None
-            bases.append(
-                PodBasis(basis=basis, singular_values=sigma, subdomain_id=i)
-            )
+            bases.append(PodBasis(basis=basis, singular_values=sigma))
             operators.append(
                 RomOperators(
                     linear=linear,

@@ -40,7 +40,6 @@ from ddrom.pod import (
     PodBasis,
     compute_basis,
     energy_rank,
-    method_of_snapshots,
     retained_energy,
     singular_spectrum,
 )
@@ -127,7 +126,7 @@ def test_c03_pod_orthonormality_truncation_and_gram_route(ci_log):
             abs(np.linalg.norm(resid) ** 2 - tail_energy) / tail_energy,
         )
 
-        snap = method_of_snapshots(m, r)
+        snap = compute_basis(m, r=r, method="snapshots")
         p_gap = np.abs(
             snap.basis @ snap.basis.T - basis.basis @ basis.basis.T
         ).max()
@@ -308,7 +307,7 @@ def test_c08_four_sector_rotating_pulse_rom_accuracy(ci_log):
     bases, reduced = [], []
     for i in range(4):
         block = scaled.data[dec.dof_indices[i]][:, :193]
-        basis = compute_basis(block, r=r, subdomain_id=i)
+        basis = compute_basis(block, r=r)
         bases.append(basis)
         reduced.append(basis.basis.T @ block)
     training = ReducedTraining(

@@ -319,9 +319,27 @@ class TestErrorReporting:
         assert code == 1
         assert err == (
             "error: train: pod: subdomain 0: r=12 needs d(r)=102 coefficients "
-            "but only n_train=25 columns are available; largest admissible r "
-            "is 5\n"
+            "but the discrete form has only n_train - 1 = 24 equations; "
+            "largest admissible r is 4\n"
         )
+
+    def test_discrete_budget_counts_equations_not_columns(self, workdir, capsys):
+        # r = 5: d(r) = 5 + 15 + 5 = 25 coefficients, 24 discrete equations
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        cfg.write_text(cfg.read_text().replace("r = 4", "r = 5"))
+        assert run("train", cfg) == 1
+        err = capsys.readouterr().err
+        assert ("needs d(r)=25 coefficients but the discrete form has only "
+                "n_train - 1 = 24 equations; largest admissible r is 4") in err
+
+    def test_continuous_budget_admits_d_equal_to_n_train(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        cfg.write_text(cfg.read_text().replace("r = 4", "r = 5")
+                       .replace("form = discrete", "form = continuous"))
+        assert run("train", cfg) == 0
+        assert "d(r)=25 residual" in capsys.readouterr().out
 
     @pytest.mark.parametrize("line, message", [
         ("kappa = -1", "kappa must be positive"),
@@ -450,18 +468,19 @@ class TestErrorReporting:
 
 
 class TestConstantTerm:
-    # k = 2, r = 4: d(r) = 4 own + 10 quadratic + 4 neighbor = 18
+    # k = 2, r = 4: d(r) = 4 own + 10 quadratic + 4 neighbor = 18, and
+    # n_train = 19 gives the discrete form 18 equations
     def test_budget_counts_the_constant_column(self, workdir, capsys):
         tmp, cfg = workdir
         assert run("gen", cfg) == 0
-        cfg.write_text(cfg.read_text().replace("n_train = 25", "n_train = 18"))
+        cfg.write_text(cfg.read_text().replace("n_train = 25", "n_train = 19"))
         assert run("train", cfg) == 0
         capsys.readouterr()
         cfg.write_text(cfg.read_text() + "constant = true\n")
         code = run("train", cfg)
         err = capsys.readouterr().err
         assert code == 1
-        assert "d(r)=19" in err and "n_train=18" in err
+        assert "d(r)=19" in err and "n_train - 1 = 18" in err
 
     def test_searched_model_keeps_the_constant(self, workdir):
         tmp, cfg = workdir

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,20 @@ class TestErrorReport:
         a = make_set(ref)
         rep = error_report(a, a)
         assert rep.prediction == (None,)
+
+    def test_peak_is_one_training_block(self):
+        rng = np.random.default_rng(54)
+        ref = rng.standard_normal((2000, 500))
+        a = make_set(ref, n_train=400)
+        b = make_set(ref + 0.01, n_train=400)
+        block = 2000 * 400 * 8
+        tracemalloc.start()
+        try:
+            error_report(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * block, f"peak {peak / block:.2f} training blocks"
 
 
 class TestPointwiseBins:

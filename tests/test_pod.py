@@ -8,7 +8,6 @@ from ddrom.pod import (
     PodBasis,
     compute_basis,
     energy_rank,
-    method_of_snapshots,
     retained_energy,
     singular_spectrum,
 )
@@ -27,7 +26,7 @@ class TestMethodOfSnapshots:
         sigma = np.geomspace(100.0, 1e-4, 12)
         m = planted_matrix(60, 12, sigma, seed=3)
         r = 5
-        snap = method_of_snapshots(m, r)
+        snap = compute_basis(m, r=r, method="snapshots")
         u, s, _ = la.svd(m, full_matrices=False)
         np.testing.assert_allclose(snap.singular_values[:r], s[:r], rtol=1e-10)
         # projectors agree even if individual modes could differ by sign
@@ -37,9 +36,9 @@ class TestMethodOfSnapshots:
 
     def test_block_size_does_not_change_the_answer(self, monkeypatch):
         m = planted_matrix(40, 17, np.geomspace(5.0, 1e-2, 17), seed=4)
-        a = method_of_snapshots(m, 6)
+        a = compute_basis(m, r=6, method="snapshots")
         monkeypatch.setattr(pod, "GRAM_BLOCK", 3)
-        b = method_of_snapshots(m, 6)
+        b = compute_basis(m, r=6, method="snapshots")
         np.testing.assert_allclose(a.basis, b.basis, atol=1e-10)
         np.testing.assert_allclose(a.singular_values, b.singular_values,
                                    rtol=1e-10)
@@ -47,13 +46,13 @@ class TestMethodOfSnapshots:
     def test_rank_guard(self):
         m = np.outer(np.arange(1.0, 9.0), np.ones(4))  # rank one
         with pytest.raises(ValueError, match="numerical rank"):
-            method_of_snapshots(m, 3)
+            compute_basis(m, r=3, method="snapshots")
 
     def test_gram_route_handles_many_rows(self, monkeypatch):
         # the selling point: only cols x cols products are ever formed
         m = planted_matrix(500, 10, np.geomspace(1.0, 1e-3, 10), seed=5)
         monkeypatch.setattr(pod, "GRAM_BLOCK", 4)
-        basis = method_of_snapshots(m, 4)
+        basis = compute_basis(m, r=4, method="snapshots")
         np.testing.assert_allclose(basis.basis.T @ basis.basis, np.eye(4),
                                    atol=1e-10)
 
@@ -115,9 +114,17 @@ class TestComputeBasis:
             lead = np.abs(u).argmax(axis=0)
             assert np.all(u[lead, np.arange(6)] > 0.0), method
 
-    def test_subdomain_id_is_attached(self):
-        m = planted_matrix(20, 4, np.geomspace(1, 0.1, 4))
-        assert compute_basis(m, r=2, subdomain_id=3).subdomain_id == 3
+    @pytest.mark.parametrize("method", ["svd", "snapshots"])
+    def test_both_routes_refuse_the_same_ranks(self, method):
+        m = planted_matrix(20, 5, np.geomspace(1, 0.1, 5))
+        for r in (0, 6):
+            with pytest.raises(ValueError, match=r"^r must lie in \[1, 5\]$"):
+                compute_basis(m, r=r, method=method)
+        rank_one = np.zeros((8, 4))
+        rank_one[:, 1] = np.arange(1.0, 9.0)  # an exact Gram matrix, too
+        with pytest.raises(ValueError,
+                           match=r"^requested r=2 exceeds the numerical rank$"):
+            compute_basis(rank_one, r=2, method=method)
 
 
 def test_singular_spectrum_routes_agree():
