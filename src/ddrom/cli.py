@@ -133,7 +133,7 @@ _CONFIG = {
         "topology": (str, "single"), "k": (int, _REQUIRED),
         "overlap": (float, _REQUIRED),
     },
-    "pod": {"r": (int, None), "energy": (float, None), "method": (str, "svd")},
+    "pod": {"r": (int, None), "energy": (float, None)},
     "opinf": {
         "form": (str, "discrete"), "derivative_scheme": (int, 2),
         "lambda_linear": (float, None), "lambda_quadratic": (float, None),
@@ -186,23 +186,14 @@ def _get(cfg, section: str, key: str):
 # CSV helpers
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: Path, header, rows) -> None:
+    """Cells are written as ``str`` gives them, which for Python and numpy
+    float64 values is the shortest round-trip repr."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        writer.writerows(rows)
 
 
 def _pct(x: float) -> str:
@@ -301,10 +292,9 @@ def _project_blocks(cfg, source, dec):
     r, energy = _get(cfg, "pod", "r"), _get(cfg, "pod", "energy")
     if (r is None) == (energy is None):
         raise ValueError("config must set exactly one of [pod] r and [pod] energy")
-    method = _get(cfg, "pod", "method")
     bases, reduced = [], []
     for block in source.blocks(dec.dof_indices):
-        basis = pod.compute_basis(block, r=r, energy=energy, method=method)
+        basis = pod.compute_basis(block, r=r, energy=energy)
         bases.append(basis)
         reduced.append(basis.basis.T @ block)
         del block  # before the next block is read
@@ -508,10 +498,9 @@ def cmd_decompose(cfg) -> int:
 def _svd_rows(cfg, source: preprocess.BlockSource):
     _fit_scaling(cfg, source)
     dec = _build_decomposition(cfg, source.geometry)
-    method = _get(cfg, "pod", "method")
     spectra = []
     for block in source.blocks(dec.dof_indices):  # no enumerate, as above
-        spectra.append(pod.singular_spectrum(block, method=method))
+        spectra.append(pod.singular_spectrum(block))
         del block  # before the next block is read
     rows = []
     for i, sigma in enumerate(spectra):
@@ -582,14 +571,14 @@ def cmd_regsearch(cfg) -> int:
     result, mode = run.search, run.grid.mode
     out_dir = _output_dir(cfg)
     rows = []
-    if mode == "per_subdomain":
-        for t_idx, trial in enumerate(result.trials):
+    for t_idx, trial in enumerate(result.trials):
+        bounded = "true" if trial.bounded else "false"
+        if mode == "per_subdomain":
             for i, (ll, lq) in enumerate(trial.candidate):
-                rows.append([t_idx, i, ll, lq, trial.error, trial.bounded])
-    else:
-        for trial in result.trials:
+                rows.append([t_idx, i, ll, lq, trial.error, bounded])
+        else:
             ll, lq = trial.candidate[0]
-            rows.append([ll, lq, trial.error, trial.bounded])
+            rows.append([ll, lq, trial.error, bounded])
     path = out_dir / "regsearch_trials.csv"
     _write_csv(path, regsearch_header(mode), rows)
     print(f"chose {_choice_text(result)}")

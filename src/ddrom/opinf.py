@@ -66,11 +66,14 @@ class RomOperators:
             raise ValueError(
                 f"quadratic operator must have shape ({r}, {quadratic_dim(r)})"
             )
+        # a new dict, so the caller's mapping is left as it was given
+        coupling = {}
         for j, block in self.coupling.items():
             block = np.asarray(block, dtype=np.float64)
             if block.ndim != 2 or block.shape[0] != r:
                 raise ValueError(f"coupling block for neighbor {j} has bad shape")
-            self.coupling[j] = block
+            coupling[j] = block
+        self.coupling = coupling
         if self.constant is not None:
             c = np.asarray(self.constant, dtype=np.float64)
             if c.shape != (r,):

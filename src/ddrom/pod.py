@@ -1,10 +1,8 @@
 """Proper orthogonal decomposition of snapshot matrices.
 
-Two routes to the same basis: a thin SVD of the snapshot matrix, and the
-method of snapshots, which works from the much smaller Gram matrix of the
-columns and never factorizes the full matrix.  Both apply the same sign
-convention (the largest-magnitude entry of every mode is positive) so
-results are comparable across routes and runs.
+Every basis and spectrum comes from a thin SVD of the snapshot matrix.
+Modes follow one sign convention (the largest-magnitude entry of every
+mode is positive) so results are comparable across runs.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ __all__ = [
 
 RANK_RTOL = 1e-12  # modes with sigma_j <= RANK_RTOL * sigma_1 are unusable
 ORTHO_TOL = 1e-10
-GRAM_BLOCK = 64  # columns per block of the accumulated Gram matrix
 
 
 @dataclass
@@ -88,34 +85,6 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return u * signs
 
 
-def _gram_eigen(m: np.ndarray):
-    """Singular values (descending) and right singular vectors of ``m`` from
-    the eigendecomposition of its column Gram matrix.
-
-    The Gram matrix M^T M is accumulated block against block
-    (``GRAM_BLOCK`` columns at a time) so no product of the full matrix with
-    itself is ever formed in one piece.
-    """
-    if m.ndim != 2:
-        raise ValueError("expected a matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("non-finite entries")
-    q = m.shape[1]
-    gram = np.empty((q, q))
-    for a in range(0, q, GRAM_BLOCK):
-        aa = slice(a, min(a + GRAM_BLOCK, q))
-        for b in range(a, q, GRAM_BLOCK):
-            bb = slice(b, min(b + GRAM_BLOCK, q))
-            g = m[:, aa].T @ m[:, bb]
-            gram[aa, bb] = g
-            if b > a:
-                gram[bb, aa] = g.T
-
-    evals, evecs = la.eigh(gram)
-    order = np.argsort(evals)[::-1]
-    return np.sqrt(np.clip(evals[order], 0.0, None)), evecs[:, order]
-
-
 def retained_energy(singular_values: np.ndarray, r: int) -> float:
     """Fraction of squared-singular-value energy kept by the first r modes."""
     sv = np.asarray(singular_values, dtype=np.float64)
@@ -139,55 +108,28 @@ def energy_rank(singular_values: np.ndarray, energy: float) -> int:
     return int(np.searchsorted(cum, energy - 1e-15) + 1)
 
 
-def singular_spectrum(m: np.ndarray, method: str = "svd") -> np.ndarray:
-    """Full singular-value spectrum of a snapshot matrix, by either route."""
-    m = np.asarray(m, dtype=np.float64)
-    if method == "svd":
-        return la.svd(m, compute_uv=False)
-    if method != "snapshots":
-        raise ValueError(f"unknown method {method!r}")
-    return _gram_eigen(m)[0]
+def singular_spectrum(m: np.ndarray) -> np.ndarray:
+    """Full singular-value spectrum of a snapshot matrix."""
+    return la.svd(np.asarray(m, dtype=np.float64), compute_uv=False)
 
 
 def compute_basis(
-    m: np.ndarray,
-    r: int | None = None,
-    energy: float | None = None,
-    method: str = "svd",
+    m: np.ndarray, r: int | None = None, energy: float | None = None
 ) -> PodBasis:
     """Basis of a snapshot matrix by mode count or energy target.
 
-    Exactly one of ``r`` and ``energy`` must be given.  ``method`` selects
-    the SVD route or the method of snapshots ("snapshots"), whose modes come
-    out as M w_j / sigma_j from the Gram matrix's eigenvectors w_j.
+    Exactly one of ``r`` and ``energy`` must be given.
     """
     if (r is None) == (energy is None):
         raise ValueError("give exactly one of r and energy")
-    if method not in ("svd", "snapshots"):
-        raise ValueError(f"unknown method {method!r}")
     m = np.asarray(m, dtype=np.float64)
-    if method == "svd":
-        u, sigma, _ = la.svd(m, full_matrices=False)
-    else:
-        sigma, evecs = _gram_eigen(m)
+    u, sigma, _ = la.svd(m, full_matrices=False)
     if r is None:
         r = energy_rank(sigma, energy)
     if not 1 <= r <= min(m.shape):
         raise ValueError(f"r must lie in [1, {min(m.shape)}]")
     if sigma[0] == 0.0 or sigma[r - 1] <= RANK_RTOL * sigma[0]:
         raise ValueError(f"requested r={r} exceeds the numerical rank")
-    if method == "svd":
-        # a column's sign depends on that column alone, so fixing the
-        # retained ones keeps the bits and lets the full U go
-        return PodBasis(basis=_fix_signs(u[:, :r]), singular_values=sigma)
-    basis = _fix_signs(m @ (evecs[:, :r] / sigma[:r]))
-    # the Gram matrix squares the spectrum's condition number, so modes of
-    # small sigma_j / sigma_1 come out of M w_j / sigma_j no longer
-    # orthogonal; the SVD route does not square it
-    if _orthonormality_problem(basis):
-        raise ValueError(
-            f"method of snapshots lost orthonormality at r={r} "
-            f"(sigma_r/sigma_1 = {sigma[r - 1] / sigma[0]:.3e}); "
-            "use [pod] method = svd"
-        )
-    return PodBasis(basis=basis, singular_values=sigma)
+    # a column's sign depends on that column alone, so fixing the
+    # retained ones keeps the bits and lets the full U go
+    return PodBasis(basis=_fix_signs(u[:, :r]), singular_values=sigma)

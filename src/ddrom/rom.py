@@ -126,6 +126,8 @@ def roll_reduced(operators, form: str, dt: float, init, steps: int):
     (sum of r_i, steps+1) trajectory.  Raises :class:`DivergenceError` when
     a state stops being finite.
     """
+    if form not in FORMS:
+        raise ValueError(f"unknown form {form!r}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     init = [np.asarray(q, dtype=np.float64) for q in init]

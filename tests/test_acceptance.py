@@ -126,10 +126,12 @@ def test_c03_pod_orthonormality_truncation_and_gram_route(ci_log):
             abs(np.linalg.norm(resid) ** 2 - tail_energy) / tail_energy,
         )
 
-        snap = compute_basis(m, r=r, method="snapshots")
-        p_gap = np.abs(
-            snap.basis @ snap.basis.T - basis.basis @ basis.basis.T
-        ).max()
+        # method of snapshots (Sirovich 1987): modes m w_j / sigma_j from
+        # the eigenpairs (sigma_j^2, w_j) of the column Gram matrix
+        evals, w = la.eigh(m.T @ m)
+        w = w[:, ::-1][:, :r]
+        snap = m @ (w / np.sqrt(evals[::-1][:r]))
+        p_gap = np.abs(snap @ snap.T - basis.basis @ basis.basis.T).max()
         worst_proj = max(worst_proj, p_gap)
     ci_log(
         f"pod: orthonormality {worst_ortho:.3e}, tail-energy mismatch "

@@ -95,6 +95,7 @@ class TestConfigHandling:
         ("scaling = max_abs", "scalling = std_dev",
          "unknown [preprocess] key 'scalling'"),
         ("[pod]", "[pods]", "unknown config section [pods]"),
+        ("r = 4", "r = 4\nmethod = svd", "unknown [pod] key 'method'"),
     ])
     def test_unknown_section_or_key_is_refused(self, workdir, capsys, old, new,
                                                message):
@@ -125,14 +126,32 @@ class TestConfigHandling:
 
 
 class TestFormatting:
-    def test_floats_use_repr(self):
-        assert cli._fmt(0.1) == "0.1"
-        assert cli._fmt(np.float64(1.0) / 3.0) == "0.3333333333333333"
+    def test_written_cells_are_repr_and_lowercase_bools(self, workdir,
+                                                        monkeypatch):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        text = cfg.read_text().replace("lambda_linear = 1e-8\n", "")
+        cfg.write_text(text.replace("lambda_quadratic = 1e-6\n", "") + (
+            "\n[regsearch]\nenabled = true\nmode = per_subdomain\n"
+            "lambda_linear = 1e-08, 1\nlambda_quadratic = 1e-06, 1\n"))
+        written = {}
+        write_csv = cli._write_csv
 
-    def test_bools_and_ints(self):
-        assert cli._fmt(True) == "true"
-        assert cli._fmt(False) == "false"
-        assert cli._fmt(np.int64(7)) == "7"
+        def recorded(path, header, rows):
+            written[path.name] = rows = list(rows)
+            write_csv(path, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", recorded)
+        assert run("regsearch", cfg) == 0
+        with open(tmp / "out" / "regsearch_trials.csv", newline="") as fh:
+            cells = list(csv.reader(fh))[1:]
+        rows = written["regsearch_trials.csv"]
+        # (2 x 2 weight pairs) ** 2 subdomains, one row per subdomain
+        assert len(cells) == len(rows) == 32
+        assert {row[-1] for row in cells} == {"true", "false"}
+        for row, values in zip(cells, rows):
+            assert row[:2] == [str(int(v)) for v in values[:2]]
+            assert row[2:5] == [repr(float(v)) for v in values[2:5]]
 
     def test_bin_header_for_default_thresholds(self):
         header = cli.bin_report_header((0.05, 0.10, 0.20))

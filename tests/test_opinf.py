@@ -370,3 +370,13 @@ def test_operators_apply_matrix_and_vector_agree():
     for c in range(5):
         single = ops.apply(own[:, c], {1: nbr[:, c]})
         np.testing.assert_allclose(batch[:, c], single, atol=1e-13)
+
+
+def test_operators_leave_the_callers_coupling_dict_alone():
+    given = {1: np.array([[1, 2], [3, 4]])}
+    ops = RomOperators(linear=np.eye(2), quadratic=np.zeros((2, 3)),
+                       coupling=given)
+    assert ops.coupling is not given
+    assert list(given) == [1] and given[1].dtype.kind == "i"
+    np.testing.assert_array_equal(given[1], [[1, 2], [3, 4]])
+    assert ops.coupling[1].dtype == np.float64

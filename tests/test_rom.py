@@ -141,6 +141,12 @@ class TestRollReduced:
             roll_reduced([ops], "discrete", 1.0, [np.full(r, 50.0)], 400)
         assert ei.value.step >= 1
 
+    def test_misspelt_form_is_refused(self):
+        ops = RomOperators(linear=0.5 * np.eye(2), quadratic=np.zeros((2, 3)),
+                           coupling={}, form="discrete")
+        with pytest.raises(ValueError, match=r"^unknown form 'Discrete'$"):
+            roll_reduced([ops], "Discrete", 0.1, [np.ones(2)], 2)
+
     def test_coupling_off_equals_independent_runs(self):
         rom = coupled_pair_rom(coupling_scale=0.0)
         init = [np.array([0.2, -0.1, 0.3]), np.array([-0.4, 0.1, 0.0])]
