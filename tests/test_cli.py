@@ -126,6 +126,23 @@ class TestConfigHandling:
 
 
 class TestFormatting:
+    @staticmethod
+    def _written_row(path, row):
+        cli._write_csv(path, ("a",) * len(row), [row])
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))[1]
+
+    def test_floats_use_repr(self, tmp_path):
+        row = self._written_row(tmp_path / "f.csv",
+                                [0.1, np.float64(1.0) / 3.0, np.float64(1e-8)])
+        assert row == ["0.1", "0.3333333333333333", "1e-08"]
+
+    def test_bools_and_ints(self, tmp_path):
+        # bool cells reach the writer as "true"/"false", set by their command
+        row = self._written_row(tmp_path / "b.csv",
+                                [np.int64(7), 0, "true", "false"])
+        assert row == ["7", "0", "true", "false"]
+
     def test_written_cells_are_repr_and_lowercase_bools(self, workdir,
                                                         monkeypatch):
         tmp, cfg = workdir
