@@ -27,7 +27,7 @@ from .core import (
 )
 from .decomp import TOPOLOGIES, BlendingWeights, Decomposition, blending_weights
 from .decomp import recombine  # noqa: F401  perfbench/tracing.py wraps rom.recombine
-from .opinf import FORMS, RomOperators, quadratic_dim
+from .opinf import FORMS, RomOperators, _pair_indices, quadratic_dim
 from .pod import PodBasis
 
 __all__ = [
@@ -115,6 +115,60 @@ def reduce_initial_condition(rom: CoupledRom, full_state: np.ndarray):
     ]
 
 
+def _stacked_rhs(operators, parts):
+    """The coupled right-hand side (or one-step map) as one stacked operator.
+
+    ``A`` is the (N, N) matrix, N = sum of r_i, holding each subdomain's own
+    block and its coupling blocks.  The quadratic term applies every
+    subdomain's ``H_i`` to its own compressed products in one batched
+    product over a (k, r_max, s_max) stack, zero-padded where the r_i
+    differ; padded products repeat the subdomain's first one, so a product
+    that overflows there overflows in its real slot too.  A dense
+    block-diagonal ``H`` would be k times larger and loses from k = 16,
+    r = 16 onward.
+    """
+    k, n = len(operators), parts[-1].stop
+    r_max = max(op.r for op in operators)
+    s_max = quadratic_dim(r_max)
+    a = np.zeros((n, n))
+    h = np.zeros((k, r_max, s_max))
+    ia = np.empty((k, s_max), dtype=np.intp)
+    ib = np.empty((k, s_max), dtype=np.intp)
+    rows = np.concatenate(
+        [i * r_max + np.arange(op.r) for i, op in enumerate(operators)]
+    )
+    b = None
+    for i, op in enumerate(operators):
+        own = parts[i]
+        a[own, own] = op.linear
+        for j, block in op.coupling.items():
+            if not 0 <= j < k:
+                raise ValueError(f"coupling block {i}->{j} names an unknown neighbor")
+            if block.shape[1] != operators[j].r:
+                raise ValueError(
+                    f"coupling block {i}->{j} does not match neighbor dimension"
+                )
+            a[own, parts[j]] += block
+        s = quadratic_dim(op.r)
+        h[i, : op.r, :s] = op.quadratic
+        pa, pb = _pair_indices(op.r)
+        ia[i, :s], ib[i, :s] = pa + own.start, pb + own.start
+        ia[i, s:] = ib[i, s:] = own.start
+        if op.constant is not None:
+            if b is None:
+                b = np.zeros(n)
+            b[own] = op.constant
+
+    def rhs(q):
+        z = q[ia] * q[ib]
+        out = a @ q + np.matmul(h, z[:, :, None]).reshape(-1)[rows]
+        if b is not None:
+            out += b
+        return out
+
+    return rhs
+
+
 def roll_reduced(operators, form: str, dt: float, init, steps: int):
     """Advance coupled reduced states; returns one (r_i, steps+1) matrix per
     subdomain with the initial state as column 0.
@@ -122,29 +176,31 @@ def roll_reduced(operators, form: str, dt: float, init, steps: int):
     Continuous models advance with the classical fourth-order Runge-Kutta
     scheme, all subdomains synchronously; discrete models iterate the
     learned map.  The subdomain states are stacked in one vector, subdomain
-    i in rows ``parts[i]``, and the matrices returned are row views of one
-    (sum of r_i, steps+1) trajectory.  Raises :class:`DivergenceError` when
-    a state stops being finite.
+    i in rows ``parts[i]``, and each step evaluates one stacked operator,
+    ``A q + [H_i c(q_i)]_i (+ b)``; the matrices returned are row views of
+    one (sum of r_i, steps+1) trajectory.  Raises :class:`DivergenceError`
+    when a state stops being finite.
     """
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}")
+    if form == "continuous" and (not np.isfinite(dt) or dt <= 0.0):
+        raise ValueError("dt must be positive")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     init = [np.asarray(q, dtype=np.float64) for q in init]
     if len(init) != len(operators):
         raise ValueError("need one initial state per subdomain")
+    if not operators:
+        raise ValueError("need at least one subdomain")
     parts, start = [], 0
     for q, op in zip(init, operators):
+        if op.form != form:
+            raise ValueError("operator form does not match the model form")
         if q.shape != (op.r,):
             raise ValueError("initial state dimension mismatch")
         parts.append(slice(start, start + op.r))
         start += op.r
-
-    def rhs(q):
-        own = [q[p] for p in parts]
-        return np.concatenate(
-            [op.apply(own[i], own) for i, op in enumerate(operators)]
-        )
+    rhs = _stacked_rhs(operators, parts)
 
     q = np.concatenate(init)
     out = np.empty((q.size, steps + 1))

@@ -77,6 +77,68 @@ def coupled_pair_rom(form="discrete", dt=0.05, coupling_scale=0.1, seed=3):
     )
 
 
+def loop_roll(operators, form, dt, init, steps):
+    """Reference rollout: each right-hand side concatenates
+    ``op.apply(own[i], own)`` over the subdomains, one at a time."""
+    parts, start = [], 0
+    for op in operators:
+        parts.append(slice(start, start + op.r))
+        start += op.r
+
+    def rhs(q):
+        own = [q[p] for p in parts]
+        return np.concatenate(
+            [op.apply(own[i], own) for i, op in enumerate(operators)]
+        )
+
+    q = np.concatenate(init)
+    columns = [q]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for s in range(1, steps + 1):
+            if form == "discrete":
+                q = rhs(q)
+            else:
+                k1 = rhs(q)
+                k2 = rhs(q + (0.5 * dt) * k1)
+                k3 = rhs(q + (0.5 * dt) * k2)
+                k4 = rhs(q + dt * k3)
+                q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(q)):
+                raise DivergenceError(s)
+            columns.append(q)
+    out = np.stack(columns, axis=1)
+    return [out[p] for p in parts]
+
+
+@st.composite
+def coupled_models(draw):
+    """Random coupled operators: k in 1..4, unequal r_i in 1..5, a random
+    coupling graph, constants on some subdomains, either form; with
+    ``diverge`` the model blows up within a few steps."""
+    k = draw(st.integers(1, 4))
+    rs = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    edges = draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))
+    constants = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    form = draw(st.sampled_from(["continuous", "discrete"]))
+    diverge = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = -1.0 if form == "continuous" else 0.5
+    ops = []
+    for i, r in enumerate(rs):
+        linear = base * np.eye(r) + 0.1 * rng.standard_normal((r, r))
+        quadratic = 0.05 * rng.standard_normal((r, quadratic_dim(r)))
+        if diverge:
+            linear, quadratic = linear + 3.0 * np.eye(r), np.abs(quadratic) + 1.0
+        coupling = {j: 0.1 * rng.standard_normal((r, rs[j]))
+                    for j in range(k) if j != i and edges[i * k + j]}
+        constant = 0.1 * rng.standard_normal(r) if constants[i] else None
+        ops.append(RomOperators(linear=linear, quadratic=quadratic,
+                                coupling=coupling, form=form, constant=constant))
+    scale = 50.0 if diverge else 0.5
+    init = [scale * rng.uniform(0.5, 1.0, r) for r in rs]
+    return ops, form, init, diverge
+
+
 class TestRollReduced:
     def test_discrete_map_iteration(self):
         rom = single_domain_rom(form="discrete")
@@ -167,6 +229,62 @@ class TestRollReduced:
         via_rom = integrate(rom, [q0], 40)[0]
         direct = roll_reduced(rom.operators, "continuous", 0.05, [q0], 40)[0]
         np.testing.assert_array_equal(via_rom, direct)
+
+    @settings(max_examples=80, deadline=None)
+    @given(model=coupled_models())
+    def test_stacked_step_follows_the_per_subdomain_loop(self, model):
+        ops, form, init, diverge = model
+        dt, steps = 0.05, 30
+        if diverge:
+            with pytest.raises(DivergenceError) as want:
+                loop_roll(ops, form, dt, init, steps)
+            with pytest.raises(DivergenceError) as got:
+                roll_reduced(ops, form, dt, init, steps)
+            assert got.value.step == want.value.step
+            return
+        want = np.concatenate(loop_roll(ops, form, dt, init, steps))
+        got = np.concatenate(roll_reduced(ops, form, dt, init, steps))
+        if len(ops) == 1:
+            np.testing.assert_array_equal(got, want)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
+    def test_continuous_rollout_refuses_a_bad_dt(self, dt):
+        ops = RomOperators(linear=0.5 * np.eye(2), quadratic=np.zeros((2, 3)),
+                           coupling={}, form="continuous")
+        with pytest.raises(ValueError, match=r"^dt must be positive$"):
+            roll_reduced([ops], "continuous", dt, [np.ones(2)], 2)
+        discrete = RomOperators(linear=0.5 * np.eye(2),
+                                quadratic=np.zeros((2, 3)), form="discrete")
+        traj, = roll_reduced([discrete], "discrete", dt, [np.ones(2)], 2)
+        np.testing.assert_array_equal(traj[:, 2], [0.25, 0.25])
+
+    @pytest.mark.parametrize("ops_form, form", [("discrete", "continuous"),
+                                                ("continuous", "discrete")])
+    def test_operators_of_another_form_are_refused(self, ops_form, form):
+        ops = RomOperators(linear=0.5 * np.eye(2), quadratic=np.zeros((2, 3)),
+                           coupling={}, form=ops_form)
+        with pytest.raises(ValueError,
+                           match=r"^operator form does not match the model form$"):
+            roll_reduced([ops], form, 0.1, [np.ones(2)], 2)
+
+    @pytest.mark.parametrize("neighbor", [1, -1])
+    def test_coupling_to_an_unknown_neighbor_is_refused(self, neighbor):
+        ops = RomOperators(linear=0.5 * np.eye(2), quadratic=np.zeros((2, 3)),
+                           coupling={neighbor: np.ones((2, 2))}, form="discrete")
+        with pytest.raises(ValueError, match=rf"^coupling block 0->{neighbor} "
+                                             r"names an unknown neighbor$"):
+            roll_reduced([ops], "discrete", 0.1, [np.ones(2)], 2)
+
+    def test_coupling_block_of_the_wrong_width_is_refused(self):
+        rom = coupled_pair_rom()
+        wide = RomOperators(linear=rom.operators[0].linear,
+                            quadratic=rom.operators[0].quadratic,
+                            coupling={1: np.ones((3, 4))}, form="discrete")
+        init = [np.zeros(3), np.zeros(3)]
+        with pytest.raises(ValueError, match=r"^coupling block 0->1 does not "
+                                             r"match neighbor dimension$"):
+            roll_reduced([wide, rom.operators[1]], "discrete", 0.1, init, 2)
 
 
 class TestCoupledRomValidation:
