@@ -22,13 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import decomp, fomlab, metrics, opinf, pod, preprocess, regsearch, rom
-from .core import (
-    SnapshotFile,
-    TimeGrid,
-    load_initial_state,
-    load_snapshots,
-    save_snapshots,
-)
+from .core import SnapshotFile, load_initial_state, load_snapshots, save_snapshots
 
 __all__ = [
     "main",
@@ -255,11 +249,9 @@ def snapshot_matrix_bytes(rows: int, columns: int) -> int:
 # shared pipeline pieces
 
 
-def _train_time(cfg, time: TimeGrid) -> TimeGrid:
-    """``time`` with the config's training split, if it sets one; refuses
-    ``n_train > n_t``."""
-    n_train = _get(cfg, "time", "n_train")
-    return time if n_train is None else time.with_train_count(n_train)
+def _snapshot_file(cfg) -> tuple:
+    """The snapshot file's path and the config's training split for it."""
+    return _get(cfg, "paths", "snapshots"), _get(cfg, "time", "n_train")
 
 
 def _build_decomposition(cfg, geometry):
@@ -273,11 +265,6 @@ def _build_decomposition(cfg, geometry):
     if topology == "annular":
         return decomp.decompose_sectors(geometry, k, overlap)
     raise ValueError(f"unknown topology {topology!r}")
-
-
-def _open_blocks(cfg, path) -> preprocess.BlockSource:
-    """The block source of a snapshot file, with the config's training split."""
-    return preprocess.BlockSource(path, _get(cfg, "time", "n_train"))
 
 
 def _fit_scaling(cfg, source: preprocess.BlockSource) -> preprocess.ScalingRecord:
@@ -403,14 +390,15 @@ def _train_pipeline(cfg) -> _Trained:
     with _stage("regsearch"):
         grid = _search_grid(cfg)  # checked on every path, used by the search only
     with _stage("load"):
-        source = _open_blocks(cfg, _get(cfg, "paths", "snapshots"))
+        source = preprocess.BlockSource(*_snapshot_file(cfg))
+    head = source.header
     with source:
         with _stage("load"):
-            dt = _time_step(source.time)
+            dt = _time_step(head.time)
         with _stage("preprocess"):
             record = _fit_scaling(cfg, source)
         with _stage("decompose"):
-            dec = _build_decomposition(cfg, source.geometry)
+            dec = _build_decomposition(cfg, head.geometry)
         with _stage("pod"):
             bases, reduced = _project_blocks(cfg, source, dec)
     with _stage("derivatives"):
@@ -439,8 +427,8 @@ def _train_pipeline(cfg) -> _Trained:
             operators = training.fit([fixed] * training.k)
     with _stage("model"):
         model = rom.CoupledRom(
-            layout=source.layout,
-            geometry=source.geometry,
+            layout=head.layout,
+            geometry=head.geometry,
             decomposition=dec,
             bases=bases,
             operators=operators,
@@ -460,8 +448,7 @@ def cmd_gen(cfg) -> int:
     with _stage("config"):
         spec = fomlab.FomSpec(**values)
     with _stage("simulate"):
-        sset = fomlab.simulate(spec)
-        sset = sset.with_data(sset.data, _train_time(cfg, sset.time).n_train)
+        sset = fomlab.simulate(spec, _get(cfg, "time", "n_train"))
     with _stage("write"):
         out = _get(cfg, "paths", "snapshots")
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -474,9 +461,8 @@ def cmd_gen(cfg) -> int:
 def cmd_decompose(cfg) -> int:
     # the geometry comes from the header; the data is only scanned for
     # non-finite values, through the read buffer
-    with _stage("load"), SnapshotFile(_get(cfg, "paths", "snapshots")) as snap:
+    with _stage("load"), SnapshotFile(*_snapshot_file(cfg)) as snap:
         snap.check_finite(0, snap.header.time.n_t)
-        _train_time(cfg, snap.header.time)
     geometry = snap.header.geometry
     with _stage("decompose"):
         dec = _build_decomposition(cfg, geometry)
@@ -497,7 +483,7 @@ def cmd_decompose(cfg) -> int:
 
 def _svd_rows(cfg, source: preprocess.BlockSource):
     _fit_scaling(cfg, source)
-    dec = _build_decomposition(cfg, source.geometry)
+    dec = _build_decomposition(cfg, source.header.geometry)
     spectra = []
     for block in source.blocks(dec.dof_indices):  # no enumerate, as above
         spectra.append(pod.singular_spectrum(block))
@@ -513,7 +499,7 @@ def _svd_rows(cfg, source: preprocess.BlockSource):
 
 def cmd_svdreport(cfg) -> int:
     with _stage("load"):
-        source = _open_blocks(cfg, _get(cfg, "paths", "snapshots"))
+        source = preprocess.BlockSource(*_snapshot_file(cfg))
     with _stage("svd"), source:
         rows = _svd_rows(cfg, source)
     out_dir = _output_dir(cfg)
@@ -590,9 +576,10 @@ def cmd_predict(cfg) -> int:
     with _stage("load"):
         model = rom.load_rom(_get(cfg, "paths", "artifact"))
         ic_path = _get(cfg, "paths", "ic")
-        head, initial = load_initial_state(ic_path or _get(cfg, "paths", "snapshots"))
-        if not ic_path:
-            _train_time(cfg, head.time)  # refuses n_train > n_t
+        if ic_path:  # the config's training split is the snapshot file's
+            head, initial = load_initial_state(ic_path)
+        else:
+            head, initial = load_initial_state(*_snapshot_file(cfg))
         if head.layout != model.layout:
             raise ValueError(
                 f"initial-condition layout (n_s={head.layout.n_s}, "
@@ -618,8 +605,8 @@ def cmd_evaluate(cfg) -> int:
         truth_path = _get(cfg, "paths", "truth")
         if truth_path is None:
             truth_path = _get(cfg, "paths", "snapshots")
-        truth = load_snapshots(truth_path)
-        truth = truth.with_data(truth.data, _train_time(cfg, truth.time).n_train)
+        n_train = _get(cfg, "time", "n_train")
+        truth = load_snapshots(truth_path, n_train)
         approx = load_snapshots(_get(cfg, "paths", "prediction"))
         if truth.data.shape != approx.data.shape:
             raise ValueError(
@@ -670,7 +657,7 @@ def cmd_evaluate(cfg) -> int:
         ]
         _write_csv(out_dir / "profiles.csv", profile_header(times), prof_rows)
 
-    with _stage("svd"), _open_blocks(cfg, truth_path) as source:
+    with _stage("svd"), preprocess.BlockSource(truth_path, n_train) as source:
         svd_rows = _svd_rows(cfg, source)
         _write_csv(out_dir / "svd_report.csv", SVD_REPORT_HEADER, svd_rows)
 

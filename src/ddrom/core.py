@@ -8,11 +8,10 @@ each column was recorded.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -288,15 +287,9 @@ class SnapshotSet:
         """View of one variable's rows, shape (n_x, n_t)."""
         return self.data[self.layout.rows(variable)]
 
-    def with_data(self, data, n_train: int | None = None) -> "SnapshotSet":
-        """Same layout/geometry/times, different matrix.  Passing the set's
-        own matrix shares it, already checked, without a second scan."""
-        time = self.time if n_train is None else self.time.with_train_count(n_train)
-        if data is self.data:
-            out = copy.copy(self)
-            out.time = time
-            return out
-        return SnapshotSet(self.layout, self.geometry, time, data)
+    def with_data(self, data) -> "SnapshotSet":
+        """Same layout/geometry/times, different matrix."""
+        return SnapshotSet(self.layout, self.geometry, self.time, data)
 
     def __eq__(self, other):
         if not isinstance(other, SnapshotSet):
@@ -343,11 +336,10 @@ def save_snapshots(sset: SnapshotSet, path) -> None:
     Layout: magic ``DDOI``, u32 version, u32 flags, u64 n_s/n_x/n_t/d,
     NUL-terminated variable names, point coordinates, timestamps, then the
     data matrix column by column (each column variable-major), all values
-    little-endian float64.
+    little-endian float64.  A column-major matrix is written from its
+    memory, without a copy.
     """
     layout, geom, time = sset.layout, sset.geometry, sset.time
-    if not np.all(np.isfinite(sset.data)):
-        raise SnapFormatError("non-finite data")
     flags = _FLAG_PERIODIC if geom.periodic else 0
     if time.n_train != time.n_t:
         if time.n_train > _TRAIN_MAX:
@@ -477,22 +469,25 @@ class SnapshotFile:
     """A snapshot file opened for positional reads of its data matrix.
 
     The header is parsed and checked on opening (see :func:`load_snapshots`);
-    the data matrix stays on disk.  Reads name values by their flat index in
-    the column-major payload, ``column * n + row``.  Use as a context manager,
+    the data matrix stays on disk.  ``n_train``, if given, replaces the
+    file's training split.  Reads name values by their flat index in the
+    column-major payload, ``column * n + row``.  Use as a context manager,
     or call :meth:`close`.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, n_train: int | None = None):
         self._fh = open(path, "rb")
         try:
-            self.header = _read_header(_Reader(self._fh))
+            head = _read_header(_Reader(self._fh))
+            if n_train is not None:
+                head = replace(head, time=head.time.with_train_count(n_train))
         except BaseException:
             self._fh.close()
             raise
+        self.header = head
         self._start = self._fh.tell()
-        layout, time = self.header.layout, self.header.time
-        self.n = layout.n
-        self._size = layout.n * time.n_t
+        self.n = head.layout.n
+        self._size = head.layout.n * head.time.n_t
 
     def close(self) -> None:
         self._fh.close()
@@ -537,13 +532,14 @@ class SnapshotFile:
                 raise SnapFormatError("non-finite data")
 
 
-def load_snapshots(path) -> SnapshotSet:
-    """Read a snapshot set written by :func:`save_snapshots`.
+def load_snapshots(path, n_train: int | None = None) -> SnapshotSet:
+    """Read a snapshot set written by :func:`save_snapshots` (``n_train``
+    as :class:`SnapshotFile` takes it).
 
     Raises :class:`SnapFormatError` on a malformed, truncated, or padded
     file and on non-finite values.
     """
-    with SnapshotFile(path) as snap:
+    with SnapshotFile(path, n_train) as snap:
         head = snap.header
         data = np.empty((head.layout.n, head.time.n_t), dtype="<f8", order="F")
         snap.read(data, 0)
@@ -554,13 +550,16 @@ def load_snapshots(path) -> SnapshotSet:
         raise SnapFormatError(str(exc)) from exc
 
 
-def load_initial_state(path) -> tuple[SnapshotHeader, np.ndarray]:
-    """Read a snapshot file's header and its first column.
+def load_initial_state(
+    path, n_train: int | None = None
+) -> tuple[SnapshotHeader, np.ndarray]:
+    """Read a snapshot file's header (``n_train`` as :class:`SnapshotFile`
+    takes it) and its first column.
 
     The remaining columns are checked as :func:`load_snapshots` checks them,
     through :meth:`SnapshotFile.chunks`, then dropped.
     """
-    with SnapshotFile(path) as snap:
+    with SnapshotFile(path, n_train) as snap:
         state = snap.read(np.empty(snap.n, dtype="<f8"), 0)
         if not np.isfinite(state).all():
             raise SnapFormatError("non-finite data")

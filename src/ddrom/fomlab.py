@@ -121,7 +121,7 @@ def _simulate_burgers(spec: FomSpec) -> np.ndarray:
     u = spec.amplitude * np.sin(2.0 * np.pi * x / spec.length)
     _check_cfl(spec, u)
     n_rec = spec.n_steps // spec.stride + 1
-    out = np.empty((spec.n_x, n_rec))
+    out = np.empty((spec.n_x, n_rec), order="F")
     out[:, 0] = u
     col = 1
     dt = spec.dt
@@ -150,14 +150,17 @@ def _pulse_field(spec: FomSpec, x: np.ndarray, t: float) -> np.ndarray:
 def _simulate_rotating_pulse(spec: FomSpec) -> np.ndarray:
     x = np.arange(spec.n_x) * spec.dx
     times = _recorded_times(spec)
-    out = np.empty((spec.n_x, times.size))
+    out = np.empty((spec.n_x, times.size), order="F")
     for k, t in enumerate(times):
         out[:, k] = _pulse_field(spec, x, t)
     return out
 
 
-def simulate(spec: FomSpec) -> SnapshotSet:
-    """Run (or evaluate) the generator and package the recorded snapshots."""
+def simulate(spec: FomSpec, n_train: int | None = None) -> SnapshotSet:
+    """Run (or evaluate) the generator and package the recorded snapshots,
+    the first ``n_train`` (default: all) for training.  The generators fill
+    one column-major matrix, which the set adopts read-only."""
+    time = TimeGrid(_recorded_times(spec), n_train)
     if spec.kind == "burgers":
         data = _simulate_burgers(spec)
         geometry = Geometry.circle(spec.n_x, spec.length)
@@ -167,11 +170,12 @@ def simulate(spec: FomSpec) -> SnapshotSet:
     else:
         x = np.linspace(0.0, spec.length, spec.n_x)
         profile = np.exp(-spec.decay * x) * np.sin(spec.frequency * x)
-        n_rec = spec.n_steps // spec.stride + 1
-        data = np.repeat(profile[:, None], n_rec, axis=1)
+        data = np.empty((spec.n_x, time.n_t), order="F")
+        data[:] = profile[:, None]
         geometry = Geometry.interval(spec.n_x, 0.0, spec.length)
+    data.setflags(write=False)
     layout = StateLayout(n_s=1, n_x=spec.n_x, variable_names=("u",))
-    return SnapshotSet(layout, geometry, TimeGrid(_recorded_times(spec)), data)
+    return SnapshotSet(layout, geometry, time, data)
 
 
 def galerkin_operators(spec: FomSpec, basis: PodBasis) -> RomOperators:

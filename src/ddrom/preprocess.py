@@ -81,8 +81,16 @@ def _check_transforms(n_s: int, transforms) -> tuple[str, ...]:
     return transforms
 
 
-def _checked_scale(s, name: str) -> float:
-    if not np.isfinite(s) or s <= 0.0:
+# a scale at most this fraction of its variable's largest |mean| is
+# round-off: centring n_train equal values leaves about n_train * eps of
+# their magnitude, so a variable constant in time is refused
+ZERO_SCALE_RTOL = 1e-10
+
+
+def _checked_scale(s, mean: np.ndarray, name: str) -> float:
+    """``s``, unless it is not finite or at most ZERO_SCALE_RTOL times the
+    largest |mean| of the variable (``mean``, its part of the mean field)."""
+    if not np.isfinite(s) or s <= ZERO_SCALE_RTOL * np.abs(mean).max():
         raise ValueError(
             f"zero scale for variable {name!r}: constant over the training horizon"
         )
@@ -153,7 +161,9 @@ def center_scale(
     for v in range(layout.n_s):
         block = centered[layout.rows(v), :m]
         s = np.abs(block).max() if kind == "max_abs" else block.std()
-        scale[v] = _checked_scale(s, layout.variable_names[v])
+        scale[v] = _checked_scale(
+            s, mean_field[layout.rows(v)], layout.variable_names[v]
+        )
         centered[layout.rows(v)] /= s
     record = ScalingRecord(mean_field, scale, kind, transforms)
     return sset.with_data(centered), record
@@ -196,50 +206,37 @@ def _invert_in_place(work: np.ndarray, layout: StateLayout, record: ScalingRecor
     )
 
 
-class BlockSource:
+class BlockSource(SnapshotFile):
     """The training blocks of a snapshot file, transformed, centred and
     scaled, read one subdomain at a time.
 
-    No step holds the snapshot matrix: opening parses the header and checks
-    the prediction columns for non-finite values through one bounded
-    buffer; :meth:`fit` takes the :class:`ScalingRecord` in passes over the
+    No step holds the snapshot matrix: opening parses the header, with
+    ``n_train`` as :class:`SnapshotFile` takes it, and checks the
+    prediction columns for non-finite values through one bounded buffer;
+    :meth:`fit` takes the :class:`ScalingRecord` in passes over the
     training columns through that buffer; :meth:`blocks` reads each
     subdomain's rows of the training columns into a fresh array.  The
     record and the blocks carry the same bits as :func:`transform_variables`
     and :func:`center_scale` give on the column-major matrix the file holds
     (``std_dev`` scales to within a few ulp: they sum in another order).
-    Use as a context manager, or call :meth:`close`.
     """
 
     def __init__(self, path, n_train: int | None = None):
-        self._file = SnapshotFile(path)
+        super().__init__(path, n_train)
         try:
-            head = self._file.header
-            self.layout, self.geometry = head.layout, head.geometry
-            self.time = head.time
-            if n_train is not None:
-                self.time = head.time.with_train_count(n_train)
-            self._file.check_finite(self.time.n_train, self.time.n_t)
+            self.check_finite(self.header.time.n_train, self.header.time.n_t)
         except BaseException:
-            self._file.close()
+            self.close()
             raise
         self._record: ScalingRecord | None = None
-
-    def close(self) -> None:
-        self._file.close()
-
-    def __enter__(self) -> "BlockSource":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def _training(self, transforms, check: bool = False):
         """The transformed training columns, in chunks of the read buffer;
         with ``check``, non-finite values are refused as the loaders refuse
         them."""
-        rows, names = _variable_rows(self.layout), self.layout.variable_names
-        for _, chunk in self._file.chunks(0, self.time.n_train):
+        layout = self.header.layout
+        rows, names = _variable_rows(layout), layout.variable_names
+        for _, chunk in self.chunks(0, self.header.time.n_train):
             if check and not np.isfinite(chunk).all():
                 raise SnapFormatError("non-finite data")
             _transform_in_place(chunk, rows, transforms, names)
@@ -250,7 +247,7 @@ class BlockSource:
         :func:`center_scale` takes it after :func:`transform_variables`."""
         if kind not in SCALING_KINDS:
             raise ValueError(f"unknown scaling kind {kind!r}")
-        layout = self.layout
+        layout = self.header.layout
         transforms = _check_transforms(layout.n_s, transforms)
         mean = self._mean(transforms)
         if kind == "max_abs":
@@ -258,11 +255,11 @@ class BlockSource:
         else:
             # two passes per variable, as ndarray.std takes them: the mean
             # of the centred block, then the mean square deviation from it
-            count = layout.n_x * self.time.n_train
+            count = layout.n_x * self.header.time.n_train
             means = self._sums(transforms, mean) / count
             scale = np.sqrt(self._sums(transforms, mean, means) / count)
         for v, s in enumerate(scale):
-            _checked_scale(s, layout.variable_names[v])
+            _checked_scale(s, mean[layout.rows(v)], layout.variable_names[v])
         self._record = ScalingRecord(mean, scale, kind, transforms)
         return self._record
 
@@ -272,15 +269,15 @@ class BlockSource:
     def _mean(self, transforms) -> np.ndarray:
         # one column after another, as numpy sums the rows of the
         # column-major matrix in data[:, :m].mean(axis=1)
-        total = np.zeros(self.layout.n)
+        total = np.zeros(self.header.layout.n)
         for chunk in self._training(transforms, check=True):
             for column in chunk.T:
                 total += column
-        return total / self.time.n_train
+        return total / self.header.time.n_train
 
     def _largest_magnitudes(self, transforms, mean) -> np.ndarray:
-        rows = _variable_rows(self.layout)
-        largest = np.zeros(self.layout.n_s)
+        rows = _variable_rows(self.header.layout)
+        largest = np.zeros(len(rows))
         for chunk in self._training(transforms):
             chunk -= mean[:, None]
             np.abs(chunk, out=chunk)
@@ -292,8 +289,8 @@ class BlockSource:
         """Per variable, the sum of the centred training values, or with
         ``means`` the sum of their squared deviations from those means,
         column after column."""
-        rows = _variable_rows(self.layout)
-        sums = np.zeros(self.layout.n_s)
+        rows = _variable_rows(self.header.layout)
+        sums = np.zeros(len(rows))
         for chunk in self._training(transforms):
             chunk -= mean[:, None]
             for v, r in enumerate(rows):
@@ -318,14 +315,15 @@ class BlockSource:
             yield self._block(np.asarray(idx))
 
     def _block(self, idx: np.ndarray) -> np.ndarray:
-        layout, record = self.layout, self._record
+        layout, record = self.header.layout, self._record
+        m = self.header.time.n_train
         rows = layout.point_rows(idx)
         # row-major, like the row selection scaled.data[rows, :m] of the
         # loaded matrix that it equals, so products of it round the same;
         # whole columns are read and their rows picked in memory, so the
         # number of reads does not depend on how the rows are ordered
-        block = np.empty((rows.size, self.time.n_train))
-        for j, chunk in self._file.chunks(0, self.time.n_train):
+        block = np.empty((rows.size, m))
+        for j, chunk in self.chunks(0, m):
             block[:, j : j + chunk.shape[1]] = chunk[rows]
         names = layout.variable_names
         var_rows = [slice(v * idx.size, (v + 1) * idx.size) for v in range(layout.n_s)]

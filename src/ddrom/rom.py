@@ -365,7 +365,7 @@ def _read_rom(path) -> CoupledRom:
         topo_code, overlap = r.pack("Id", "decomposition")
         topology = _named(TOPOLOGIES, topo_code, "topology")
         dof, interior, adjacency = [], [], []
-        for _ in range(k):
+        for i in range(k):
             (n_pts,) = r.pack("Q", "subdomain size")
             if not 1 <= n_pts <= n_x:
                 raise SnapFormatError("implausible subdomain size")
@@ -375,9 +375,13 @@ def _read_rom(path) -> CoupledRom:
             (n_adj,) = r.pack("Q", "adjacency size")
             if n_adj >= k:
                 raise SnapFormatError("implausible adjacency size")
-            adjacency.append(
-                frozenset(r.pack("Q", "adjacency")[0] for _ in range(n_adj))
-            )
+            nbrs = set()
+            for _ in range(n_adj):
+                (j,) = r.pack("Q", "adjacency")
+                if j in nbrs:
+                    raise SnapFormatError(f"subdomain {i} lists neighbor {j} twice")
+                nbrs.add(j)
+            adjacency.append(frozenset(nbrs))
         decomposition = Decomposition(
             topology=topology,
             n_x=n_x,
@@ -400,7 +404,7 @@ def _read_rom(path) -> CoupledRom:
         )
 
         bases, operators = [], []
-        for _ in range(k):
+        for i in range(k):
             ri, rows, n_sigma = r.pack("QQQ", "subdomain dimensions")
             if not 1 <= ri <= rows or n_sigma < ri:
                 raise SnapFormatError("implausible basis dimensions")
@@ -412,6 +416,10 @@ def _read_rom(path) -> CoupledRom:
             coupling = {}
             for _ in range(n_cpl):
                 j, rj = r.pack("QQ", "coupling header")
+                if j in coupling:
+                    raise SnapFormatError(
+                        f"subdomain {i} lists coupling block {j} twice"
+                    )
                 coupling[int(j)] = r.array((ri, rj), "coupling block")
             (has_c,) = r.pack("B", "constant flag")
             constant = r.array((ri,), "constant term") if has_c else None

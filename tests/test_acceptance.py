@@ -254,8 +254,7 @@ def test_c07_single_domain_burgers_rom_accuracy(ci_log):
     t0 = time.perf_counter()
     spec = FomSpec(kind="burgers", n_x=256, nu=0.01, dt=1e-4, n_steps=26000,
                    stride=100)
-    raw = simulate(spec)
-    sset = raw.with_data(raw.data, n_train=201)
+    sset = simulate(spec, n_train=201)
     scaled, record = center_scale(sset)
     train = scaled.data[:, :201]
     sigma = singular_spectrum(train)
@@ -293,8 +292,7 @@ def test_c08_four_sector_rotating_pulse_rom_accuracy(ci_log):
     spec = FomSpec(kind="rotating_pulse", n_x=512, n_pulses=2,
                    pulse_width=0.05, wave_speed=1.0, length=1.0,
                    dt=1.0 / 1280.0, n_steps=3200, stride=10)
-    raw = simulate(spec)
-    sset = raw.with_data(raw.data, n_train=193)
+    sset = simulate(spec, n_train=193)
     scaled, record = center_scale(sset)
     dt_snap = spec.dt * spec.stride
     grid = RegGrid(lambda_linear=tuple(np.logspace(-10, 0, 6)),
@@ -627,3 +625,38 @@ def test_c15_train_peak_is_a_few_subdomain_blocks(k, tmp_path, ci_log):
         f"{block / 1e6:.2f} MB, bound 4 blocks + {vectors / 1e6:.2f} MB"
     )
     assert peak <= 4 * block + vectors
+
+
+GEN_MEMORY_CONFIG = """\
+[paths]
+snapshots = {dir}/snaps.bin
+
+[fom]
+kind = rotating_pulse
+n_x = 20000
+dt = 0.0025
+n_steps = 400
+stride = 1
+"""
+
+
+def test_c16_gen_peak_is_one_snapshot_matrix(tmp_path, ci_log):
+    """The generator fills one column-major matrix, the snapshot set adopts
+    it and the writer writes it from its memory, so the traced peak of
+    ``gen`` is that matrix plus the finiteness mask (an eighth of it), never
+    a second copy."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(GEN_MEMORY_CONFIG.format(dir=tmp_path))
+    matrix = 20_000 * 401 * 8
+
+    tracemalloc.start()
+    try:
+        assert cli.main(["gen", "--config", str(cfg)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ci_log(
+        f"gen memory: peak {peak / 1e6:.1f} MB for a {matrix / 1e6:.1f} MB "
+        f"matrix (x{peak / matrix:.2f}, bound x1.30)"
+    )
+    assert peak < 1.3 * matrix

@@ -389,6 +389,32 @@ class TestErrorReporting:
         assert run("train", cfg) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd, stage", [
+        ("gen", "simulate"), ("decompose", "load"), ("svdreport", "load"),
+        ("train", "load"), ("predict", "load"), ("evaluate", "load"),
+    ])
+    def test_n_train_above_the_column_count_is_refused(self, workdir, capsys,
+                                                       cmd, stage):
+        # the generated file holds 31 columns
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        assert run("train", cfg) == 0
+        cfg.write_text(cfg.read_text().replace("n_train = 25", "n_train = 40"))
+        capsys.readouterr()
+        assert run(cmd, cfg) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cmd}: {stage}: n_train must lie in [1, n_t]\n"
+        )
+
+    def test_n_train_does_not_apply_to_an_ic_file(self, workdir):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        assert run("train", cfg) == 0
+        (tmp / "ic.bin").write_bytes((tmp / "snaps.bin").read_bytes())
+        cfg.write_text(cfg.read_text().replace("n_train = 25", "n_train = 40")
+                       .replace("[paths]\n", f"[paths]\nic = {tmp}/ic.bin\n"))
+        assert run("predict", cfg) == 0
+
     def test_ic_with_another_layout_of_the_same_length(self, workdir, capsys):
         tmp, cfg = workdir
         assert run("gen", cfg) == 0

@@ -14,6 +14,7 @@ import ddrom
 from ddrom.core import (
     Geometry,
     SnapFormatError,
+    SnapshotFile,
     SnapshotSet,
     StateLayout,
     TimeGrid,
@@ -128,20 +129,6 @@ class TestSnapshotSet:
         view.setflags(write=False)
         assert make_set(view).data is not view
 
-    def test_new_split_of_the_own_matrix_is_not_rescanned(self):
-        # about 16 MB: a second finiteness scan alone would allocate a
-        # boolean temporary of nbytes / 8
-        sset = make_set(np.ones((20000, 100)))
-        tracemalloc.start()
-        try:
-            split = sset.with_data(sset.data, 60)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < sset.data.nbytes / 64
-        assert split.data is sset.data and split.time.n_train == 60
-        assert sset.time.n_train == 100
-
     def test_variable_block(self):
         data = np.arange(12.0).reshape(6, 2)
         sset = make_set(data, n_s=2)
@@ -154,6 +141,29 @@ class TestSnapshotSet:
         with pytest.raises(ValueError):
             SnapshotSet(layout=layout, geometry=geometry, time=time,
                         data=np.zeros((5, 2)))
+
+
+def _time_as_opened(opener: str, path, n_train):
+    """The time grid that ``opener`` gives the file at ``path``."""
+    if opener == "load_snapshots":
+        return load_snapshots(path, n_train).time
+    if opener == "load_initial_state":
+        return load_initial_state(path, n_train)[0].time
+    with {"SnapshotFile": SnapshotFile, "BlockSource": BlockSource}[opener](
+            path, n_train) as snap:
+        return snap.header.time
+
+
+@pytest.mark.parametrize(
+    "opener", ["SnapshotFile", "BlockSource", "load_snapshots", "load_initial_state"])
+def test_every_opener_applies_the_training_split(tmp_path, opener):
+    path = tmp_path / "s.bin"
+    save_snapshots(make_set(np.arange(1.0, 13.0).reshape(3, 4), n_train=3), path)
+    assert _time_as_opened(opener, path, None).n_train == 3
+    assert _time_as_opened(opener, path, 2).n_train == 2
+    assert _time_as_opened(opener, path, 4).n_train == 4
+    with pytest.raises(ValueError, match=r"n_train must lie in \[1, n_t\]"):
+        _time_as_opened(opener, path, 5)
 
 
 class TestSnapshotFile:
@@ -245,7 +255,7 @@ def read_blocks(path):
     a run of single rows."""
     with BlockSource(path) as source:
         source.fit("max_abs")
-        n_x = source.layout.n_x
+        n_x = source.header.layout.n_x
         for _ in source.blocks([np.arange(0, n_x, 2), np.arange(n_x)]):
             pass
 

@@ -24,6 +24,19 @@ class TestSpec:
             FomSpec(kind="burgers", stride=0)
 
 
+@pytest.mark.parametrize("kind", ["burgers", "rotating_pulse", "damped_sine"])
+def test_simulate_applies_the_split_to_an_adopted_column_major_matrix(kind):
+    # 11 recorded columns
+    spec = FomSpec(kind=kind, n_x=32, n_steps=100, stride=10)
+    assert simulate(spec).time.n_train == 11
+    sset = simulate(spec, n_train=7)
+    assert sset.time.n_train == 7
+    assert sset.data.flags.f_contiguous and sset.data.flags.owndata
+    assert not sset.data.flags.writeable
+    with pytest.raises(ValueError, match=r"n_train must lie in \[1, n_t\]"):
+        simulate(spec, n_train=12)
+
+
 class TestDampedSine:
     def test_field_is_analytic(self):
         spec = FomSpec(kind="damped_sine", n_x=1000, decay=3.0,

@@ -90,6 +90,22 @@ def test_constant_variable_is_an_error():
         center_scale(sset)
 
 
+@pytest.mark.parametrize("kind", ["max_abs", "std_dev"])
+def test_variable_constant_in_time_is_an_error(tmp_path, kind):
+    # the mean of three 0.1s is 0.1 + 2.8e-17, so centring leaves round-off,
+    # not a zero, and both the whole-matrix and the streamed fit see it
+    data = np.full((4, 3), 0.1)
+    data[2:] = np.arange(3.0)
+    sset = make_set(data, n_s=2, names=("flat", "ramp"))
+    with pytest.raises(ValueError, match="zero scale for variable 'flat'"):
+        center_scale(sset, kind)
+    path = tmp_path / "s.bin"
+    save_snapshots(sset, path)
+    with BlockSource(path) as source:
+        with pytest.raises(ValueError, match="zero scale for variable 'flat'"):
+            source.fit(kind)
+
+
 def test_scale_is_training_only():
     # prediction columns may exceed the unit box; the scale must ignore them
     data = np.zeros((2, 4))

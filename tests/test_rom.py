@@ -77,6 +77,30 @@ def coupled_pair_rom(form="discrete", dt=0.05, coupling_scale=0.1, seed=3):
     )
 
 
+def coupled_chain_rom(k, r=3, seed=5):
+    """k subdomains along an interval, each coupled to its neighbors."""
+    n_x = 10 * k
+    geometry = Geometry.interval(n_x)
+    dec = decompose_interval(geometry, k, 0.1)
+    rng = np.random.default_rng(seed)
+    bases = [orthonormal_basis(idx.size, r, seed=seed + i)
+             for i, idx in enumerate(dec.dof_indices)]
+    operators = [
+        RomOperators(
+            linear=0.4 * rng.standard_normal((r, r)),
+            quadratic=0.02 * rng.standard_normal((r, quadratic_dim(r))),
+            coupling={j: 0.1 * rng.standard_normal((r, r)) for j in nbrs},
+            form="discrete",
+        )
+        for nbrs in dec.adjacency
+    ]
+    return CoupledRom(
+        layout=StateLayout(n_s=1, n_x=n_x, variable_names=("u",)),
+        geometry=geometry, decomposition=dec, bases=bases, operators=operators,
+        scaling=identity_scaling(n_x), form="discrete", dt=0.1,
+    )
+
+
 def loop_roll(operators, form, dt, init, steps):
     """Reference rollout: each right-hand side concatenates
     ``op.apply(own[i], own)`` over the subdomains, one at a time."""
@@ -456,6 +480,37 @@ class TestArtifactRoundTrip:
         assert raw.count(old) == 1
         path.write_bytes(raw.replace(old, struct.pack("<d", bad)))
         with pytest.raises(SnapFormatError, match="finite"):
+            load_rom(path)
+
+    def test_neighbor_listed_twice_is_refused(self, tmp_path):
+        # k = 4 along an interval: subdomain 1 lists neighbors 0 and 2,
+        # forged into the list 0, 2, 2 (three entries, still below k)
+        rom = coupled_chain_rom(4)
+        path = tmp_path / "model.bin"
+        save_rom(rom, path)
+        raw = path.read_bytes()
+        old = struct.pack("<QQQ", 2, 0, 2)
+        assert raw.count(old) == 1
+        path.write_bytes(raw.replace(old, struct.pack("<QQQQ", 3, 0, 2, 2)))
+        with pytest.raises(SnapFormatError,
+                           match="subdomain 1 lists neighbor 2 twice"):
+            load_rom(path)
+
+    def test_coupling_block_listed_twice_is_refused(self, tmp_path):
+        # subdomain 0's one coupling block, forged into two blocks from
+        # subdomain 1, the second with other values
+        rom = coupled_pair_rom()
+        path = tmp_path / "model.bin"
+        save_rom(rom, path)
+        raw = path.read_bytes()
+        block = rom.operators[0].coupling[1]
+        old = struct.pack("<QQQ", 1, 1, 3) + block.tobytes()
+        assert raw.count(old) == 1
+        new = (struct.pack("<QQQ", 2, 1, 3) + block.tobytes()
+               + struct.pack("<QQ", 1, 3) + (2.0 * block).tobytes())
+        path.write_bytes(raw.replace(old, new))
+        with pytest.raises(SnapFormatError,
+                           match="subdomain 0 lists coupling block 1 twice"):
             load_rom(path)
 
     def test_huge_declared_point_count(self, tmp_path):

@@ -122,6 +122,46 @@ lambda_quadratic = 1e-1
 """
 
 
+# the only route through the damped_sine generator and the interval
+# decomposition and weights; its field is constant in time, so every
+# command that fits the scaling refuses its zero scale
+DAMPED_SINE_INTERVAL = f"""\
+[paths]
+snapshots = {WORK}/snaps.bin
+artifact = {WORK}/model.bin
+prediction = {WORK}/pred.bin
+output_dir = {WORK}/reports
+
+[time]
+n_train = 20
+
+[fom]
+kind = damped_sine
+n_x = 200
+decay = 3.0
+frequency = 20.0
+dt = 0.01
+n_steps = 30
+stride = 1
+
+[preprocess]
+scaling = max_abs
+
+[decomposition]
+topology = interval
+k = 3
+overlap = 0.1
+
+[pod]
+r = 1
+
+[opinf]
+form = discrete
+lambda_linear = 1e-8
+lambda_quadratic = 1e-6
+"""
+
+
 def _with(text: str, section: str, key: str, value: str) -> str:
     cfg = parse_config(text)
     cfg.setdefault(section, {})[key] = value
@@ -137,6 +177,11 @@ CONFIGS = {
     "readme-burgers-r4": README_BURGERS,
     "readme-burgers-r5-over-budget": README_BURGERS.replace("r = 4", "r = 5"),
     "readme-burgers-r4-constant": _with(README_BURGERS, "opinf", "constant", "true"),
+    # predict starts from [paths] ic and evaluate compares with [paths] truth
+    "readme-burgers-r4-ic-truth": _with(
+        _with(README_BURGERS, "paths", "ic", f"{WORK}/snaps.bin"),
+        "paths", "truth", f"{WORK}/snaps.bin"),
+    "damped-sine-interval": DAMPED_SINE_INTERVAL,
 }
 
 # runs inside each tree's interpreter: every command in turn, in-process
