@@ -254,6 +254,11 @@ def _snapshot_file(cfg) -> tuple:
     return _get(cfg, "paths", "snapshots"), _get(cfg, "time", "n_train")
 
 
+def _layout_text(layout) -> str:
+    return (f"n_s={layout.n_s}, n_x={layout.n_x}, "
+            f"variables {layout.variable_names}")
+
+
 def _build_decomposition(cfg, geometry):
     topology = _get(cfg, "decomposition", "topology")
     if topology == "single":
@@ -481,27 +486,22 @@ def cmd_decompose(cfg) -> int:
     return 0
 
 
-def _svd_rows(cfg, source: preprocess.BlockSource):
-    _fit_scaling(cfg, source)
-    dec = _build_decomposition(cfg, source.header.geometry)
-    spectra = []
-    for block in source.blocks(dec.dof_indices):  # no enumerate, as above
-        spectra.append(pod.singular_spectrum(block))
-        del block  # before the next block is read
+def cmd_svdreport(cfg) -> int:
+    with _stage("load"):
+        source = preprocess.BlockSource(*_snapshot_file(cfg))
+    with _stage("svd"), source:
+        _fit_scaling(cfg, source)
+        dec = _build_decomposition(cfg, source.header.geometry)
+        spectra = []
+        for block in source.blocks(dec.dof_indices):  # no enumerate, as above
+            spectra.append(pod.singular_spectrum(block))
+            del block  # before the next block is read
     rows = []
     for i, sigma in enumerate(spectra):
         energy = np.cumsum(sigma**2)
         total = energy[-1] if energy[-1] > 0 else 1.0
         for j, s in enumerate(sigma):
             rows.append([i, j, float(s), float(energy[j] / total)])
-    return rows
-
-
-def cmd_svdreport(cfg) -> int:
-    with _stage("load"):
-        source = preprocess.BlockSource(*_snapshot_file(cfg))
-    with _stage("svd"), source:
-        rows = _svd_rows(cfg, source)
     out_dir = _output_dir(cfg)
     path = out_dir / "svd_report.csv"
     _write_csv(path, SVD_REPORT_HEADER, rows)
@@ -582,10 +582,8 @@ def cmd_predict(cfg) -> int:
             head, initial = load_initial_state(*_snapshot_file(cfg))
         if head.layout != model.layout:
             raise ValueError(
-                f"initial-condition layout (n_s={head.layout.n_s}, "
-                f"n_x={head.layout.n_x}, variables {head.layout.variable_names}) "
-                f"does not match the model (n_s={model.layout.n_s}, "
-                f"n_x={model.layout.n_x}, variables {model.layout.variable_names})"
+                f"initial-condition layout ({_layout_text(head.layout)}) "
+                f"does not match the model ({_layout_text(model.layout)})"
             )
     steps = _get(cfg, "time", "steps")
     if steps is None:
@@ -605,9 +603,13 @@ def cmd_evaluate(cfg) -> int:
         truth_path = _get(cfg, "paths", "truth")
         if truth_path is None:
             truth_path = _get(cfg, "paths", "snapshots")
-        n_train = _get(cfg, "time", "n_train")
-        truth = load_snapshots(truth_path, n_train)
+        truth = load_snapshots(truth_path, _get(cfg, "time", "n_train"))
         approx = load_snapshots(_get(cfg, "paths", "prediction"))
+        if approx.layout != truth.layout:
+            raise ValueError(
+                f"prediction layout ({_layout_text(approx.layout)}) "
+                f"does not match the truth ({_layout_text(truth.layout)})"
+            )
         if truth.data.shape != approx.data.shape:
             raise ValueError(
                 f"dimension mismatch: truth {truth.data.shape} vs "
@@ -656,10 +658,6 @@ def cmd_evaluate(cfg) -> int:
             for p in range(len(probe))
         ]
         _write_csv(out_dir / "profiles.csv", profile_header(times), prof_rows)
-
-    with _stage("svd"), preprocess.BlockSource(truth_path, n_train) as source:
-        svd_rows = _svd_rows(cfg, source)
-        _write_csv(out_dir / "svd_report.csv", SVD_REPORT_HEADER, svd_rows)
 
     for v, name in enumerate(report.variables):
         pred = report.prediction[v]

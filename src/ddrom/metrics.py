@@ -19,7 +19,6 @@ __all__ = [
     "ErrorReport",
     "BinReport",
     "LineProbe",
-    "squared_l2_relative_error",
     "error_report",
     "pointwise_error_bins",
     "line_probe",
@@ -128,7 +127,8 @@ def pointwise_error_bins(
     Per instant and spatial DOF, the relative error is
     |approx - ref| / max(|ref|, floor); the report holds the fraction of
     DOFs in each threshold bin (upper edges closed).  The floor is 1e-12
-    times the largest reference magnitude, guarding near-zero denominators.
+    times the binned variable's largest reference magnitude, guarding
+    near-zero denominators; the other variables do not move it.
     """
     _check_pair(ref, approx)
     thresholds = tuple(float(t) for t in thresholds)
@@ -136,15 +136,15 @@ def pointwise_error_bins(
         raise ValueError("thresholds must be positive")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be strictly increasing")
+    r = ref.variable_block(variable)
+    a = approx.variable_block(variable)
     # column chunks, so no temporary is full size; every value is the one
     # the whole matrix gives
     width = core._chunk_width(ref.n)
     chunks = [slice(c, c + width) for c in range(0, ref.n_t, width)]
-    floor = 1e-12 * float(max(np.abs(ref.data[:, c]).max() for c in chunks))
+    floor = 1e-12 * float(max(np.abs(r[:, c]).max() for c in chunks))
     if floor <= 0.0:
         floor = np.finfo(np.float64).tiny
-    r = ref.variable_block(variable)
-    a = approx.variable_block(variable)
     n_bins = len(thresholds) + 1
     n_x = r.shape[0]
     fractions = np.empty((ref.n_t, n_bins))

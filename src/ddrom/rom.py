@@ -33,7 +33,6 @@ from .pod import PodBasis
 __all__ = [
     "CoupledRom",
     "DivergenceError",
-    "reduce_initial_condition",
     "integrate",
     "roll_reduced",
     "predict_full",

@@ -503,7 +503,7 @@ def test_c13_cli_determinism_and_report_headers(tmp_path, ci_log):
         base.mkdir()
         cfg = base / "run.cfg"
         cfg.write_text(ACCEPTANCE_CONFIG.format(dir=base))
-        for command in ("gen", "train", "predict", "evaluate"):
+        for command in ("gen", "svdreport", "train", "predict", "evaluate"):
             code = cli.main([command, "--config", str(cfg)])
             assert code == 0
         files = ("snaps.bin", "model.bin", "pred.bin",

@@ -1,4 +1,5 @@
 import csv
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -205,7 +206,7 @@ class TestPipeline:
 
     def test_reports_have_documented_headers(self, workdir):
         tmp, cfg = workdir
-        for cmd in ("gen", "train", "predict", "evaluate"):
+        for cmd in ("gen", "svdreport", "train", "predict", "evaluate"):
             run(cmd, cfg)
         with open(tmp / "out" / "error_report.csv", newline="") as fh:
             header = next(csv.reader(fh))
@@ -295,10 +296,85 @@ class TestDeterminism:
             base.mkdir()
             cfg = base / "run.cfg"
             cfg.write_text(BASE_CONFIG.format(dir=base))
-            for cmd in ("gen", "train", "predict", "evaluate"):
+            for cmd in ("gen", "svdreport", "train", "predict", "evaluate"):
                 assert run(cmd, cfg) == 0
             snapshots.append({f: (base / f).read_bytes() for f in files})
         assert snapshots[0] == snapshots[1]
+
+
+# README's Commands table names the binary files by what they hold
+_BINARIES = {"predicted snapshot file": "pred.bin",
+             "snapshot file": "snaps.bin", "model artifact": "model.bin"}
+
+
+def readme_writes():
+    """Each command's outputs as README's Commands table lists them, as
+    paths in the work directory of README's run.cfg."""
+    table = README.read_text().split("## Commands\n\n")[1].split("\n\n")[0]
+    writes = {}
+    for line in table.splitlines()[2:]:
+        command, _, cell = (c.strip() for c in line.strip("|").split("|"))
+        names = {f"reports/{n}" for n in re.findall(r"`([\w.]+\.csv)`", cell)}
+        rest = re.sub(r"`[\w.]+\.csv`( \([^)]*\))?", "", cell)
+        for phrase, name in _BINARIES.items():
+            if phrase in rest:
+                names.add(name)
+                rest = rest.replace(phrase, "")
+        assert rest.strip(" ,") == "", cell
+        writes[command.strip("`")] = names
+    return writes
+
+
+class TestOneWriterPerFile:
+    def test_every_file_has_the_one_writer_readme_names(self, tmp_path):
+        text = README.read_text().split("```ini\n# run.cfg\n")[1]
+        text = text.split("```")[0].replace("work/", f"{tmp_path}/")
+        cfg, searched = tmp_path / "run.cfg", tmp_path / "search.cfg"
+        cfg.write_text(text)
+        searched.write_text(
+            text.replace("lambda_linear = 1e-8\n", "")
+            .replace("lambda_quadratic = 1e-6\n", "")
+            + "\n[regsearch]\nenabled = true\nlambda_linear = 1e-8, 1e-6\n"
+            "lambda_quadratic = 1e-6, 1e-4\n"
+        )
+        writers = {}
+        for command in cli.COMMANDS:
+            # a write sets the mtime, also one that rewrites the same bytes
+            for path in tmp_path.rglob("*"):
+                if path.is_file():
+                    os.utime(path, ns=(0, 0))
+            assert run(command, searched if command == "regsearch" else cfg) == 0
+            for path in tmp_path.rglob("*"):
+                if path.is_file() and path.stat().st_mtime_ns != 0:
+                    name = path.relative_to(tmp_path).as_posix()
+                    writers.setdefault(name, []).append(command)
+        assert {n: w for n, w in writers.items() if len(w) > 1} == {}
+        written = {c: {n for n, w in writers.items() if w == [c]}
+                   for c in cli.COMMANDS}
+        assert written == readme_writes()
+
+    def test_constant_in_time_truth_gets_exactly_the_three_reports(
+            self, tmp_path, capsys):
+        # svdreport refuses the constant field's zero scale; evaluate reads
+        # neither [preprocess] nor [decomposition]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"[paths]\nsnapshots = {tmp_path}/snaps.bin\n"
+            f"prediction = {tmp_path}/pred.bin\noutput_dir = {tmp_path}/out\n\n"
+            "[time]\nn_train = 20\n\n"
+            "[fom]\nkind = damped_sine\nn_x = 200\ndt = 0.01\nn_steps = 30\n"
+            "stride = 1\n\n[preprocess]\nscaling = max_abs\n\n"
+            "[decomposition]\ntopology = interval\nk = 3\noverlap = 0.1\n"
+        )
+        assert run("gen", cfg) == 0
+        assert run("svdreport", cfg) == 1
+        assert "svdreport: svd: zero scale" in capsys.readouterr().err
+        truth = load_snapshots(tmp_path / "snaps.bin")
+        save_snapshots(SnapshotSet(truth.layout, truth.geometry, truth.time,
+                                   truth.data * 1.001), tmp_path / "pred.bin")
+        assert run("evaluate", cfg) == 0, capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "bin_report.csv", "error_report.csv", "profiles.csv"]
 
 
 class TestErrorReporting:
@@ -495,6 +571,25 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert code == 1
         assert "evaluate: load: prediction times t = 5 to" in err
+
+    def test_prediction_of_other_variables_fails_evaluate(self, workdir,
+                                                          capsys):
+        tmp, cfg = workdir
+        for cmd in ("gen", "train", "predict"):
+            assert run(cmd, cfg) == 0
+        pred = load_snapshots(tmp / "pred.bin")
+        renamed = StateLayout(n_s=1, n_x=64, variable_names=("pressure",))
+        save_snapshots(SnapshotSet(renamed, pred.geometry, pred.time,
+                                   pred.data), tmp / "pred.bin")
+        code = run("evaluate", cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            "error: evaluate: load: prediction layout (n_s=1, n_x=64, "
+            "variables ('pressure',)) does not match the truth (n_s=1, "
+            "n_x=64, variables ('u',))\n"
+        )
+        assert not (tmp / "out" / "error_report.csv").exists()
 
     def test_non_uniform_time_grid_is_refused(self, workdir, capsys):
         tmp, cfg = workdir

@@ -142,14 +142,26 @@ class TestPointwiseBins:
         assert rep.fractions.shape == (2, 4)
 
 
+    def test_floor_comes_from_the_binned_variable_only(self):
+        # variable 1 is about 1e-3 and its approximation is 50% off; a unit
+        # change of variable 0 must not move variable 1's bins
+        rng = np.random.default_rng(56)
+        small = 1e-3 * (1.0 + rng.random((30, 5)))
+        approx = np.vstack([np.zeros((30, 5)), 1.5 * small])
+        for magnitude in (1.0, 1e12):
+            ref = np.vstack([magnitude * (1.0 + rng.random((30, 5))), small])
+            rep = pointwise_error_bins(make_set(ref, n_s=2),
+                                       make_set(approx, n_s=2), variable=1)
+            np.testing.assert_array_equal(rep.fractions[:, -1], 1.0)
+
     def test_column_chunks_give_the_whole_matrix_answer(self, monkeypatch):
         rng = np.random.default_rng(55)
         ref = rng.standard_normal((40, 9)) * 3.0
         ref[5, 2] = 0.0
         approx = ref * (1.0 + 0.2 * rng.standard_normal((40, 9)))
         a, b = make_set(ref, n_s=2), make_set(approx, n_s=2)
-        # one pass over the whole matrix, as the report once was taken
-        floor = 1e-12 * np.abs(ref).max()
+        # one pass over variable 1's whole block, as the report once was taken
+        floor = 1e-12 * np.abs(ref[20:]).max()
         rel = np.abs(approx[20:] - ref[20:]) / np.maximum(np.abs(ref[20:]), floor)
         bins = np.searchsorted(DEFAULT_THRESHOLDS, rel, side="left")
         whole = np.stack([np.bincount(bins[:, k], minlength=4) / 20 for k in range(9)])

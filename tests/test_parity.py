@@ -16,9 +16,13 @@ def test_a_tree_is_identical_to_itself():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    # three items per command, six commands, and at least eight files
-    assert len(lines) >= 26
+    # four items per command, six commands, and at least eight files
+    assert len(lines) >= 32
     assert all(line.endswith(": identical") for line in lines), proc.stdout
+    assert ("readme-burgers-r4  evaluate writes reports/bin_report.csv, "
+            "reports/error_report.csv, reports/profiles.csv: identical") in lines
+    assert ("readme-burgers-r4  svdreport writes reports/svd_report.csv: "
+            "identical") in lines
 
 
 def test_differing_files_report_how_they_differ(tmp_path):

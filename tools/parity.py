@@ -11,7 +11,9 @@ on ``PYTHONPATH``.  The configs are written, and differing snapshot files
 read, with the ddrom of the checkout that holds this script.
 
 One line is printed per item: each written file's SHA-256, and each
-command's stdout, stderr and exit code.  Stdout is compared with the work
+command's stdout, stderr, exit code and the files it wrote (those whose
+modification time it set, so a command that rewrites another's file with
+the same bytes is still seen).  Stdout is compared with the work
 directory and the resident-memory figure masked.  A line reads
 ``identical`` or ``differs``; a differing snapshot file or numeric CSV also
 gets its largest absolute and relative difference, and any other differing
@@ -184,12 +186,19 @@ CONFIGS = {
     "damped-sine-interval": DAMPED_SINE_INTERVAL,
 }
 
-# runs inside each tree's interpreter: every command in turn, in-process
+# runs inside each tree's interpreter: every command in turn, in-process,
+# noting the files whose mtime it set; every mtime is zeroed before each
+# command, so a rewrite of the same bytes still counts as a write
 _CHILD = """\
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
+from pathlib import Path
 from ddrom.cli import main
+def files():
+    return sorted(p for p in Path(".").rglob("*") if p.is_file())
 runs = []
 for command in sys.argv[2:]:
+    for path in files():
+        os.utime(path, ns=(0, 0))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -197,13 +206,15 @@ for command in sys.argv[2:]:
         except Exception as exc:
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
             code = "raised"
-    runs.append([command, out.getvalue(), err.getvalue(), code])
+    written = [p.as_posix() for p in files() if p.stat().st_mtime_ns != 0]
+    runs.append([command, out.getvalue(), err.getvalue(), code, written])
 json.dump(runs, sys.stdout)
 """
 
 
 def _run_tree(root: Path, text: str, work: Path) -> tuple[dict, dict]:
-    """Each command's (stdout, stderr, exit code) and each written file."""
+    """Each command's (stdout, stderr, exit code, files it wrote) and each
+    written file."""
     work.mkdir(parents=True)
     cfg = work / "run.cfg"
     cfg.write_text(text.replace(WORK, str(work)))
@@ -215,11 +226,12 @@ def _run_tree(root: Path, text: str, work: Path) -> tuple[dict, dict]:
     if proc.returncode != 0:
         sys.exit(f"{root}: the interpreter failed:\n{proc.stderr}")
     runs = {}
-    for command, out, err, code in json.loads(proc.stdout):
+    for command, out, err, code, written in json.loads(proc.stdout):
         out = out.replace(str(work), "<work>")
         out = re.sub(r"peak resident memory [0-9.]+ MB",
                      "peak resident memory <masked> MB", out)
-        runs[command] = (out, err.replace(str(work), "<work>"), code)
+        runs[command] = (out, err.replace(str(work), "<work>"), code,
+                         ", ".join(written) or "nothing")
     files = {p.relative_to(work).as_posix(): p
              for p in sorted(work.rglob("*")) if p.is_file() and p != cfg}
     return runs, files
@@ -285,8 +297,8 @@ def compare(name: str, parent: Path, change: Path, work: Path) -> bool:
     runs_a, files_a = _run_tree(parent, text, work / "parent")
     runs_b, files_b = _run_tree(change, text, work / "change")
     items = []
-    for command, (out_a, err_a, code_a) in runs_a.items():
-        out_b, err_b, code_b = runs_b[command]
+    for command, (out_a, err_a, code_a, writes_a) in runs_a.items():
+        out_b, err_b, code_b, writes_b = runs_b[command]
         items.append((f"{command} stdout", "" if out_a == out_b else None))
         items.append((f"{command} stderr", "" if err_a == err_b else None))
         if code_a == code_b:
@@ -294,6 +306,11 @@ def compare(name: str, parent: Path, change: Path, work: Path) -> bool:
         else:
             items.append((f"{command} exit code",
                           f"parent {code_a}, change {code_b}"))
+        if writes_a == writes_b:
+            items.append((f"{command} writes {writes_a}", ""))
+        else:
+            items.append((f"{command} writes",
+                          f"parent {writes_a}; change {writes_b}"))
     for rel in sorted(files_a.keys() | files_b.keys()):
         if rel not in files_a or rel not in files_b:
             side = "parent" if rel in files_a else "change"
