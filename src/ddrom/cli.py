@@ -259,6 +259,13 @@ def _layout_text(layout) -> str:
             f"variables {layout.variable_names}")
 
 
+def _geometry_text(geometry) -> str:
+    kind = "periodic" if geometry.periodic else "non-periodic"
+    x = geometry.coords[:, 0]
+    return (f"{kind}, n_x={geometry.n_x}, dim={geometry.dim}, "
+            f"first coordinate {x[0]:g} to {x[-1]:g}")
+
+
 def _build_decomposition(cfg, geometry):
     topology = _get(cfg, "decomposition", "topology")
     if topology == "single":
@@ -585,6 +592,11 @@ def cmd_predict(cfg) -> int:
                 f"initial-condition layout ({_layout_text(head.layout)}) "
                 f"does not match the model ({_layout_text(model.layout)})"
             )
+        if head.geometry != model.geometry:
+            raise ValueError(
+                f"initial-condition geometry ({_geometry_text(head.geometry)}) "
+                f"does not match the model ({_geometry_text(model.geometry)})"
+            )
     steps = _get(cfg, "time", "steps")
     if steps is None:
         steps = head.time.n_t - 1
@@ -609,6 +621,11 @@ def cmd_evaluate(cfg) -> int:
             raise ValueError(
                 f"prediction layout ({_layout_text(approx.layout)}) "
                 f"does not match the truth ({_layout_text(truth.layout)})"
+            )
+        if approx.geometry != truth.geometry:
+            raise ValueError(
+                f"prediction geometry ({_geometry_text(approx.geometry)}) "
+                f"does not match the truth ({_geometry_text(truth.geometry)})"
             )
         if truth.data.shape != approx.data.shape:
             raise ValueError(

@@ -129,100 +129,90 @@ class BlendingWeights:
         return self.weights.shape[1]
 
 
-def _check_k_overlap(k: int, overlap: float, limit: float, n_x: int, what: str):
-    if k < 2:
-        raise ValueError("need at least two subdomains; use Decomposition.single")
-    if k > n_x:
-        raise ValueError("more subdomains than grid points")
-    if not np.isfinite(overlap) or overlap <= 0.0:
-        raise ValueError(f"{what} must be positive")
-    if overlap >= limit:
-        raise ValueError(
-            f"{what} {overlap:g} too large: non-adjacent subdomains would "
-            f"intersect (limit {limit:g})"
-        )
+def _axis(topology: str, geometry: Geometry):
+    """The coordinate a topology splits: (values, lo, hi, wraps).
 
-
-def decompose_interval(geometry: Geometry, k: int, overlap_width: float) -> Decomposition:
-    """Split a non-periodic 1-D grid into k overlapping subdomains.
-
-    Nominal boundaries are equally spaced over the coordinate extent; each
-    subdomain reaches overlap_width/2 past every interior boundary.
+    A ring splits each point's angle over [0, 2*pi) and wraps; an interval
+    splits the first coordinate over its extent, whose two ends belong to
+    no neighbor.
     """
-    if geometry.dim != 1 or geometry.periodic:
-        raise ValueError("interval decomposition needs a non-periodic 1-D geometry")
-    x = geometry.coords[:, 0]
-    lo, hi = float(x.min()), float(x.max())
-    if hi <= lo:
-        raise ValueError("degenerate interval")
-    _check_k_overlap(k, overlap_width, (hi - lo) / k, geometry.n_x, "overlap width")
-    half = 0.5 * overlap_width
-    bounds = np.linspace(lo, hi, k + 1)
-
-    dof, interior = [], []
-    for i in range(k):
-        sup_lo = bounds[i] - half if i > 0 else lo
-        sup_hi = bounds[i + 1] + half if i < k - 1 else hi
-        int_lo = bounds[i] + half if i > 0 else lo
-        int_hi = bounds[i + 1] - half if i < k - 1 else hi
-        idx = np.nonzero((x >= sup_lo) & (x <= sup_hi))[0]
-        dof.append(idx.astype(np.int64))
-        interior.append((int_lo, int_hi))
-    adjacency = [
-        frozenset(j for j in (i - 1, i + 1) if 0 <= j < k) for i in range(k)
-    ]
-    dec = Decomposition(
-        topology="interval",
-        n_x=geometry.n_x,
-        dof_indices=tuple(dof),
-        interior=tuple(interior),
-        adjacency=tuple(adjacency),
-        overlap=float(overlap_width),
-    )
-    _check_overlap_points(dec)
-    return dec
-
-
-def decompose_sectors(geometry: Geometry, k: int, overlap_angle: float) -> Decomposition:
-    """Split a circular or annular grid into k overlapping angular sectors.
-
-    Sector i nominally spans [2*pi*i/k, 2*pi*(i+1)/k) and is extended
-    overlap_angle/2 past both boundaries, wrapping around the seam.
-    """
+    if topology == "interval":
+        if geometry.dim != 1 or geometry.periodic:
+            raise ValueError("interval decomposition needs a non-periodic 1-D geometry")
+        x = geometry.coords[:, 0]
+        lo, hi = float(x.min()), float(x.max())
+        if hi <= lo:
+            raise ValueError("degenerate interval")
+        return x, lo, hi, False
     if not geometry.periodic or geometry.angular is None:
         raise ValueError(
             "sector decomposition needs a periodic geometry with angles attached"
         )
-    _check_k_overlap(k, overlap_angle, _TWO_PI / k, geometry.n_x, "overlap angle")
-    theta = geometry.angular
-    half = 0.5 * overlap_angle
-    extent = _TWO_PI / k + overlap_angle
+    return geometry.angular, 0.0, _TWO_PI, True
 
-    dof, interior = [], []
-    for i in range(k):
-        start = _TWO_PI * i / k
-        rel = np.mod(theta - (start - half), _TWO_PI)
-        idx = np.nonzero(rel <= extent)[0]
-        dof.append(idx.astype(np.int64))
-        interior.append(
-            (
-                np.mod(start + half, _TWO_PI),
-                np.mod(start + _TWO_PI / k - half, _TWO_PI),
-            )
+
+def _span(axis, lo, hi, wraps, k, overlap, i):
+    """Subdomain i of the one rule: how deep each point lies inside its
+    support (distance to the nearer end, negative outside), and its closed
+    interior.  The support reaches overlap/2 past both nominal ends
+    lo + (hi - lo)*i/k and lo + (hi - lo)*(i+1)/k; the interior stops
+    overlap/2 short of every end shared with a neighbor."""
+    length, half = hi - lo, 0.5 * overlap
+    start = lo + length * i / k
+    rel = axis - (start - half)
+    if wraps:
+        rel = np.mod(rel, length)
+    interior = (
+        start + half if wraps or i > 0 else lo,
+        start + length / k - half if wraps or i < k - 1 else hi,
+    )
+    return np.minimum(rel, length / k + overlap - rel), interior
+
+
+def _decompose(topology: str, geometry: Geometry, k: int, overlap: float,
+               what: str) -> Decomposition:
+    axis, lo, hi, wraps = _axis(topology, geometry)
+    length = hi - lo
+    if k < 2:
+        raise ValueError("need at least two subdomains; use Decomposition.single")
+    if k > geometry.n_x:
+        raise ValueError("more subdomains than grid points")
+    if not np.isfinite(overlap) or overlap <= 0.0:
+        raise ValueError(f"{what} must be positive")
+    if overlap >= length / k:
+        raise ValueError(
+            f"{what} {overlap:g} too large: non-adjacent subdomains would "
+            f"intersect (limit {length / k:g})"
         )
-    adjacency = [
-        frozenset(j for j in ((i - 1) % k, (i + 1) % k) if j != i) for i in range(k)
-    ]
+    dof, interior, adjacency = [], [], []
+    for i in range(k):
+        depth, closed = _span(axis, lo, hi, wraps, k, overlap, i)
+        dof.append(np.nonzero(depth >= 0.0)[0])
+        interior.append(closed)
+        adjacency.append(
+            frozenset(j % k for j in (i - 1, i + 1) if wraps or 0 <= j < k)
+        )
     dec = Decomposition(
-        topology="annular",
+        topology=topology,
         n_x=geometry.n_x,
         dof_indices=tuple(dof),
         interior=tuple(interior),
         adjacency=tuple(adjacency),
-        overlap=float(overlap_angle),
+        overlap=float(overlap),
     )
     _check_overlap_points(dec)
     return dec
+
+
+def decompose_interval(geometry: Geometry, k: int, overlap_width: float) -> Decomposition:
+    """Split a non-periodic 1-D grid into k overlapping segments."""
+    return _decompose("interval", geometry, k, overlap_width, "overlap width")
+
+
+def decompose_sectors(geometry: Geometry, k: int, overlap_angle: float) -> Decomposition:
+    """Split a circular or annular grid into k overlapping angular sectors,
+    sector 0 starting at angle 0 and the last wrapping around the seam."""
+    return _decompose("annular", geometry, k, overlap_angle, "overlap angle")
 
 
 def _check_overlap_points(dec: Decomposition) -> None:
@@ -240,60 +230,23 @@ def _check_overlap_points(dec: Decomposition) -> None:
                 )
 
 
-def _interval_weights(dec: Decomposition, geometry: Geometry) -> np.ndarray:
-    x = geometry.coords[:, 0]
-    w = np.zeros((dec.k, geometry.n_x))
-    for i in range(dec.k):
-        int_lo, int_hi = dec.interior[i]
-        wi = w[i]
-        wi[(x >= int_lo) & (x <= int_hi)] = 1.0
-        if i > 0:
-            nb_hi = dec.interior[i - 1][1]  # left neighbor's interior end
-            mask = (x > nb_hi) & (x < int_lo)
-            wi[mask] = (x[mask] - nb_hi) / (int_lo - nb_hi)
-        if i < dec.k - 1:
-            nb_lo = dec.interior[i + 1][0]  # right neighbor's interior start
-            mask = (x > int_hi) & (x < nb_lo)
-            wi[mask] = (x[mask] - nb_lo) / (int_hi - nb_lo)
-    return w
-
-
-def _sector_weights(dec: Decomposition, geometry: Geometry) -> np.ndarray:
-    theta = geometry.angular
-    k = dec.k
-    half = 0.5 * dec.overlap
-    extent = _TWO_PI / k + dec.overlap
-    w = np.zeros((k, geometry.n_x))
-    for i in range(k):
-        start = _TWO_PI * i / k
-        rel = np.mod(theta - (start - half), _TWO_PI)
-        wi = w[i]
-        core = (rel >= dec.overlap) & (rel <= extent - dec.overlap)
-        wi[core] = 1.0
-        up = rel < dec.overlap
-        wi[up] = rel[up] / dec.overlap
-        down = (rel > extent - dec.overlap) & (rel <= extent)
-        wi[down] = (extent - rel[down]) / dec.overlap
-    return w
-
-
 def blending_weights(dec: Decomposition, geometry: Geometry) -> BlendingWeights:
     """Linear partition-of-unity weights for a decomposition.
 
-    Weight is 1 on a subdomain's closed interior, ramps linearly from the
-    subdomain's own interior boundary (1) to the neighbor's interior
-    boundary (0) across each overlap, and is 0 elsewhere.
+    Weight is 1 on a subdomain's closed interior, ramps linearly with slope
+    1/overlap across each overlap from the subdomain's own interior
+    boundary (1) to the neighbor's (0), and is 0 off the subdomain.
     """
     if geometry.n_x != dec.n_x:
         raise ValueError("geometry and decomposition disagree on the point count")
     if dec.topology == "single":
-        w = np.ones((1, dec.n_x))
-    elif dec.topology == "interval":
-        w = _interval_weights(dec, geometry)
-    else:
-        w = _sector_weights(dec, geometry)
-    # clip stray rounding just outside [0, 1]
-    np.clip(w, 0.0, 1.0, out=w)
+        return BlendingWeights(np.ones((1, dec.n_x)))
+    axis, lo, hi, wraps = _axis(dec.topology, geometry)
+    w = np.empty((dec.k, dec.n_x))
+    for i in range(dec.k):
+        depth, (int_lo, int_hi) = _span(axis, lo, hi, wraps, dec.k, dec.overlap, i)
+        np.clip(depth / dec.overlap, 0.0, 1.0, out=w[i])
+        w[i, (axis >= int_lo) & (axis <= int_hi)] = 1.0
     return BlendingWeights(w)
 
 

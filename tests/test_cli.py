@@ -591,6 +591,43 @@ class TestErrorReporting:
         )
         assert not (tmp / "out" / "error_report.csv").exists()
 
+    def test_prediction_on_another_geometry_fails_evaluate(self, workdir,
+                                                           capsys):
+        tmp, cfg = workdir
+        for cmd in ("gen", "train", "predict"):
+            assert run(cmd, cfg) == 0
+        pred = load_snapshots(tmp / "pred.bin")
+        save_snapshots(SnapshotSet(pred.layout, Geometry.interval(64, 5.0),
+                                   pred.time, pred.data), tmp / "pred.bin")
+        code = run("evaluate", cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            "error: evaluate: load: prediction geometry (non-periodic, "
+            "n_x=64, dim=1, first coordinate 5 to 1) does not match the "
+            "truth (periodic, n_x=64, dim=1, first coordinate 0 to 0.984375)\n"
+        )
+        assert not (tmp / "out" / "profiles.csv").exists()
+
+    def test_ic_on_another_geometry_fails_predict(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        assert run("train", cfg) == 0
+        sset = load_snapshots(tmp / "snaps.bin")
+        save_snapshots(SnapshotSet(sset.layout, Geometry.interval(64, 5.0),
+                                   sset.time, sset.data), tmp / "ic.bin")
+        cfg.write_text(cfg.read_text().replace(
+            "[paths]\n", f"[paths]\nic = {tmp}/ic.bin\n"))
+        code = run("predict", cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            "error: predict: load: initial-condition geometry (non-periodic, "
+            "n_x=64, dim=1, first coordinate 5 to 1) does not match the "
+            "model (periodic, n_x=64, dim=1, first coordinate 0 to 0.984375)\n"
+        )
+        assert not (tmp / "pred.bin").exists()
+
     def test_non_uniform_time_grid_is_refused(self, workdir, capsys):
         tmp, cfg = workdir
         assert run("gen", cfg) == 0

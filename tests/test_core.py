@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import struct
 import sys
@@ -430,4 +431,40 @@ def test_modules_use_every_name_they_import():
                 name = (alias.asname or alias.name).split(".")[0]
                 if name not in used and "# noqa" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno} {name}")
+    assert unused == []
+
+
+def test_modules_use_every_name_they_define():
+    """Every module-level function, class and constant is referenced in the
+    package outside the statement that defines it, or is listed in its
+    module's ``__all__``."""
+    refs = []  # (module, statement index, names the statement references)
+    defined = []  # (module, statement index, name)
+    exported = set()
+    for path in sorted(Path(ddrom.__file__).parent.glob("*.py")):
+        module = importlib.import_module(
+            "ddrom" if path.stem == "__init__" else f"ddrom.{path.stem}")
+        exported |= {(path.name, n) for n in getattr(module, "__all__", ())}
+        for s, stmt in enumerate(ast.parse(path.read_text()).body):
+            refs.append((path.name, s, {
+                getattr(node, "id", None) or node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute)
+            }))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(path.name, s, n) for n in names if not n.startswith("__")]
+    unused = [
+        f"{module}: {name}"
+        for module, s, name in defined
+        if (module, name) not in exported
+        and not any(name in used for m, t, used in refs if (m, t) != (module, s))
+    ]
     assert unused == []

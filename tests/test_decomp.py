@@ -151,6 +151,38 @@ class TestBlendingWeights:
         w = blending_weights(dec, geo).weights
         assert np.all(w == 1.0)
 
+    def test_sector_weights_refuse_a_geometry_without_angles(self):
+        dec = decompose_sectors(Geometry.circle(64), 2, 0.4)
+        with pytest.raises(ValueError, match="angles attached"):
+            blending_weights(dec, Geometry.interval(64))
+
+    @pytest.mark.parametrize("name", ["interval", "circle", "annulus"])
+    def test_weights_agree_with_supports_and_interiors(self, name):
+        # 0 off each subdomain, exactly 1 on its closed interior (in the
+        # coordinate the topology splits), and a partition of unity, over
+        # seeded random admissible overlaps
+        rng = np.random.default_rng(23)
+        if name == "interval":
+            geo = Geometry.interval(257)
+            decompose, axis, length = decompose_interval, geo.coords[:, 0], 1.0
+        else:
+            geo = (Geometry.circle(256) if name == "circle"
+                   else Geometry.annulus(256, (1.0, 1.5)))
+            decompose, axis, length = decompose_sectors, geo.angular, TWO_PI
+        for k in (2, 3, 4, 8):
+            for _ in range(20):
+                overlap = rng.uniform(6.0 * length / 256.0, 0.9 * length / k)
+                dec = decompose(geo, k, overlap)
+                w = blending_weights(dec, geo).weights
+                for i, (lo, hi) in enumerate(dec.interior):
+                    off = np.ones(geo.n_x, dtype=bool)
+                    off[dec.dof_indices[i]] = False
+                    assert np.all(w[i, off] == 0.0)
+                    inside = (axis >= lo) & (axis <= hi)
+                    assert inside.any() and np.all(w[i, inside] == 1.0)
+                np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0.0,
+                                           atol=1e-13)
+
     def test_weights_validated(self):
         with pytest.raises(ValueError):
             BlendingWeights(np.array([[0.5, 1.5]]))

@@ -7,7 +7,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ddrom.core import Geometry, SnapFormatError, StateLayout
-from ddrom.decomp import Decomposition, decompose_interval, recombine
+from ddrom.decomp import (
+    Decomposition,
+    decompose_interval,
+    decompose_sectors,
+    recombine,
+)
 from ddrom.opinf import RomOperators, quadratic_dim
 from ddrom.pod import PodBasis
 from ddrom.preprocess import ScalingRecord
@@ -53,11 +58,16 @@ def single_domain_rom(n_x=16, r=3, form="discrete", dt=0.1, seed=0,
     )
 
 
-def coupled_pair_rom(form="discrete", dt=0.05, coupling_scale=0.1, seed=3):
+def coupled_pair_rom(form="discrete", dt=0.05, coupling_scale=0.1, seed=3,
+                     ring=False):
     n_x, r = 30, 3
     layout = StateLayout(n_s=1, n_x=n_x, variable_names=("u",))
-    geometry = Geometry.interval(n_x)
-    dec = decompose_interval(geometry, 2, 0.2)
+    if ring:
+        geometry = Geometry.circle(n_x)
+        dec = decompose_sectors(geometry, 2, 0.6)
+    else:
+        geometry = Geometry.interval(n_x)
+        dec = decompose_interval(geometry, 2, 0.2)
     rng = np.random.default_rng(seed)
     bases, operators = [], []
     for i in range(2):
@@ -512,6 +522,38 @@ class TestArtifactRoundTrip:
         with pytest.raises(SnapFormatError,
                            match="subdomain 0 lists coupling block 1 twice"):
             load_rom(path)
+
+    def test_sector_model_without_angles_is_refused(self, tmp_path):
+        # clear the angles flag (2) of geo_flags, which follows magic, u32
+        # version and form, u64 k, f64 dt and u64 n_s, n_x, dim, and drop
+        # the stored angles
+        rom = coupled_pair_rom(ring=True)
+        path = tmp_path / "model.bin"
+        save_rom(rom, path)
+        raw = bytearray(path.read_bytes())
+        (flags,) = struct.unpack_from("<I", raw, 52)
+        assert flags == 3
+        struct.pack_into("<I", raw, 52, 1)
+        angles = rom.geometry.angular.tobytes()
+        assert raw.count(angles) == 1
+        path.write_bytes(bytes(raw).replace(angles, b""))
+        with pytest.raises(SnapFormatError, match="angles attached"):
+            load_rom(path)
+
+    @pytest.mark.parametrize("ring", [False, True])
+    def test_stored_interiors_do_not_move_the_weights(self, tmp_path, ring):
+        # the weights follow from the geometry, k and the overlap alone
+        rom = coupled_pair_rom(ring=ring)
+        path = tmp_path / "model.bin"
+        save_rom(rom, path)
+        old = struct.pack("<dd", *rom.decomposition.interior[0])
+        new = struct.pack("<dd", rom.decomposition.interior[0][0],
+                          rom.decomposition.interior[0][1] + 0.5)
+        raw = path.read_bytes()
+        assert raw.count(old) == 1
+        path.write_bytes(raw.replace(old, new))
+        back = load_rom(path)
+        np.testing.assert_array_equal(back.weights.weights, rom.weights.weights)
 
     def test_huge_declared_point_count(self, tmp_path):
         path = tmp_path / "model.bin"
