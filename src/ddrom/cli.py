@@ -15,14 +15,15 @@ import csv
 import io
 import sys
 import typing
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import decomp, fomlab, metrics, opinf, pod, preprocess, regsearch, rom
-from .core import SnapshotFile, load_initial_state, load_snapshots, save_snapshots
+from .core import SnapshotFile, load_initial_state, save_snapshots
+from .core import load_snapshots  # noqa: F401  perfbench/tracing.py wraps cli.load_snapshots
 
 __all__ = [
     "main",
@@ -59,6 +60,18 @@ def _stage(name: str):
         raise
     except Exception as exc:
         raise PipelineError(f"{name}: {exc}") from exc
+
+
+class _Staged:
+    """A chunk source whose errors while a chunk is made carry stage
+    ``name`` (errors of the code that takes the chunks do not)."""
+
+    def __init__(self, name: str, source):
+        self.name, self.source, self.header = name, source, source.header
+
+    def chunks(self, start: int, stop: int):
+        with _stage(self.name):
+            yield from self.source.chunks(start, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -601,47 +614,77 @@ def cmd_predict(cfg) -> int:
     if steps is None:
         steps = head.time.n_t - 1
     with _stage("integrate"):
-        trajectory = rom.predict_full(model, initial, steps, t_start=head.time.t_init)
+        prediction = rom.Prediction(model, initial, steps, t_start=head.time.t_init)
+    del head, initial  # the initial file's header and state are not written
     with _stage("write"):
         out = _get(cfg, "paths", "prediction")
         out.parent.mkdir(parents=True, exist_ok=True)
-        save_snapshots(trajectory, out)
+        # lifted, blended and unscaled one column chunk at a time as it is
+        # written; a failure after the file is opened removes it
+        save_snapshots(_Staged("integrate", prediction), out)
     print(f"wrote {out} ({steps} steps of {model.dt:g})")
     return 0
 
 
 def cmd_evaluate(cfg) -> int:
-    with _stage("load"):
-        truth_path = _get(cfg, "paths", "truth")
-        if truth_path is None:
-            truth_path = _get(cfg, "paths", "snapshots")
-        truth = load_snapshots(truth_path, _get(cfg, "time", "n_train"))
-        approx = load_snapshots(_get(cfg, "paths", "prediction"))
-        if approx.layout != truth.layout:
-            raise ValueError(
-                f"prediction layout ({_layout_text(approx.layout)}) "
-                f"does not match the truth ({_layout_text(truth.layout)})"
+    # two passes over each file: the finiteness check (which also takes the
+    # bins' floor from the truth) and one lockstep pass for every metric
+    with ExitStack() as files:
+        with _stage("load"):
+            truth_path = _get(cfg, "paths", "truth")
+            if truth_path is None:
+                truth_path = _get(cfg, "paths", "snapshots")
+            truth = files.enter_context(
+                SnapshotFile(truth_path, _get(cfg, "time", "n_train"))
             )
-        if approx.geometry != truth.geometry:
-            raise ValueError(
-                f"prediction geometry ({_geometry_text(approx.geometry)}) "
-                f"does not match the truth ({_geometry_text(truth.geometry)})"
+            t_head = truth.header
+            peaks = truth.check_finite(0, t_head.time.n_t)
+            approx = files.enter_context(
+                SnapshotFile(_get(cfg, "paths", "prediction"))
             )
-        if truth.data.shape != approx.data.shape:
-            raise ValueError(
-                f"dimension mismatch: truth {truth.data.shape} vs "
-                f"prediction {approx.data.shape}"
-            )
-        t_true, t_pred = truth.time.timestamps, approx.time.timestamps
-        if np.abs(t_pred - t_true).max() > DT_RTOL * _time_step(truth.time):
-            raise ValueError(
-                f"prediction times t = {t_pred[0]:g} to {t_pred[-1]:g} do not "
-                f"match the truth's t = {t_true[0]:g} to {t_true[-1]:g}"
-            )
-    out_dir = _output_dir(cfg)
+            a_head = approx.header
+            approx.check_finite(0, a_head.time.n_t)
+            if a_head.layout != t_head.layout:
+                raise ValueError(
+                    f"prediction layout ({_layout_text(a_head.layout)}) "
+                    f"does not match the truth ({_layout_text(t_head.layout)})"
+                )
+            if a_head.geometry != t_head.geometry:
+                raise ValueError(
+                    f"prediction geometry ({_geometry_text(a_head.geometry)}) "
+                    f"does not match the truth ({_geometry_text(t_head.geometry)})"
+                )
+            shapes = [(f.n, f.header.time.n_t) for f in (truth, approx)]
+            if shapes[0] != shapes[1]:
+                raise ValueError(
+                    f"dimension mismatch: truth {shapes[0]} vs "
+                    f"prediction {shapes[1]}"
+                )
+            t_true, t_pred = t_head.time.timestamps, a_head.time.timestamps
+            if np.abs(t_pred - t_true).max() > DT_RTOL * _time_step(t_head.time):
+                raise ValueError(
+                    f"prediction times t = {t_pred[0]:g} to {t_pred[-1]:g} do not "
+                    f"match the truth's t = {t_true[0]:g} to {t_true[-1]:g}"
+                )
 
+        with _stage("metrics"):
+            variable = _get(cfg, "metrics", "variable")
+            v_idx = 0 if variable is None else t_head.layout.variable_index(variable)
+            thresholds = _get(cfg, "metrics", "thresholds")
+            report, bins = metrics.compare(
+                truth, approx, v_idx, thresholds, peaks[v_idx]
+            )
+            probe = _get(cfg, "metrics", "probe")
+            if probe is None:
+                probe = tuple(range(t_head.layout.n_x))
+            instants = _get(cfg, "metrics", "probe_instants")
+            if instants is None:
+                last_train = t_head.time.n_train - 1
+                instants = tuple(sorted({last_train, t_head.time.n_t - 1}))
+            profile = metrics.line_probe(approx, v_idx, probe, instants)
+
+    out_dir = _output_dir(cfg)
     with _stage("metrics"):
-        report = metrics.error_report(truth, approx)
         rows = []
         for v, name in enumerate(report.variables):
             pred = report.prediction[v]
@@ -649,27 +692,11 @@ def cmd_evaluate(cfg) -> int:
                 [name, report.training[v], "" if pred is None else pred]
             )
         _write_csv(out_dir / "error_report.csv", ERROR_REPORT_HEADER, rows)
-
-        variable = _get(cfg, "metrics", "variable")
-        v_idx = 0 if variable is None else truth.layout.variable_index(variable)
-        thresholds = _get(cfg, "metrics", "thresholds")
-        bins = metrics.pointwise_error_bins(truth, approx, v_idx, thresholds)
         bin_rows = [
             [t, *fr.tolist()] for t, fr in zip(bins.times, bins.fractions)
         ]
         _write_csv(out_dir / "bin_report.csv", bin_report_header(thresholds), bin_rows)
-
-        probe = _get(cfg, "metrics", "probe")
-        if probe is None:
-            probe = tuple(range(truth.layout.n_x))
-        instants = _get(cfg, "metrics", "probe_instants")
-        if instants is None:
-            last_train = truth.time.n_train - 1
-            instants = tuple(
-                sorted({last_train, truth.n_t - 1})
-            )
-        profile = metrics.line_probe(approx, v_idx, probe, instants)
-        times = [float(truth.time.timestamps[i]) for i in instants]
+        times = [float(t_head.time.timestamps[i]) for i in instants]
         prof_rows = [
             [float(profile.coordinate[p]), *profile.values[p]]
             for p in range(len(probe))

@@ -8,6 +8,8 @@ each column was recorded.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import os
 import struct
@@ -39,15 +41,32 @@ _TRAIN_MAX = 2**31 - 1
 
 _TWO_PI = 2.0 * np.pi
 
-# largest column-chunk buffer: SnapshotFile.chunks reads through one,
-# rom.predict_full adds each subdomain block through one, and
-# metrics.pointwise_error_bins bins through one
+# largest column-chunk buffer: SnapshotFile.chunks reads into one, and
+# rom.Prediction.chunks blends each chunk of a prediction into one
 _SCAN_BYTES = 1 << 22
 
 
 def _chunk_width(rows: int) -> int:
     """Columns of ``rows`` float64 values that fit one chunk buffer (at least one)."""
     return max(1, _SCAN_BYTES // (8 * rows))
+
+
+def _column_ranges(rows: int, start: int, stop: int) -> list[slice]:
+    """Slices that split columns ``start .. stop-1`` into chunks of at most
+    4 MiB of ``rows`` float64 values (or one column, if that is larger)."""
+    width = _chunk_width(rows)
+    return [slice(j, min(j + width, stop)) for j in range(start, stop, width)]
+
+
+def _column_buffers(rows: int, start: int, stop: int):
+    """``(first column, matrix)`` for each of :func:`_column_ranges`, every
+    matrix a column-major view of one reused buffer, which is never wider
+    than the range."""
+    ranges = _column_ranges(rows, start, stop)
+    if ranges:
+        buf = np.empty((rows, ranges[0].stop - ranges[0].start), "<f8", order="F")
+    for cols in ranges:
+        yield cols.start, buf[:, : cols.stop - cols.start]
 
 
 class SnapFormatError(ValueError):
@@ -250,7 +269,29 @@ class TimeGrid:
         return f"TimeGrid(n_t={self.n_t}, n_train={self.n_train})"
 
 
-class SnapshotSet:
+class _Columns:
+    """A snapshot matrix read in column chunks: an in-memory
+    :class:`SnapshotSet`, an open :class:`SnapshotFile` or a
+    :class:`ddrom.rom.Prediction`, each with a ``header`` and ``chunks``."""
+
+    def check_finite(self, start: int, stop: int) -> np.ndarray:
+        """Raise :class:`SnapFormatError` if columns ``start .. stop-1`` hold
+        a non-finite value; return each variable's largest magnitude over
+        them (0 on an empty range)."""
+        layout = self.header.layout
+        peaks = np.zeros(layout.n_s)
+        for _, chunk in self.chunks(start, stop):
+            for v in range(layout.n_s):
+                # a NaN makes both extremes NaN; no temporary is formed
+                block = chunk[layout.rows(v)]
+                hi, lo = block.max(), block.min()
+                if not (np.isfinite(hi) and np.isfinite(lo)):
+                    raise SnapFormatError("non-finite data")
+                peaks[v] = max(peaks[v], hi, -lo)
+        return peaks
+
+
+class SnapshotSet(_Columns):
     """A dense snapshot matrix plus the layout, geometry, and times of its
     rows and columns.
 
@@ -282,6 +323,17 @@ class SnapshotSet:
     @property
     def n_t(self) -> int:
         return self.time.n_t
+
+    @property
+    def header(self) -> "SnapshotHeader":
+        return SnapshotHeader(self.layout, self.geometry, self.time)
+
+    def chunks(self, start: int, stop: int):
+        """Columns ``start .. stop-1`` in the chunks that
+        :meth:`SnapshotFile.chunks` reads, as ``(first column, matrix)``
+        pairs; each matrix is a read-only view of ``data``."""
+        for cols in _column_ranges(self.n, start, stop):
+            yield cols.start, self.data[:, cols]
 
     def variable_block(self, variable: int) -> np.ndarray:
         """View of one variable's rows, shape (n_x, n_t)."""
@@ -330,32 +382,48 @@ class _Writer:
         self.fh.write(text.encode("utf-8") + b"\x00")
 
 
-def save_snapshots(sset: SnapshotSet, path) -> None:
-    """Write a snapshot set to ``path``.
+def save_snapshots(sset, path) -> None:
+    """Write a snapshot set to ``path``; anything else with its ``header``
+    and ``chunks`` (an open :class:`SnapshotFile`, a
+    :class:`ddrom.rom.Prediction`) is written the same way.
 
     Layout: magic ``DDOI``, u32 version, u32 flags, u64 n_s/n_x/n_t/d,
     NUL-terminated variable names, point coordinates, timestamps, then the
     data matrix column by column (each column variable-major), all values
-    little-endian float64.  A column-major matrix is written from its
-    memory, without a copy.
+    little-endian float64.  The matrix is written one column chunk at a
+    time; a column-major chunk is written from its memory, without a copy.
+    The first chunk is made before the file is opened, so a failure there
+    leaves ``path`` as it was; once the file is open, a failure while making
+    or writing a chunk removes it, and the error is re-raised.
     """
-    layout, geom, time = sset.layout, sset.geometry, sset.time
+    head = sset.header
+    layout, geom, time = head.layout, head.geometry, head.time
     flags = _FLAG_PERIODIC if geom.periodic else 0
     if time.n_train != time.n_t:
         if time.n_train > _TRAIN_MAX:
             raise SnapFormatError("training column count too large to store")
         flags |= time.n_train << _TRAIN_SHIFT
-    with open(path, "wb") as fh:
-        w = _Writer(fh)
-        fh.write(SNAP_MAGIC)
-        w.pack(
-            "IIQQQQ", SNAP_VERSION, flags, layout.n_s, layout.n_x, time.n_t, geom.dim
-        )
-        for name in layout.variable_names:
-            w.name(name)
-        w.array(geom.coords)
-        w.array(time.timestamps)
-        w.array(sset.data, order="F")
+    chunks = sset.chunks(0, time.n_t)
+    first = next(chunks)
+    fh = open(path, "wb")
+    try:
+        with fh:
+            w = _Writer(fh)
+            fh.write(SNAP_MAGIC)
+            w.pack(
+                "IIQQQQ", SNAP_VERSION, flags, layout.n_s, layout.n_x, time.n_t,
+                geom.dim,
+            )
+            for name in layout.variable_names:
+                w.name(name)
+            w.array(geom.coords)
+            w.array(time.timestamps)
+            for _, chunk in itertools.chain([first], chunks):
+                w.array(chunk, order="F")
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
 
 
 class _Reader:
@@ -465,7 +533,7 @@ def _read_header(reader: _Reader) -> SnapshotHeader:
         raise SnapFormatError(f"bad header: {exc}") from exc
 
 
-class SnapshotFile:
+class SnapshotFile(_Columns):
     """A snapshot file opened for positional reads of its data matrix.
 
     The header is parsed and checked on opening (see :func:`load_snapshots`);
@@ -517,19 +585,8 @@ class SnapshotFile:
         filled with one read.  The buffer is reused: a matrix is valid until
         the next one is produced.
         """
-        if stop <= start:
-            return
-        width = min(stop - start, _chunk_width(self.n))
-        buf = np.empty((self.n, width), dtype="<f8", order="F")
-        for j in range(start, stop, width):
-            yield j, self.read(buf[:, : min(width, stop - j)], j * self.n)
-
-    def check_finite(self, start: int, stop: int) -> None:
-        """Raise :class:`SnapFormatError` if columns ``start .. stop-1`` hold
-        a non-finite value."""
-        for _, chunk in self.chunks(start, stop):
-            if not np.isfinite(chunk).all():
-                raise SnapFormatError("non-finite data")
+        for j, buf in _column_buffers(self.n, start, stop):
+            yield j, self.read(buf, j * self.n)
 
 
 def load_snapshots(path, n_train: int | None = None) -> SnapshotSet:

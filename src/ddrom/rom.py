@@ -18,14 +18,23 @@ from . import preprocess
 from .core import (
     Geometry,
     SnapFormatError,
+    SnapshotHeader,
     SnapshotSet,
     StateLayout,
     TimeGrid,
+    _Columns,
+    _column_buffers,
+    _column_ranges,
     _Reader,
     _Writer,
-    _chunk_width,
 )
-from .decomp import TOPOLOGIES, BlendingWeights, Decomposition, blending_weights
+from .decomp import (
+    TOPOLOGIES,
+    BlendingWeights,
+    Decomposition,
+    _decompose,
+    blending_weights,
+)
 from .decomp import recombine  # noqa: F401  perfbench/tracing.py wraps rom.recombine
 from .opinf import FORMS, RomOperators, _pair_indices, quadratic_dim
 from .pod import PodBasis
@@ -35,6 +44,7 @@ __all__ = [
     "DivergenceError",
     "integrate",
     "roll_reduced",
+    "Prediction",
     "predict_full",
     "save_rom",
     "load_rom",
@@ -225,36 +235,80 @@ def integrate(rom: CoupledRom, init, steps: int):
     return roll_reduced(rom.operators, rom.form, rom.dt, init, steps)
 
 
+class Prediction(_Columns):
+    """A model's blended, unscaled trajectory from a raw full state, initial
+    state included, made a column chunk at a time.
+
+    The rollout runs on construction and only the reduced trajectories are
+    kept; like a snapshot set or file, a prediction has a ``header`` and
+    gives its columns through :meth:`chunks`, so it can be written with
+    :func:`ddrom.core.save_snapshots` or compared with the metrics without
+    its (n, steps+1) matrix ever being formed.
+    """
+
+    def __init__(self, rom: CoupledRom, initial_state: np.ndarray, steps: int,
+                 t_start: float = 0.0):
+        reduced0 = reduce_initial_condition(rom, initial_state)
+        self.trajectories = integrate(rom, reduced0, steps)
+        time = TimeGrid(t_start + rom.dt * np.arange(steps + 1))
+        self.header = SnapshotHeader(rom.layout, rom.geometry, time)
+        self.n = rom.layout.n
+        self.rom = rom
+
+    def chunks(self, start: int, stop: int):
+        """Columns ``start .. stop-1`` as ``(first column, matrix)`` pairs.
+
+        Each matrix is made in one reused buffer of at most 4 MiB (or one
+        column, if larger, and never wider than the range), valid until the
+        next one is made.  Memory: the buffer and one lifted subdomain block
+        of its columns.  Each block ``w_i * (V_i @ Q_i)`` is added into its
+        rows in ascending subdomain order, which sums the same terms in the
+        same order as :func:`ddrom.decomp.recombine` on zero-padded fields.
+        A chunk holding a non-finite value is refused.
+        """
+        return self._blend(_column_buffers(self.n, start, stop))
+
+    def _blend(self, pieces):
+        """Fill each ``(first column, matrix)`` of ``pieces`` with those columns."""
+        rom, layout = self.rom, self.rom.layout
+        lifts = []
+        for i in range(rom.k):
+            rows = layout.point_rows(rom.decomposition.dof_indices[i])
+            weight = np.tile(rom.weights.weights[i], layout.n_s)[rows]
+            lifts.append((rows, weight[:, None]))
+        for j, chunk in pieces:
+            chunk.fill(0.0)
+            # a one-column product would take BLAS's matrix-vector route,
+            # which rounds differently from the matrix-matrix one: lift a
+            # neighbouring column along and drop it
+            width = chunk.shape[1]
+            lo = max(j - 1, 0) if width == 1 else j
+            cols = slice(lo, max(j + width, lo + 2))
+            keep = slice(j - lo, j - lo + width)
+            for basis, q, (rows, weight) in zip(rom.bases, self.trajectories, lifts):
+                block = (basis.basis @ q[:, cols])[:, keep]
+                block *= weight
+                chunk[rows] += block
+                del block  # freed before the next block's product is formed
+            preprocess._invert_in_place(chunk, layout, rom.scaling)
+            if not np.isfinite(chunk).all():
+                raise ValueError("non-finite data")
+            yield j, chunk
+
+
 def predict_full(
     rom: CoupledRom, initial_state: np.ndarray, steps: int, t_start: float = 0.0
 ) -> SnapshotSet:
-    """Run the model from a raw full state and return the blended,
-    unscaled trajectory as a snapshot set (initial state included).
-
-    Memory: one (n, steps+1) output, one lifted subdomain block and a
-    copy of at most 4 MiB (or one block column, if larger) of its rows.
-    Each block ``w_i * (V_i @ Q_i)`` is added into its rows of the output
-    in ascending subdomain order, which sums the same terms in the same
-    order as :func:`ddrom.decomp.recombine` on zero-padded fields.
-    """
-    reduced0 = reduce_initial_condition(rom, initial_state)
-    trajectories = integrate(rom, reduced0, steps)
-    out = np.zeros((rom.layout.n, steps + 1), order="F")
-    for i in range(rom.k):
-        rows = rom.layout.point_rows(rom.decomposition.dof_indices[i])
-        weight = np.tile(rom.weights.weights[i], rom.layout.n_s)[rows]
-        block = rom.bases[i].basis @ trajectories[i]
-        block *= weight[:, None]
-        # a fancy-indexed += gathers and scatters a copy of what it adds
-        # to; in column chunks that copy stays within 4 MiB
-        width = _chunk_width(rows.size)
-        for c in range(0, steps + 1, width):
-            out[rows, c : c + width] += block[:, c : c + width]
-        del block  # freed before the next block's product is formed
-    preprocess._invert_in_place(out, rom.layout, rom.scaling)
+    """A :class:`Prediction` made in one (n, steps+1) output, each chunk in
+    its own columns, and returned as a snapshot set."""
+    pred = Prediction(rom, initial_state, steps, t_start)
+    out = np.empty((rom.layout.n, steps + 1), order="F")
+    ranges = _column_ranges(rom.layout.n, 0, steps + 1)
+    for _ in pred._blend((c.start, out[:, c]) for c in ranges):
+        pass
     out.setflags(write=False)
-    time = TimeGrid(t_start + rom.dt * np.arange(steps + 1))
-    return SnapshotSet(rom.layout, rom.geometry, time, out)
+    head = pred.header
+    return SnapshotSet(head.layout, head.geometry, head.time, out)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +393,33 @@ def _named(names: tuple[str, ...], code: int, what: str) -> str:
     return names[code]
 
 
+def _rebuilt(stored: Decomposition, geometry: Geometry) -> Decomposition:
+    """The decomposition the partition rule builds from a stored one's
+    topology, subdomain count and overlap on ``geometry``.
+
+    Stored point lists or adjacency that differ from the rule's are
+    refused.  The stored interiors are not compared: the rule's replace
+    them, and those saved by older code differ from the rule's by ulps.
+    """
+    if stored.topology == "single":
+        if stored.k != 1:
+            raise SnapFormatError("a single-domain model has one subdomain")
+        rule = Decomposition.single(stored.n_x)
+    else:
+        what = "overlap width" if stored.topology == "interval" else "overlap angle"
+        rule = _decompose(stored.topology, geometry, stored.k, stored.overlap, what)
+    for i in range(rule.k):
+        if not np.array_equal(stored.dof_indices[i], rule.dof_indices[i]):
+            raise SnapFormatError(
+                f"subdomain {i} does not hold the points the partition rule gives it"
+            )
+        if stored.adjacency[i] != rule.adjacency[i]:
+            raise SnapFormatError(
+                f"subdomain {i} neighbors do not follow the partition rule"
+            )
+    return rule
+
+
 def _read_rom(path) -> CoupledRom:
     with open(path, "rb") as fh:
         r = _Reader(fh, "model file")
@@ -381,13 +462,16 @@ def _read_rom(path) -> CoupledRom:
                     raise SnapFormatError(f"subdomain {i} lists neighbor {j} twice")
                 nbrs.add(j)
             adjacency.append(frozenset(nbrs))
-        decomposition = Decomposition(
-            topology=topology,
-            n_x=n_x,
-            dof_indices=tuple(dof),
-            interior=tuple(interior),
-            adjacency=tuple(adjacency),
-            overlap=overlap,
+        decomposition = _rebuilt(
+            Decomposition(
+                topology=topology,
+                n_x=n_x,
+                dof_indices=tuple(dof),
+                interior=tuple(interior),
+                adjacency=tuple(adjacency),
+                overlap=overlap,
+            ),
+            geometry,
         )
 
         (kind_code,) = r.pack("I", "scaling kind")

@@ -45,7 +45,7 @@ from ddrom.pod import (
 )
 from ddrom.preprocess import ScalingRecord, center_scale
 from ddrom.regsearch import RegGrid, ReducedTraining, search
-from ddrom.rom import CoupledRom, integrate, predict_full, roll_reduced
+from ddrom.rom import CoupledRom, integrate, predict_full, roll_reduced, save_rom
 
 
 def spectral_matrix(rng, rows, cols, sigma):
@@ -660,3 +660,64 @@ def test_c16_gen_peak_is_one_snapshot_matrix(tmp_path, ci_log):
         f"matrix (x{peak / matrix:.2f}, bound x1.30)"
     )
     assert peak < 1.3 * matrix
+
+
+STREAM_MEMORY_CONFIG = """\
+[paths]
+snapshots = {dir}/snaps.bin
+artifact = {dir}/model.bin
+prediction = {dir}/pred.bin
+output_dir = {dir}/out
+"""
+
+
+def test_c17_predict_and_evaluate_peaks_do_not_grow_with_n_t(tmp_path, ci_log):
+    """predict lifts, blends and writes one column chunk at a time, and
+    evaluate reads both files in column chunks, so neither holds an
+    (n, n_t) array: their traced peaks are a few 4 MiB buffers plus
+    full-length vectors, the same at 100 and at 400 columns."""
+    n_x, k, r = 20_000, 2, 4
+    rng = np.random.default_rng(117)
+    geometry = Geometry.circle(n_x)
+    dec = decompose_sectors(geometry, k, 0.1)
+    bases, operators = [], []
+    for i in range(k):
+        basis, _ = np.linalg.qr(rng.standard_normal((dec.dof_indices[i].size, r)))
+        bases.append(PodBasis(basis=basis, singular_values=np.geomspace(1, 0.1, r)))
+        operators.append(RomOperators(
+            linear=0.99 * np.eye(r), quadratic=np.zeros((r, quadratic_dim(r))),
+            coupling={j: np.zeros((r, r)) for j in dec.adjacency[i]},
+            form="discrete"))
+    layout = StateLayout(n_s=1, n_x=n_x, variable_names=("u",))
+    save_rom(CoupledRom(
+        layout=layout, geometry=geometry, decomposition=dec, bases=bases,
+        operators=operators,
+        scaling=ScalingRecord(rng.standard_normal(n_x), np.array([2.0]),
+                              "max_abs", ("identity",)),
+        form="discrete", dt=0.01,
+    ), tmp_path / "model.bin")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(STREAM_MEMORY_CONFIG.format(dir=tmp_path))
+
+    peaks = {}
+    for n_t in (100, 400):
+        time = TimeGrid(0.01 * np.arange(n_t), n_train=3 * n_t // 4)
+        sset = SnapshotSet(layout, geometry, time, rng.standard_normal((n_x, n_t)))
+        save_snapshots(sset, tmp_path / "snaps.bin")
+        del sset
+        for command in ("predict", "evaluate"):
+            tracemalloc.start()
+            try:
+                assert cli.main([command, "--config", str(cfg)]) == 0
+                _, peaks[command, n_t] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+    matrix = n_x * 400 * 8
+    for command in ("predict", "evaluate"):
+        small, large = peaks[command, 100], peaks[command, 400]
+        ci_log(
+            f"{command} memory: peak {small / 1e6:.1f} MB at n_t=100, "
+            f"{large / 1e6:.1f} MB at n_t=400 ({matrix / 1e6:.1f} MB matrix)"
+        )
+        assert abs(large - small) < 1e6
+        assert large < matrix / 4

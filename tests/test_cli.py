@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddrom import cli
+from ddrom import cli, core, rom
 from ddrom.core import (
     Geometry,
     SnapshotSet,
@@ -283,6 +283,78 @@ class TestPipeline:
         with open(tmp_path / "out" / "decomposition.csv", newline="") as fh:
             assert sum(1 for _ in fh) == n_x + 1
         assert peak < matrix / 2, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestStreamedPredict:
+    """predict writes its file one column chunk at a time: 64 rows of
+    float64 make one column 512 bytes, so small read sizes split the 31
+    columns, one chunk straddling the training split at column 25."""
+
+    @pytest.fixture
+    def trained(self, workdir):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        assert run("train", cfg) == 0
+        return tmp, cfg
+
+    def test_prediction_bytes_do_not_depend_on_the_chunk_width(
+            self, trained, monkeypatch):
+        tmp, cfg = trained
+        written = []
+        for width in (1, 2, 3, 31):
+            monkeypatch.setattr(core, "_SCAN_BYTES", 8 * 64 * width)
+            assert run("predict", cfg) == 0
+            written.append((tmp / "pred.bin").read_bytes())
+        assert all(raw == written[0] for raw in written)
+
+    def test_a_failure_while_lifting_leaves_no_prediction(
+            self, trained, monkeypatch, capsys):
+        tmp, cfg = trained
+        assert run("predict", cfg) == 0  # a stale prediction to remove
+        chunks = rom.Prediction.chunks
+
+        def fail_after_one_chunk(self, start, stop):
+            yield next(chunks(self, start, stop))
+            raise ValueError("non-finite data")
+
+        monkeypatch.setattr(core, "_SCAN_BYTES", 8 * 64 * 4)
+        monkeypatch.setattr(rom.Prediction, "chunks", fail_after_one_chunk)
+        capsys.readouterr()
+        assert run("predict", cfg) == 1
+        assert capsys.readouterr().err == (
+            "error: predict: integrate: non-finite data\n")
+        assert not (tmp / "pred.bin").exists()
+
+    def test_a_failed_write_leaves_no_prediction(self, trained, monkeypatch,
+                                                 capsys):
+        tmp, cfg = trained
+        array = core._Writer.array
+        calls = []
+
+        def fail_on_the_second_chunk(self, arr, order="C"):
+            if order == "F":
+                calls.append(1)
+                if len(calls) == 2:
+                    raise OSError("disk full")
+            array(self, arr, order)
+
+        monkeypatch.setattr(core, "_SCAN_BYTES", 8 * 64 * 4)
+        monkeypatch.setattr(core._Writer, "array", fail_on_the_second_chunk)
+        assert run("predict", cfg) == 1
+        assert capsys.readouterr().err == "error: predict: write: disk full\n"
+        assert not (tmp / "pred.bin").exists()
+
+    def test_a_divergence_leaves_an_old_prediction(self, trained, capsys):
+        # the rollout fails before the output is opened
+        tmp, cfg = trained
+        assert run("predict", cfg) == 0
+        before = (tmp / "pred.bin").read_bytes()
+        cfg.write_text(cfg.read_text().replace("n_train = 25\n",
+                                               "n_train = 25\nsteps = -1\n"))
+        assert run("predict", cfg) == 1
+        assert "predict: integrate: steps must be nonnegative" in (
+            capsys.readouterr().err)
+        assert (tmp / "pred.bin").read_bytes() == before
 
 
 class TestDeterminism:

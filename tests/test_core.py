@@ -23,7 +23,7 @@ from ddrom.core import (
     load_snapshots,
     save_snapshots,
 )
-
+from ddrom import core
 from ddrom.preprocess import BlockSource
 
 from conftest import make_set
@@ -237,6 +237,89 @@ class TestSnapshotFile:
         save_snapshots(make_set(data), tmp_path / "c.bin")
         save_snapshots(make_set(np.asfortranarray(data)), tmp_path / "f.bin")
         assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "f.bin").read_bytes()
+
+
+class TestColumnChunks:
+    """A set and the file that holds it give the same chunks; the writer
+    takes them back."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7])
+    def test_set_and_file_split_the_columns_alike(self, tmp_path, monkeypatch,
+                                                  width):
+        monkeypatch.setattr(core, "_SCAN_BYTES", 8 * 6 * width)
+        sset = make_set(np.arange(42.0).reshape(6, 7), n_s=2)
+        save_snapshots(sset, tmp_path / "s.bin")
+        with SnapshotFile(tmp_path / "s.bin") as snap:
+            for start, stop in ((0, 7), (2, 7), (3, 4), (5, 5)):
+                got = [(j, m.copy()) for j, m in snap.chunks(start, stop)]
+                want = list(sset.chunks(start, stop))
+                assert [j for j, _ in got] == [j for j, _ in want]
+                for (_, x), (_, y) in zip(got, want):
+                    assert x.shape[1] <= width
+                    np.testing.assert_array_equal(x, y)
+                if stop > start:
+                    np.testing.assert_array_equal(
+                        np.hstack([m for _, m in got]), sset.data[:, start:stop])
+
+    def test_check_finite_gives_each_variables_largest_magnitude(self, tmp_path):
+        data = np.array([[1.0, -4.0], [2.0, 0.5], [-0.25, 0.0], [0.125, 3.0]])
+        sset = make_set(data, n_s=2)
+        save_snapshots(sset, tmp_path / "s.bin")
+        with SnapshotFile(tmp_path / "s.bin") as snap:
+            np.testing.assert_array_equal(snap.check_finite(0, 2), [4.0, 3.0])
+            np.testing.assert_array_equal(snap.check_finite(0, 1), [2.0, 0.25])
+        np.testing.assert_array_equal(sset.check_finite(1, 2), [4.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_check_finite_refuses_a_value_in_any_variable(self, tmp_path, bad):
+        raw = bytearray(_valid_file_bytes(tmp_path))
+        # the last payload value belongs to the second variable
+        raw[-8:] = np.array([bad]).tobytes()
+        (tmp_path / "bad.bin").write_bytes(bytes(raw))
+        with SnapshotFile(tmp_path / "bad.bin") as snap:
+            with pytest.raises(SnapFormatError, match="non-finite data"):
+                snap.check_finite(0, snap.header.time.n_t)
+
+    @pytest.mark.parametrize("width", [1, 3, 7])
+    def test_every_source_is_written_to_the_same_bytes(self, tmp_path,
+                                                       monkeypatch, width):
+        # a row-major set, the column-major set and the file that holds it
+        data = np.arange(42.0).reshape(6, 7) + 0.5
+        sset = make_set(data, n_s=2, n_train=4)
+        save_snapshots(sset, tmp_path / "saved.bin")
+        monkeypatch.setattr(core, "_SCAN_BYTES", 8 * 6 * width)
+        save_snapshots(sset.with_data(np.asfortranarray(data)), tmp_path / "f.bin")
+        with SnapshotFile(tmp_path / "saved.bin") as snap:
+            save_snapshots(snap, tmp_path / "copy.bin")
+        saved = (tmp_path / "saved.bin").read_bytes()
+        assert (tmp_path / "f.bin").read_bytes() == saved
+        assert (tmp_path / "copy.bin").read_bytes() == saved
+
+    class _Failing:
+        """A chunk source whose chunks fail after ``good`` of them."""
+
+        def __init__(self, sset, good):
+            self.header, self.sset, self.good = sset.header, sset, good
+
+        def chunks(self, start, stop):
+            yield from list(self.sset.chunks(start, start + 2))[: self.good]
+            raise RuntimeError("lifting failed")
+
+    def test_a_failure_after_opening_removes_the_file(self, tmp_path):
+        sset = make_set(np.arange(42.0).reshape(6, 7), n_s=2)
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"stale")
+        with pytest.raises(RuntimeError, match="lifting failed"):
+            save_snapshots(self._Failing(sset, 1), path)
+        assert not path.exists()
+
+    def test_a_failure_before_the_first_chunk_leaves_the_path_alone(self, tmp_path):
+        sset = make_set(np.arange(42.0).reshape(6, 7), n_s=2)
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"stale")
+        with pytest.raises(RuntimeError, match="lifting failed"):
+            save_snapshots(self._Failing(sset, 0), path)
+        assert path.read_bytes() == b"stale"
 
 
 def _header_offset(field: str) -> int:

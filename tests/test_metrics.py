@@ -1,18 +1,41 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ddrom import core
+from ddrom.core import SnapshotFile, save_snapshots
 from ddrom.metrics import (
     DEFAULT_THRESHOLDS,
+    compare,
     error_report,
     line_probe,
     pointwise_error_bins,
-    squared_l2_relative_error,
 )
 
 from conftest import make_set
+
+
+def _check_pair(ref, approx):
+    if ref.data.shape != approx.data.shape or ref.layout.n_s != approx.layout.n_s:
+        raise ValueError("reference and approximation dimensions do not match")
+
+
+def squared_l2_relative_error(ref, approx, variable=0, columns=None):
+    """Oracle: ||ref - approx||_F^2 / ||ref||_F^2 over one variable's block
+    of two in-memory sets, restricted to a column range ``(start, stop)``,
+    as one ``np.sum`` over the whole block."""
+    _check_pair(ref, approx)
+    cols = slice(None) if columns is None else slice(*columns)
+    r = ref.variable_block(variable)[:, cols]
+    a = approx.variable_block(variable)[:, cols]
+    denom = float(np.sum(r * r))
+    if denom == 0.0:
+        raise ValueError("reference block is identically zero on the range")
+    diff = r - a
+    diff *= diff
+    return float(np.sum(diff) / denom)
 
 
 def brute_force_error(ref, approx):
@@ -214,3 +237,73 @@ class TestLineProbe:
         sset = make_set(np.ones((6, 5)))
         with pytest.raises(ValueError, match=f"probe instant {instant} out of range"):
             line_probe(sset, 0, [0, 1], [instant])
+
+
+def _chunk_sets(tmp_path):
+    """Two variables of 7 points over 9 columns, 5 of them training, as
+    in-memory sets and as the snapshot files that hold them."""
+    rng = np.random.default_rng(57)
+    ref = rng.standard_normal((14, 9)) * 3.0
+    ref[9, 4] = 0.0
+    approx = ref * (1.0 + 0.2 * rng.standard_normal((14, 9)))
+    sets = [make_set(m, n_s=2, n_train=5, names=("p", "T"))
+            for m in (ref, approx)]
+    for name, sset in zip(("ref.bin", "approx.bin"), sets):
+        save_snapshots(sset, tmp_path / name)
+    return ref, approx, sets
+
+
+class TestChunkedScan:
+    """Every metric has one implementation for in-memory sets and open
+    files, read through the same column chunks; 14 rows of float64 make
+    one column 112 bytes, so the widths below cross chunk boundaries, one
+    of them straddling the training split at column 5."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 9])
+    def test_sets_and_files_give_the_same_bits(self, tmp_path, monkeypatch,
+                                               width):
+        monkeypatch.setattr(core, "_SCAN_BYTES", 8 * 14 * width)
+        _, _, (a, b) = _chunk_sets(tmp_path)
+        with SnapshotFile(tmp_path / "ref.bin") as fa, \
+                SnapshotFile(tmp_path / "approx.bin") as fb:
+            for variable in (0, 1):
+                assert error_report(a, b) == error_report(fa, fb)
+                np.testing.assert_array_equal(
+                    pointwise_error_bins(a, b, variable).fractions,
+                    pointwise_error_bins(fa, fb, variable).fractions)
+                lp_set = line_probe(b, variable, [6, 0, 3], [8, 4, 4])
+                lp_file = line_probe(fb, variable, [6, 0, 3], [8, 4, 4])
+                np.testing.assert_array_equal(lp_set.values, lp_file.values)
+                np.testing.assert_array_equal(lp_set.coordinate,
+                                              lp_file.coordinate)
+            both, bins = compare(fa, fb, 1, peak=fa.check_finite(0, 9)[1])
+            assert both == error_report(a, b)
+            np.testing.assert_array_equal(
+                bins.fractions, pointwise_error_bins(a, b, 1).fractions)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 9])
+    def test_error_sums_match_an_exact_sum(self, tmp_path, monkeypatch, width):
+        monkeypatch.setattr(core, "_SCAN_BYTES", 8 * 14 * width)
+        ref, approx, (a, b) = _chunk_sets(tmp_path)
+        rep = error_report(a, b)
+        for v in range(2):
+            for got, cols in ((rep.training[v], slice(0, 5)),
+                              (rep.prediction[v], slice(5, 9))):
+                r = ref[7 * v : 7 * v + 7, cols].ravel()
+                d = (approx[7 * v : 7 * v + 7, cols] - ref[7 * v : 7 * v + 7, cols]).ravel()
+                want = math.fsum(d * d) / math.fsum(r * r)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_one_chunk_gives_the_whole_block_bits(self, tmp_path):
+        _, _, (a, b) = _chunk_sets(tmp_path)
+        rep = error_report(a, b)
+        for v in range(2):
+            assert rep.training[v] == squared_l2_relative_error(a, b, v, (0, 5))
+            assert rep.prediction[v] == squared_l2_relative_error(a, b, v, (5, 9))
+
+    def test_shape_mismatch_is_refused(self):
+        a = make_set(np.ones((4, 3)))
+        b = make_set(np.ones((4, 4)))
+        for metric in (error_report, pointwise_error_bins, compare):
+            with pytest.raises(ValueError, match="dimensions do not match"):
+                metric(a, b)

@@ -6,7 +6,15 @@ import scipy.linalg as la
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ddrom.core import Geometry, SnapFormatError, StateLayout
+from ddrom import core, preprocess
+from ddrom.core import (
+    Geometry,
+    SnapFormatError,
+    SnapshotFile,
+    StateLayout,
+    save_snapshots,
+)
+from ddrom.metrics import compare, line_probe
 from ddrom.decomp import (
     Decomposition,
     decompose_interval,
@@ -20,6 +28,7 @@ from ddrom.rom import (
     CoupledRom,
     DivergenceError,
     integrate,
+    Prediction,
     load_rom,
     predict_full,
     reduce_initial_condition,
@@ -395,6 +404,45 @@ class TestPredictFull:
         np.testing.assert_array_equal(out.data, expected)
         assert not out.data.flags.writeable
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 8])
+    def test_chunks_give_the_whole_prediction(self, monkeypatch, width):
+        rom = coupled_pair_rom(ring=True)
+        full0 = np.random.default_rng(9).standard_normal(30)
+        whole = predict_full(rom, full0, steps=7, t_start=1.5)
+        monkeypatch.setattr(core, "_SCAN_BYTES", 8 * 30 * width)
+        pred = Prediction(rom, full0, steps=7, t_start=1.5)
+        assert pred.header.time == whole.time
+        parts = [(j, chunk.copy()) for j, chunk in pred.chunks(0, 8)]
+        assert [j for j, _ in parts] == list(range(0, 8, width))
+        assert all(c.shape[1] <= width for _, c in parts)
+        np.testing.assert_array_equal(np.hstack([c for _, c in parts]), whole.data)
+
+    def test_a_prediction_reads_like_its_written_file(self, tmp_path):
+        rom = coupled_pair_rom(ring=True)
+        pred = Prediction(rom, np.random.default_rng(10).standard_normal(30), 9)
+        save_snapshots(pred, tmp_path / "pred.bin")
+        with SnapshotFile(tmp_path / "pred.bin") as snap:
+            assert snap.header == pred.header
+            report, bins = compare(snap, pred)
+            np.testing.assert_array_equal(
+                line_probe(snap, 0, [3, 29], [9, 0]).values,
+                line_probe(pred, 0, [3, 29], [9, 0]).values)
+        assert report.training == (0.0,)
+        np.testing.assert_array_equal(bins.fractions[:, 0], 1.0)
+
+    def test_a_non_finite_chunk_is_refused(self, monkeypatch):
+        # an unscaling that overflows in the second chunk's last column
+        def overflow(work, layout, record):
+            if work.shape[1] < 4:
+                work[-1, -1] = np.inf
+
+        monkeypatch.setattr(core, "_SCAN_BYTES", 8 * 30 * 4)
+        monkeypatch.setattr(preprocess, "_invert_in_place", overflow)
+        chunks = Prediction(coupled_pair_rom(), np.ones(30), steps=6).chunks(0, 7)
+        assert next(chunks)[0] == 0
+        with pytest.raises(ValueError, match="non-finite data"):
+            next(chunks)
+
     def test_wrong_state_length(self):
         rom = single_domain_rom()
         with pytest.raises(ValueError, match="length"):
@@ -554,6 +602,49 @@ class TestArtifactRoundTrip:
         path.write_bytes(raw.replace(old, new))
         back = load_rom(path)
         np.testing.assert_array_equal(back.weights.weights, rom.weights.weights)
+
+    def test_a_point_swapped_between_subdomains_is_refused(self, tmp_path):
+        # ring of 30 points, k 2, overlap 0.6: subdomain 0 holds point 0
+        # (in the overlap); the forged list holds point 23 (in subdomain 1's
+        # interior) in its place, which every stored count still allows
+        rom = coupled_pair_rom(ring=True)
+        path = tmp_path / "model.bin"
+        save_rom(rom, path)
+        idx = rom.decomposition.dof_indices[0]
+        assert 0 in idx and 23 not in idx
+        assert 23 in rom.decomposition.dof_indices[1]
+        old = idx.astype("<u8").tobytes()
+        raw = path.read_bytes()
+        assert raw.count(old) == 1
+        path.write_bytes(raw.replace(old, np.where(idx == 0, 23, idx)
+                                     .astype("<u8").tobytes()))
+        with pytest.raises(SnapFormatError, match="subdomain 0 does not hold "
+                           "the points the partition rule gives it"):
+            load_rom(path)
+
+    def test_reversed_angles_are_refused(self, tmp_path):
+        # the geometry still compares equal, since equality ignores angles,
+        # but the rule splits the reversed angles into other point lists
+        rom = coupled_pair_rom(ring=True)
+        path = tmp_path / "model.bin"
+        save_rom(rom, path)
+        angles = rom.geometry.angular
+        raw = path.read_bytes()
+        assert raw.count(angles.tobytes()) == 1
+        path.write_bytes(raw.replace(angles.tobytes(), angles[::-1].tobytes()))
+        with pytest.raises(SnapFormatError, match="partition rule"):
+            load_rom(path)
+
+    @pytest.mark.parametrize("ring", [False, True])
+    def test_loaded_decomposition_is_the_rule(self, tmp_path, ring):
+        rom = coupled_pair_rom(ring=ring)
+        path = tmp_path / "model.bin"
+        save_rom(rom, path)
+        dec, back = rom.decomposition, load_rom(path).decomposition
+        assert back.interior == dec.interior
+        assert back.adjacency == dec.adjacency
+        for a, b in zip(back.dof_indices, dec.dof_indices):
+            np.testing.assert_array_equal(a, b)
 
     def test_huge_declared_point_count(self, tmp_path):
         path = tmp_path / "model.bin"
