@@ -279,6 +279,16 @@ def _geometry_text(geometry) -> str:
             f"first coordinate {x[0]:g} to {x[-1]:g}")
 
 
+def _check_pairing(what: str, head, against: str, other) -> None:
+    """Refuse ``head`` (a file header or a model) whose layout or geometry
+    differs from ``other``'s, naming the two ``what`` and ``against``."""
+    for part, text in (("layout", _layout_text), ("geometry", _geometry_text)):
+        mine, theirs = getattr(head, part), getattr(other, part)
+        if mine != theirs:
+            raise ValueError(f"{what} {part} ({text(mine)}) does not match "
+                             f"{against} ({text(theirs)})")
+
+
 def _build_decomposition(cfg, geometry):
     topology = _get(cfg, "decomposition", "topology")
     if topology == "single":
@@ -600,16 +610,7 @@ def cmd_predict(cfg) -> int:
             head, initial = load_initial_state(ic_path)
         else:
             head, initial = load_initial_state(*_snapshot_file(cfg))
-        if head.layout != model.layout:
-            raise ValueError(
-                f"initial-condition layout ({_layout_text(head.layout)}) "
-                f"does not match the model ({_layout_text(model.layout)})"
-            )
-        if head.geometry != model.geometry:
-            raise ValueError(
-                f"initial-condition geometry ({_geometry_text(head.geometry)}) "
-                f"does not match the model ({_geometry_text(model.geometry)})"
-            )
+        _check_pairing("initial-condition", head, "the model", model)
     steps = _get(cfg, "time", "steps")
     if steps is None:
         steps = head.time.n_t - 1
@@ -644,16 +645,7 @@ def cmd_evaluate(cfg) -> int:
             )
             a_head = approx.header
             approx.check_finite(0, a_head.time.n_t)
-            if a_head.layout != t_head.layout:
-                raise ValueError(
-                    f"prediction layout ({_layout_text(a_head.layout)}) "
-                    f"does not match the truth ({_layout_text(t_head.layout)})"
-                )
-            if a_head.geometry != t_head.geometry:
-                raise ValueError(
-                    f"prediction geometry ({_geometry_text(a_head.geometry)}) "
-                    f"does not match the truth ({_geometry_text(t_head.geometry)})"
-                )
+            _check_pairing("prediction", a_head, "the truth", t_head)
             shapes = [(f.n, f.header.time.n_t) for f in (truth, approx)]
             if shapes[0] != shapes[1]:
                 raise ValueError(

@@ -148,11 +148,15 @@ class Geometry:
         Point coordinates, d in {1, 2}.
     periodic : bool
         Whether the underlying topology wraps around.
-    angular : (n_x,) array, optional
-        Angle of each point in [0, 2*pi), required for sector decomposition.
+
+    ``angular`` holds each point's angle in [0, 2*pi), which sector
+    decomposition splits, or None.  It follows from the coordinates: a
+    uniform 1-D periodic grid of n_x points gets ``j * 2*pi/n_x``, a single
+    point gets 0, a 2-D periodic grid gets ``atan2(y, x)``, and any other
+    grid gets None.
     """
 
-    def __init__(self, coords, periodic: bool = False, angular=None):
+    def __init__(self, coords, periodic: bool = False):
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim == 1:
             coords = coords[:, None]
@@ -164,13 +168,20 @@ class Geometry:
             raise ValueError("non-finite coordinates")
         self.coords = _readonly(coords)
         self.periodic = bool(periodic)
+        n_x, dim = coords.shape
+        angular = None
+        with np.errstate(invalid="ignore", over="ignore"):
+            if periodic and dim == 1:
+                span = coords[:, 0].max() - coords[:, 0].min()
+                if n_x > 1 and np.allclose(np.diff(coords[:, 0]), span / (n_x - 1)):
+                    angular = np.arange(n_x) * (_TWO_PI / n_x)
+                elif n_x == 1:
+                    angular = np.zeros(1)
+            elif periodic and dim == 2:
+                angular = np.mod(np.arctan2(coords[:, 1], coords[:, 0]), _TWO_PI)
+                angular[angular >= _TWO_PI] = 0.0
         if angular is not None:
-            angular = np.asarray(angular, dtype=np.float64)
-            if angular.shape != (coords.shape[0],):
-                raise ValueError("angular coordinate must have one angle per point")
-            if np.any(angular < 0.0) or np.any(angular >= _TWO_PI):
-                raise ValueError("angles must lie in [0, 2*pi)")
-            angular = _readonly(angular)
+            angular.setflags(write=False)
         self.angular = angular
 
     @property
@@ -190,11 +201,10 @@ class Geometry:
 
     @classmethod
     def circle(cls, n_x: int, length: float = 1.0) -> "Geometry":
-        """Uniform periodic grid on [0, length); angles attached."""
+        """Uniform periodic grid on [0, length)."""
         if n_x < 2:
             raise ValueError("a circular grid needs at least two points")
-        j = np.arange(n_x)
-        return cls(j * (length / n_x), periodic=True, angular=j * (_TWO_PI / n_x))
+        return cls(np.arange(n_x) * (length / n_x), periodic=True)
 
     @classmethod
     def annulus(cls, n_theta: int, radii=(1.0,)) -> "Geometry":
@@ -206,13 +216,10 @@ class Geometry:
         pts = []
         for r in radii:
             pts.append(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
-        coords = np.concatenate(pts, axis=0)
-        angular = np.tile(theta, len(radii))
-        return cls(coords, periodic=True, angular=angular)
+        return cls(np.concatenate(pts, axis=0), periodic=True)
 
     def __eq__(self, other):
-        # angular is derived bookkeeping, not persisted state; equality is
-        # decided by coordinates and topology alone
+        # the angles follow from the coordinates and the topology
         if not isinstance(other, Geometry):
             return NotImplemented
         return self.periodic == other.periodic and np.array_equal(
@@ -309,12 +316,12 @@ class SnapshotSet(_Columns):
             raise ValueError(
                 f"data must have shape ({layout.n}, {time.n_t}), got {data.shape}"
             )
-        if not np.all(np.isfinite(data)):
-            raise ValueError("non-finite data")
         self.layout = layout
         self.geometry = geometry
         self.time = time
         self.data = _readonly(data)
+        # one chunk at a time, so no (n, n_t) mask is formed
+        self.check_finite(0, time.n_t)
 
     @property
     def n(self) -> int:
@@ -510,23 +517,10 @@ def _read_header(reader: _Reader) -> SnapshotHeader:
         n_train = n_t
     if n_train > n_t:
         raise SnapFormatError("training column count exceeds column count")
-    angular = None
-    with np.errstate(invalid="ignore", over="ignore"):
-        if periodic and dim == 1:
-            # angles are not persisted; rebuild them for the uniform
-            # circular grids this package writes
-            span = coords[:, 0].max() - coords[:, 0].min()
-            if n_x > 1 and np.allclose(np.diff(coords[:, 0]), span / (n_x - 1)):
-                angular = np.arange(n_x) * (_TWO_PI / n_x)
-            elif n_x == 1:
-                angular = np.zeros(1)
-        elif periodic and dim == 2:
-            angular = np.mod(np.arctan2(coords[:, 1], coords[:, 0]), _TWO_PI)
-            angular[angular >= _TWO_PI] = 0.0
     try:
         return SnapshotHeader(
             StateLayout(n_s=n_s, n_x=n_x, variable_names=names),
-            Geometry(coords, periodic=periodic, angular=angular),
+            Geometry(coords, periodic=periodic),
             TimeGrid(stamps, n_train=n_train),
         )
     except ValueError as exc:

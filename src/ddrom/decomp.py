@@ -169,10 +169,13 @@ def _span(axis, lo, hi, wraps, k, overlap, i):
     return np.minimum(rel, length / k + overlap - rel), interior
 
 
-def _decompose(topology: str, geometry: Geometry, k: int, overlap: float,
-               what: str) -> Decomposition:
+def _decompose(topology: str, geometry: Geometry, k: int,
+               overlap: float) -> Decomposition:
+    """The one partition rule: ``topology`` ("interval" or "annular") split
+    into k subdomains with the given overlap."""
     axis, lo, hi, wraps = _axis(topology, geometry)
     length = hi - lo
+    what = "overlap width" if topology == "interval" else "overlap angle"
     if k < 2:
         raise ValueError("need at least two subdomains; use Decomposition.single")
     if k > geometry.n_x:
@@ -206,13 +209,13 @@ def _decompose(topology: str, geometry: Geometry, k: int, overlap: float,
 
 def decompose_interval(geometry: Geometry, k: int, overlap_width: float) -> Decomposition:
     """Split a non-periodic 1-D grid into k overlapping segments."""
-    return _decompose("interval", geometry, k, overlap_width, "overlap width")
+    return _decompose("interval", geometry, k, overlap_width)
 
 
 def decompose_sectors(geometry: Geometry, k: int, overlap_angle: float) -> Decomposition:
     """Split a circular or annular grid into k overlapping angular sectors,
     sector 0 starting at angle 0 and the last wrapping around the seam."""
-    return _decompose("annular", geometry, k, overlap_angle, "overlap angle")
+    return _decompose("annular", geometry, k, overlap_angle)
 
 
 def _check_overlap_points(dec: Decomposition) -> None:

@@ -393,33 +393,6 @@ def _named(names: tuple[str, ...], code: int, what: str) -> str:
     return names[code]
 
 
-def _rebuilt(stored: Decomposition, geometry: Geometry) -> Decomposition:
-    """The decomposition the partition rule builds from a stored one's
-    topology, subdomain count and overlap on ``geometry``.
-
-    Stored point lists or adjacency that differ from the rule's are
-    refused.  The stored interiors are not compared: the rule's replace
-    them, and those saved by older code differ from the rule's by ulps.
-    """
-    if stored.topology == "single":
-        if stored.k != 1:
-            raise SnapFormatError("a single-domain model has one subdomain")
-        rule = Decomposition.single(stored.n_x)
-    else:
-        what = "overlap width" if stored.topology == "interval" else "overlap angle"
-        rule = _decompose(stored.topology, geometry, stored.k, stored.overlap, what)
-    for i in range(rule.k):
-        if not np.array_equal(stored.dof_indices[i], rule.dof_indices[i]):
-            raise SnapFormatError(
-                f"subdomain {i} does not hold the points the partition rule gives it"
-            )
-        if stored.adjacency[i] != rule.adjacency[i]:
-            raise SnapFormatError(
-                f"subdomain {i} neighbors do not follow the partition rule"
-            )
-    return rule
-
-
 def _read_rom(path) -> CoupledRom:
     with open(path, "rb") as fh:
         r = _Reader(fh, "model file")
@@ -438,41 +411,44 @@ def _read_rom(path) -> CoupledRom:
             raise SnapFormatError("implausible layout dimensions")
         names = tuple(r.name("variable names") for _ in range(n_s))
         coords = r.array((n_x, dim), "coordinates")
-        angular = r.array((n_x,), "angles") if geo_flags & 2 else None
+        stored = r.array((n_x,), "angles") if geo_flags & 2 else None
         layout = StateLayout(n_s=n_s, n_x=n_x, variable_names=names)
-        geometry = Geometry(coords, periodic=bool(geo_flags & 1), angular=angular)
+        geometry = Geometry(coords, periodic=bool(geo_flags & 1))
+        derived = geometry.angular
+        if (stored is None) != (derived is None) or (
+            stored is not None and not np.array_equal(stored, derived)
+        ):
+            raise SnapFormatError("stored angles are not those of the coordinates")
 
+        # the partition follows from the geometry, k and the overlap; the
+        # stored point and neighbor lists must be the rule's, and the stored
+        # interiors (which older code saved ulps away from the rule's) are
+        # skipped
         topo_code, overlap = r.pack("Id", "decomposition")
         topology = _named(TOPOLOGIES, topo_code, "topology")
-        dof, interior, adjacency = [], [], []
+        if topology != "single":
+            decomposition = _decompose(topology, geometry, k, overlap)
+        elif k == 1:
+            decomposition = Decomposition.single(n_x)
+        else:
+            raise SnapFormatError("a single-domain model has one subdomain")
         for i in range(k):
+            idx = decomposition.dof_indices[i]
             (n_pts,) = r.pack("Q", "subdomain size")
-            if not 1 <= n_pts <= n_x:
-                raise SnapFormatError("implausible subdomain size")
-            idx = np.frombuffer(r.take(8 * n_pts, "point indices"), dtype="<u8")
-            dof.append(idx.astype(np.int64))
-            interior.append(tuple(r.pack("dd", "interior delimiters")))
+            if n_pts != idx.size or not np.array_equal(
+                np.frombuffer(r.take(8 * n_pts, "point indices"), dtype="<u8"), idx
+            ):
+                raise SnapFormatError(f"subdomain {i} does not hold the points "
+                                      "the partition rule gives it")
+            r.take(16, "interior delimiters")
+            nbrs = decomposition.adjacency[i]
             (n_adj,) = r.pack("Q", "adjacency size")
-            if n_adj >= k:
-                raise SnapFormatError("implausible adjacency size")
-            nbrs = set()
-            for _ in range(n_adj):
-                (j,) = r.pack("Q", "adjacency")
-                if j in nbrs:
-                    raise SnapFormatError(f"subdomain {i} lists neighbor {j} twice")
-                nbrs.add(j)
-            adjacency.append(frozenset(nbrs))
-        decomposition = _rebuilt(
-            Decomposition(
-                topology=topology,
-                n_x=n_x,
-                dof_indices=tuple(dof),
-                interior=tuple(interior),
-                adjacency=tuple(adjacency),
-                overlap=overlap,
-            ),
-            geometry,
-        )
+            if n_adj != len(nbrs) or set(
+                np.frombuffer(r.take(8 * n_adj, "adjacency"), dtype="<u8").tolist()
+            ) != nbrs:
+                raise SnapFormatError(
+                    f"subdomain {i} neighbors do not follow the partition rule"
+                )
 
         (kind_code,) = r.pack("I", "scaling kind")
         kind = _named(preprocess.SCALING_KINDS, kind_code, "scaling kind")

@@ -93,7 +93,9 @@ class TestSectorDecomposition:
         assert dec.adjacency == ({1, 2}, {0, 2}, {0, 1})
 
     def test_needs_angular_coordinates(self):
-        geo = Geometry(np.arange(16) / 16.0, periodic=True)
+        # a non-uniform periodic 1-D grid gets no angles
+        geo = Geometry(np.arange(16) ** 2 / 256.0, periodic=True)
+        assert geo.angular is None
         with pytest.raises(ValueError, match="angles attached"):
             decompose_sectors(geo, 2, 0.3)
 

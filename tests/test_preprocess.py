@@ -196,8 +196,7 @@ def test_block_source_matches_the_whole_matrix(tmp_path, kind, n_s, order):
     if order == "shuffled":
         ring = Geometry.annulus(n_x)
         perm = rng.permutation(n_x)
-        geometry = Geometry(ring.coords[perm], periodic=True,
-                            angular=ring.angular[perm])
+        geometry = Geometry(ring.coords[perm], periodic=True)
     sset = SnapshotSet(StateLayout(n_s, n_x, names), geometry,
                        TimeGrid(0.1 * np.arange(n_t), n_train=m), data)
     path = tmp_path / "s.bin"

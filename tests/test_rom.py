@@ -542,7 +542,8 @@ class TestArtifactRoundTrip:
 
     def test_neighbor_listed_twice_is_refused(self, tmp_path):
         # k = 4 along an interval: subdomain 1 lists neighbors 0 and 2,
-        # forged into the list 0, 2, 2 (three entries, still below k)
+        # forged into the list 0, 2, 2 (three entries, still below k), which
+        # is not the rule's list
         rom = coupled_chain_rom(4)
         path = tmp_path / "model.bin"
         save_rom(rom, path)
@@ -550,8 +551,8 @@ class TestArtifactRoundTrip:
         old = struct.pack("<QQQ", 2, 0, 2)
         assert raw.count(old) == 1
         path.write_bytes(raw.replace(old, struct.pack("<QQQQ", 3, 0, 2, 2)))
-        with pytest.raises(SnapFormatError,
-                           match="subdomain 1 lists neighbor 2 twice"):
+        with pytest.raises(SnapFormatError, match="subdomain 1 neighbors do "
+                           "not follow the partition rule"):
             load_rom(path)
 
     def test_coupling_block_listed_twice_is_refused(self, tmp_path):
@@ -585,7 +586,8 @@ class TestArtifactRoundTrip:
         angles = rom.geometry.angular.tobytes()
         assert raw.count(angles) == 1
         path.write_bytes(bytes(raw).replace(angles, b""))
-        with pytest.raises(SnapFormatError, match="angles attached"):
+        with pytest.raises(SnapFormatError,
+                           match="stored angles are not those of the coordinates"):
             load_rom(path)
 
     @pytest.mark.parametrize("ring", [False, True])
@@ -623,8 +625,8 @@ class TestArtifactRoundTrip:
             load_rom(path)
 
     def test_reversed_angles_are_refused(self, tmp_path):
-        # the geometry still compares equal, since equality ignores angles,
-        # but the rule splits the reversed angles into other point lists
+        # the angles follow from the coordinates, so stored ones that differ
+        # are refused before the partition is built
         rom = coupled_pair_rom(ring=True)
         path = tmp_path / "model.bin"
         save_rom(rom, path)
@@ -632,7 +634,8 @@ class TestArtifactRoundTrip:
         raw = path.read_bytes()
         assert raw.count(angles.tobytes()) == 1
         path.write_bytes(raw.replace(angles.tobytes(), angles[::-1].tobytes()))
-        with pytest.raises(SnapFormatError, match="partition rule"):
+        with pytest.raises(SnapFormatError,
+                           match="stored angles are not those of the coordinates"):
             load_rom(path)
 
     @pytest.mark.parametrize("ring", [False, True])
@@ -645,6 +648,18 @@ class TestArtifactRoundTrip:
         assert back.adjacency == dec.adjacency
         for a, b in zip(back.dof_indices, dec.dof_indices):
             np.testing.assert_array_equal(a, b)
+
+    def test_single_domain_model_with_two_subdomains_is_refused(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_rom(single_domain_rom(), path)
+        raw = bytearray(path.read_bytes())
+        # magic, u32 version and form, then u64 k
+        assert struct.unpack_from("<Q", raw, 12) == (1,)
+        struct.pack_into("<Q", raw, 12, 2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapFormatError,
+                           match="a single-domain model has one subdomain"):
+            load_rom(path)
 
     def test_huge_declared_point_count(self, tmp_path):
         path = tmp_path / "model.bin"
@@ -664,33 +679,50 @@ _MODEL_MUTATIONS = st.one_of(
 )
 
 
+_FUZZ = settings(max_examples=300, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _load_mutated(path, rom, mutation):
+    """Save ``rom``, mutate its bytes and load it: a format error or a model
+    whose every value is finite."""
+    save_rom(rom, path)
+    raw = bytearray(path.read_bytes())
+    kind, arg = mutation
+    if kind == "truncate":
+        raw = raw[: int(arg * (len(raw) - 1))]
+    else:
+        for where, bit in arg:
+            raw[int(where * (len(raw) - 1))] ^= 1 << bit
+    path.write_bytes(bytes(raw))
+    try:
+        model = load_rom(path)
+    except SnapFormatError:
+        return
+    values = [model.dt, model.decomposition.overlap, model.decomposition.interior,
+              model.geometry.coords, model.scaling.mean_field, model.scaling.scale]
+    for basis, ops in zip(model.bases, model.operators):
+        values += [basis.basis, basis.singular_values, ops.linear,
+                   ops.quadratic, *ops.coupling.values()]
+        if ops.constant is not None:
+            values.append(ops.constant)
+    assert all(np.all(np.isfinite(v)) for v in values)
+
+
 class TestModelLoaderFuzz:
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @_FUZZ
     @given(mutation=_MODEL_MUTATIONS)
     def test_malformed_models_raise_only_format_errors(self, tmp_path, mutation):
-        path = tmp_path / "model.bin"
-        save_rom(coupled_pair_rom(form="continuous"), path)
-        raw = bytearray(path.read_bytes())
-        kind, arg = mutation
-        if kind == "truncate":
-            raw = raw[: int(arg * (len(raw) - 1))]
-        else:
-            for where, bit in arg:
-                raw[int(where * (len(raw) - 1))] ^= 1 << bit
-        path.write_bytes(bytes(raw))
-        try:
-            model = load_rom(path)
-        except SnapFormatError:
-            return
-        values = [model.dt, model.decomposition.overlap, model.decomposition.interior,
-                  model.geometry.coords, model.scaling.mean_field, model.scaling.scale]
-        for basis, ops in zip(model.bases, model.operators):
-            values += [basis.basis, basis.singular_values, ops.linear,
-                       ops.quadratic, *ops.coupling.values()]
-            if ops.constant is not None:
-                values.append(ops.constant)
-        assert all(np.all(np.isfinite(v)) for v in values)
+        _load_mutated(tmp_path / "model.bin", coupled_pair_rom(form="continuous"),
+                      mutation)
+
+    @_FUZZ
+    @given(mutation=_MODEL_MUTATIONS)
+    def test_malformed_sector_models_raise_only_format_errors(self, tmp_path,
+                                                              mutation):
+        # a ring model also stores angles, which the loader checks
+        _load_mutated(tmp_path / "model.bin",
+                      coupled_pair_rom(form="continuous", ring=True), mutation)
 
 
 def test_continuous_rk4_converges_at_fourth_order():
