@@ -173,7 +173,11 @@ class Geometry:
         with np.errstate(invalid="ignore", over="ignore"):
             if periodic and dim == 1:
                 span = coords[:, 0].max() - coords[:, 0].min()
-                if n_x > 1 and np.allclose(np.diff(coords[:, 0]), span / (n_x - 1)):
+                # relative to the spacing: an absolute tolerance would
+                # swamp the spacings of a small span
+                if n_x > 1 and np.allclose(
+                    np.diff(coords[:, 0]), span / (n_x - 1), atol=0.0
+                ):
                     angular = np.arange(n_x) * (_TWO_PI / n_x)
                 elif n_x == 1:
                     angular = np.zeros(1)
@@ -341,10 +345,6 @@ class SnapshotSet(_Columns):
         pairs; each matrix is a read-only view of ``data``."""
         for cols in _column_ranges(self.n, start, stop):
             yield cols.start, self.data[:, cols]
-
-    def variable_block(self, variable: int) -> np.ndarray:
-        """View of one variable's rows, shape (n_x, n_t)."""
-        return self.data[self.layout.rows(variable)]
 
     def with_data(self, data) -> "SnapshotSet":
         """Same layout/geometry/times, different matrix."""

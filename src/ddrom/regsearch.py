@@ -3,9 +3,10 @@
 Every candidate weight pair is used to fit operators, the resulting model
 is rolled out past the training horizon, and the candidate is kept only if
 every reduced coordinate stays inside an excursion bound derived from the
-training data.  Among bounded candidates the one with the smallest squared
-training misfit wins; ties keep the earliest grid position, and if nothing
-is bounded the heaviest weights are returned flagged unbounded.
+training data.  Candidates are fitted and rolled in batches, each batch in
+one stacked rollout.  Among bounded candidates the one with the smallest
+squared training misfit wins; ties keep the earliest grid position, and if
+nothing is bounded the heaviest weights are returned flagged unbounded.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 from .opinf import ReducedTraining
 # perfbench/tracing.py wraps regsearch.infer_discrete and infer_continuous
 from .opinf import infer_continuous, infer_discrete  # noqa: F401
-from .rom import DivergenceError, roll_reduced
+from .rom import _candidate_bytes, _roll_candidates
+from .rom import roll_reduced  # noqa: F401  perfbench/tracing.py wraps it here
 
 __all__ = [
     "RegGrid",
@@ -31,6 +33,13 @@ __all__ = [
 # searches over more candidates are refused unless ``allow_large_k`` is set:
 # per subdomain, the count grows as (weight pairs)**k
 MAX_CANDIDATES = 10_000
+
+# candidates are fitted and rolled together in batches of at most
+# BATCH_SIZE, fewer where their stacked operators and trajectories would
+# take more than BATCH_BYTES; one batch is held at a time.  Batching saves
+# the per-step call overhead, which large models amortize on their own.
+BATCH_SIZE = 32
+BATCH_BYTES = 1 << 20
 
 
 def default_candidates() -> tuple[float, ...]:
@@ -93,22 +102,29 @@ class RegResult:
     operators: list = field(compare=False, repr=False)
 
 
-def _evaluate(training, pairs, t_reg, bounds, init):
-    operators = training.fit(pairs)
-    try:
-        rolled = roll_reduced(operators, training.form, training.dt, init, t_reg)
-    except DivergenceError:
-        return np.inf, False, operators
+def _evaluate(training, batch, t_reg, bounds, init):
+    """Fit a batch of candidates and roll them together; one
+    ``(error, bounded, operators)`` per candidate."""
+    fits = [training.fit(pairs) for pairs in batch]
+    rolled, diverged = _roll_candidates(fits, training.form, training.dt, init,
+                                        t_reg)
     m = training.n_columns
-    bounded = all(
-        np.all(np.abs(traj).max(axis=1) <= cap)
-        for traj, cap in zip(rolled, bounds)
-    )
-    error = 0.0
-    for traj, ref in zip(rolled, training.reduced):
-        diff = traj[:, :m] - ref
-        error += float(np.sum(diff * diff))
-    return error, bounded, operators
+    results = []
+    for c, operators in enumerate(fits):
+        if diverged[c]:
+            results.append((np.inf, False, operators))
+            continue
+        trajs = [traj[c] for traj in rolled]
+        bounded = all(
+            np.all(np.abs(traj).max(axis=1) <= cap)
+            for traj, cap in zip(trajs, bounds)
+        )
+        error = 0.0
+        for traj, ref in zip(trajs, training.reduced):
+            diff = traj[:, :m] - ref
+            error += float(np.sum(diff * diff))
+        results.append((error, bounded, operators))
+    return results
 
 
 def search(training: ReducedTraining, grid: RegGrid) -> RegResult:
@@ -144,13 +160,16 @@ def search(training: ReducedTraining, grid: RegGrid) -> RegResult:
 
     bounds = [grid.kappa * np.abs(q).max(axis=1) for q in training.reduced]
     init = [q[:, 0] for q in training.reduced]
+    size = max(1, min(BATCH_SIZE, BATCH_BYTES // _candidate_bytes(init, t_reg)))
     trials = []
     best, best_ops = None, None
-    for candidate in candidates:
-        error, bounded, ops = _evaluate(training, candidate, t_reg, bounds, init)
-        trials.append(Trial(candidate=candidate, error=error, bounded=bounded))
-        if bounded and (best is None or error < best.error):
-            best, best_ops = trials[-1], ops
+    for batch in iter(lambda: tuple(itertools.islice(candidates, size)), ()):
+        results = _evaluate(training, batch, t_reg, bounds, init)
+        for candidate, (error, bounded, ops) in zip(batch, results):
+            trials.append(Trial(candidate=candidate, error=error, bounded=bounded))
+            if bounded and (best is None or error < best.error):
+                best, best_ops = trials[-1], ops
+        del results  # freed before the next batch is fitted
     if best is None:
         # nothing bounded: fall back to the heaviest weights, flagged
         best, best_ops = trials[-1], ops

@@ -124,58 +124,161 @@ def reduce_initial_condition(rom: CoupledRom, full_state: np.ndarray):
     ]
 
 
-def _stacked_rhs(operators, parts):
-    """The coupled right-hand side (or one-step map) as one stacked operator.
+def _stacked_rhs(candidates, parts):
+    """The coupled right-hand sides (or one-step maps) of C candidate models,
+    C = ``len(candidates)``, as one stacked operator.
 
-    ``A`` is the (N, N) matrix, N = sum of r_i, holding each subdomain's own
-    block and its coupling blocks.  The quadratic term applies every
-    subdomain's ``H_i`` to its own compressed products in one batched
-    product over a (k, r_max, s_max) stack, zero-padded where the r_i
-    differ; padded products repeat the subdomain's first one, so a product
-    that overflows there overflows in its real slot too.  A dense
-    block-diagonal ``H`` would be k times larger and loses from k = 16,
-    r = 16 onward.
+    Each candidate is one operator set per subdomain, subdomain i in rows
+    ``parts[i]`` of the stacked state.  Per candidate, ``A`` is the (N, N)
+    matrix, N = sum of r_i, holding each subdomain's own block and its
+    coupling blocks.  The quadratic term applies every subdomain's ``H_i``
+    to its own compressed products in one batched product over a
+    (k, r_max, s_max) stack, zero-padded where the r_i differ; padded
+    products repeat the subdomain's first one, so a product that overflows
+    there overflows in its real slot too.  A dense block-diagonal ``H``
+    would be k times larger and loses from k = 16, r = 16 onward.
+
+    States are columns of shape ``lead + (N, 1)``, where ``lead`` is (C,),
+    or () for one candidate, whose step then costs no more than an
+    unbatched one.  Every product is a BLAS matrix-vector one, so each
+    candidate's state rounds as it would alone.  Returns ``rhs(q)`` and
+    ``keep(mask)``, which drops the candidates where ``mask`` is false
+    (states then hold the remaining ones, in order).
     """
-    k, n = len(operators), parts[-1].stop
-    r_max = max(op.r for op in operators)
+    k, n = len(parts), parts[-1].stop
+    lead = (len(candidates),) if len(candidates) > 1 else ()
+    r = [p.stop - p.start for p in parts]
+    r_max = max(r)
     s_max = quadratic_dim(r_max)
-    a = np.zeros((n, n))
-    h = np.zeros((k, r_max, s_max))
-    ia = np.empty((k, s_max), dtype=np.intp)
-    ib = np.empty((k, s_max), dtype=np.intp)
-    rows = np.concatenate(
-        [i * r_max + np.arange(op.r) for i, op in enumerate(operators)]
-    )
+    a = np.zeros(lead + (n, n))
+    h = np.zeros(lead + (k, r_max, s_max))
     b = None
-    for i, op in enumerate(operators):
-        own = parts[i]
-        a[own, own] = op.linear
-        for j, block in op.coupling.items():
-            if not 0 <= j < k:
-                raise ValueError(f"coupling block {i}->{j} names an unknown neighbor")
-            if block.shape[1] != operators[j].r:
-                raise ValueError(
-                    f"coupling block {i}->{j} does not match neighbor dimension"
-                )
-            a[own, parts[j]] += block
-        s = quadratic_dim(op.r)
-        h[i, : op.r, :s] = op.quadratic
-        pa, pb = _pair_indices(op.r)
-        ia[i, :s], ib[i, :s] = pa + own.start, pb + own.start
+    for c, operators in enumerate(candidates):
+        at = (c,) if lead else ()
+        for i, op in enumerate(operators):
+            own = parts[i]
+            a[at][own, own] = op.linear
+            for j, block in op.coupling.items():
+                if not 0 <= j < k:
+                    raise ValueError(
+                        f"coupling block {i}->{j} names an unknown neighbor"
+                    )
+                if block.shape[1] != r[j]:
+                    raise ValueError(
+                        f"coupling block {i}->{j} does not match neighbor dimension"
+                    )
+                a[at][own, parts[j]] += block
+            h[at][i, : op.r, : quadratic_dim(op.r)] = op.quadratic
+            if op.constant is not None:
+                if b is None:
+                    b = np.zeros(lead + (n, 1))
+                b[at][own, 0] = op.constant
+
+    # flat indices into a state (pair factors) and into the quadratic
+    # product (each stacked row), offset for every candidate
+    ia = np.empty((k, s_max, 1), dtype=np.intp)
+    ib = np.empty((k, s_max, 1), dtype=np.intp)
+    rows = np.concatenate([i * r_max + np.arange(ri) for i, ri in enumerate(r)])
+    for i, own in enumerate(parts):
+        s = quadratic_dim(r[i])
+        pa, pb = _pair_indices(r[i])
+        ia[i, :s, 0], ib[i, :s, 0] = pa + own.start, pb + own.start
         ia[i, s:] = ib[i, s:] = own.start
-        if op.constant is not None:
-            if b is None:
-                b = np.zeros(n)
-            b[own] = op.constant
+    offset = np.arange(len(candidates)).reshape(lead + (1, 1))
+    ia_all = ia = ia + n * offset[..., None]
+    ib_all = ib = ib + n * offset[..., None]
+    rows_all = rows = rows[:, None] + k * r_max * offset
 
     def rhs(q):
-        z = q[ia] * q[ib]
-        out = a @ q + np.matmul(h, z[:, :, None]).reshape(-1)[rows]
+        z = q.take(ia) * q.take(ib)
+        out = a @ q + np.matmul(h, z).take(rows)
         if b is not None:
             out += b
         return out
 
-    return rhs
+    def keep(mask):
+        nonlocal a, h, b, ia, ib, rows
+        a, h = a[mask], h[mask]
+        if b is not None:
+            b = b[mask]
+        live = a.shape[0]
+        ia, ib, rows = ia_all[:live], ib_all[:live], rows_all[:live]
+
+    return rhs, keep
+
+
+def _roll_candidates(candidates, form: str, dt: float, init, steps: int):
+    """Advance C candidate models, each a list of per-subdomain operator
+    sets, from the same reduced states ``init``, all together.
+
+    Returns one (C, r_i, steps+1) trajectory per subdomain, with the initial
+    state as column 0, and each candidate's divergence step (0 if it stayed
+    finite).  After every step the candidates whose state stopped being
+    finite are dropped; their trajectories are filled only up to the step
+    before.  Each candidate's trajectory is bit for bit the one it gets
+    rolled alone.
+    """
+    if form not in FORMS:
+        raise ValueError(f"unknown form {form!r}")
+    if form == "continuous" and (not np.isfinite(dt) or dt <= 0.0):
+        raise ValueError("dt must be positive")
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    init = [np.asarray(q, dtype=np.float64) for q in init]
+    for operators in candidates:
+        if len(init) != len(operators):
+            raise ValueError("need one initial state per subdomain")
+        if not operators:
+            raise ValueError("need at least one subdomain")
+        for q, op in zip(init, operators):
+            if op.form != form:
+                raise ValueError("operator form does not match the model form")
+            if q.shape != (op.r,):
+                raise ValueError("initial state dimension mismatch")
+    parts, start = [], 0
+    for q in init:
+        parts.append(slice(start, start + q.size))
+        start += q.size
+    rhs, keep = _stacked_rhs(candidates, parts)
+
+    c, n = len(candidates), parts[-1].stop
+    out = np.empty((c, n, steps + 1))
+    out[:, :, 0] = np.concatenate(init)
+    diverged = np.zeros(c, dtype=np.intp)
+    # one candidate steps without the candidate axis
+    batched = c > 1
+    traj = out if batched else out[0]
+    live = np.arange(c) if batched else slice(None)
+    q = traj[..., :1].copy()
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for s in range(1, steps + 1):
+            if form == "discrete":
+                q = rhs(q)
+            else:
+                k1 = rhs(q)
+                k2 = rhs(q + (0.5 * dt) * k1)
+                k3 = rhs(q + (0.5 * dt) * k2)
+                k4 = rhs(q + dt * k3)
+                q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(q).all():
+                if not batched:
+                    diverged[0] = s
+                    break
+                finite = np.isfinite(q).all(axis=(1, 2))
+                diverged[live[~finite]] = s
+                live, q = live[finite], q[finite]
+                if not live.size:
+                    break
+                keep(finite)
+            traj[live, ..., s : s + 1] = q
+    return [out[:, p] for p in parts], diverged
+
+
+def _candidate_bytes(init, steps: int) -> int:
+    """Bytes one candidate's stacked operator and trajectory take in
+    :func:`_roll_candidates` from reduced states ``init``."""
+    n, r_max = sum(q.size for q in init), max(q.size for q in init)
+    return 8 * (n * n + len(init) * r_max * quadratic_dim(r_max) + n * (steps + 1))
 
 
 def roll_reduced(operators, form: str, dt: float, init, steps: int):
@@ -190,44 +293,10 @@ def roll_reduced(operators, form: str, dt: float, init, steps: int):
     one (sum of r_i, steps+1) trajectory.  Raises :class:`DivergenceError`
     when a state stops being finite.
     """
-    if form not in FORMS:
-        raise ValueError(f"unknown form {form!r}")
-    if form == "continuous" and (not np.isfinite(dt) or dt <= 0.0):
-        raise ValueError("dt must be positive")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    init = [np.asarray(q, dtype=np.float64) for q in init]
-    if len(init) != len(operators):
-        raise ValueError("need one initial state per subdomain")
-    if not operators:
-        raise ValueError("need at least one subdomain")
-    parts, start = [], 0
-    for q, op in zip(init, operators):
-        if op.form != form:
-            raise ValueError("operator form does not match the model form")
-        if q.shape != (op.r,):
-            raise ValueError("initial state dimension mismatch")
-        parts.append(slice(start, start + op.r))
-        start += op.r
-    rhs = _stacked_rhs(operators, parts)
-
-    q = np.concatenate(init)
-    out = np.empty((q.size, steps + 1))
-    out[:, 0] = q
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for s in range(1, steps + 1):
-            if form == "discrete":
-                q = rhs(q)
-            else:
-                k1 = rhs(q)
-                k2 = rhs(q + (0.5 * dt) * k1)
-                k3 = rhs(q + (0.5 * dt) * k2)
-                k4 = rhs(q + dt * k3)
-                q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(q)):
-                raise DivergenceError(s)
-            out[:, s] = q
-    return [out[p] for p in parts]
+    trajectories, diverged = _roll_candidates([operators], form, dt, init, steps)
+    if diverged[0]:
+        raise DivergenceError(int(diverged[0]))
+    return [t[0] for t in trajectories]
 
 
 def integrate(rom: CoupledRom, init, steps: int):
@@ -409,6 +478,8 @@ def _read_rom(path) -> CoupledRom:
         n_s, n_x, dim, geo_flags = r.pack("QQQI", "layout")
         if n_s < 1 or n_x < 1 or dim not in (1, 2):
             raise SnapFormatError("implausible layout dimensions")
+        if geo_flags & ~3:
+            raise SnapFormatError("unknown geometry flags")
         names = tuple(r.name("variable names") for _ in range(n_s))
         coords = r.array((n_x, dim), "coordinates")
         stored = r.array((n_x,), "angles") if geo_flags & 2 else None

@@ -90,6 +90,15 @@ class TestGeometry:
         np.testing.assert_array_equal(g.angular, expected)
         np.testing.assert_array_equal(g.angular, ring.angular[perm])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-7])
+    def test_uniformity_is_relative_to_the_spacing(self, scale):
+        # spacings from 3.9e-10 to 1.1e-8 at the small scale, below any
+        # absolute tolerance of 1e-8
+        squares = Geometry(np.arange(16) ** 2 / 256 * scale, periodic=True)
+        assert squares.angular is None
+        circle = Geometry.circle(16, length=scale)
+        np.testing.assert_array_equal(circle.angular, np.arange(16) * (2 * np.pi / 16))
+
     def test_only_periodic_grids_get_angles(self):
         assert Geometry(np.ones((3, 2)), periodic=False).angular is None
         np.testing.assert_array_equal(Geometry([0.5], periodic=True).angular, [0.0])
@@ -159,7 +168,7 @@ class TestSnapshotSet:
     def test_variable_block(self):
         data = np.arange(12.0).reshape(6, 2)
         sset = make_set(data, n_s=2)
-        np.testing.assert_array_equal(sset.variable_block(1), data[3:6])
+        np.testing.assert_array_equal(sset.data[sset.layout.rows(1)], data[3:6])
 
     def test_shape_must_match_layout(self):
         layout = StateLayout(n_s=1, n_x=4, variable_names=("u",))

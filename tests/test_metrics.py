@@ -28,8 +28,8 @@ def squared_l2_relative_error(ref, approx, variable=0, columns=None):
     as one ``np.sum`` over the whole block."""
     _check_pair(ref, approx)
     cols = slice(None) if columns is None else slice(*columns)
-    r = ref.variable_block(variable)[:, cols]
-    a = approx.variable_block(variable)[:, cols]
+    r = ref.data[ref.layout.rows(variable)][:, cols]
+    a = approx.data[approx.layout.rows(variable)][:, cols]
     denom = float(np.sum(r * r))
     if denom == 0.0:
         raise ValueError("reference block is identically zero on the range")

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ddrom import opinf, regsearch
 from ddrom.regsearch import MAX_CANDIDATES, RegGrid, ReducedTraining, search
+from ddrom.rom import DivergenceError, _roll_candidates, roll_reduced
 
 
 def rotation_trajectory(radius, m, r=2, theta=0.6, seed=0):
@@ -229,3 +232,107 @@ class TestSearchMechanics:
         with pytest.raises(ValueError, match="derivative"):
             ReducedTraining(reduced=[q], adjacency=[set()],
                             form="continuous", dt=0.1)
+
+
+def noisy_growth_training(form):
+    """Two coupled subdomains of noisy growing rotations: over 100 steps
+    the grid below holds diverging, unbounded and bounded candidates."""
+    rng = np.random.default_rng(0)
+    trajs = []
+    for i in range(2):
+        q, _ = rotation_trajectory(1.05, 30, seed=i)
+        trajs.append(q + 0.05 * rng.standard_normal(q.shape) * np.abs(q).max())
+    if form == "discrete":
+        return training_for(trajs)
+    return ReducedTraining(reduced=trajs, adjacency=[{1}, {0}], form=form,
+                           dt=0.1, derivatives=[0.05 * q for q in trajs])
+
+
+GROWTH_GRID = RegGrid(lambda_linear=(1e-12, 1e-1, 1e1),
+                      lambda_quadratic=(1e-12, 1e2), mode="per_subdomain",
+                      t_reg_steps=100)
+
+
+def growth_fits(training):
+    pairs = [(ll, lq) for ll in GROWTH_GRID.lambda_linear
+             for lq in GROWTH_GRID.lambda_quadratic]
+    return [training.fit(c) for c in itertools.product(pairs, repeat=2)]
+
+
+class TestBatchedRollout:
+    @pytest.mark.parametrize("form", ["discrete", "continuous"])
+    def test_each_candidate_rolls_as_it_would_alone(self, form):
+        training = noisy_growth_training(form)
+        fits = growth_fits(training)
+        init = [q[:, 0] for q in training.reduced]
+        args = (form, training.dt, init, GROWTH_GRID.t_reg_steps)
+        rolled, diverged = _roll_candidates(fits, *args)
+        if form == "discrete":
+            assert 0 < np.count_nonzero(diverged) < len(fits)
+        for c, ops in enumerate(fits):
+            batch = [traj[c] for traj in rolled]
+            if not diverged[c]:
+                for got, want in zip(batch, roll_reduced(ops, *args)):
+                    np.testing.assert_array_equal(got, want)
+                continue
+            with pytest.raises(DivergenceError) as alone:
+                roll_reduced(ops, *args)
+            assert alone.value.step == diverged[c]
+            # filled up to the step before
+            before = roll_reduced(ops, *args[:-1], int(diverged[c]) - 1)
+            for got, want in zip(batch, before):
+                np.testing.assert_array_equal(got[:, : want.shape[1]], want)
+
+    def test_a_diverging_candidate_leaves_its_neighbours_unchanged(self):
+        training = noisy_growth_training("discrete")
+        fits = growth_fits(training)
+        init = [q[:, 0] for q in training.reduced]
+        steps = GROWTH_GRID.t_reg_steps
+        _, diverged = _roll_candidates(fits, "discrete", None, init, steps)
+        bad = int(np.flatnonzero(diverged)[0])
+        good = [c for c in range(len(fits)) if not diverged[c]][:2]
+        batch = [fits[good[0]], fits[bad], fits[good[1]]]
+        rolled, steps_hit = _roll_candidates(batch, "discrete", None, init, steps)
+        with pytest.raises(DivergenceError) as alone:
+            roll_reduced(fits[bad], "discrete", None, init, steps)
+        assert 1 < alone.value.step < steps
+        np.testing.assert_array_equal(steps_hit, [0, alone.value.step, 0])
+        for row, c in ((0, good[0]), (2, good[1])):
+            want = roll_reduced(fits[c], "discrete", None, init, steps)
+            for traj, w in zip(rolled, want):
+                np.testing.assert_array_equal(traj[row], w)
+
+    @pytest.mark.parametrize("setting, value, sizes", [
+        # 36 candidates: batches of 5 end with a batch of one
+        ("BATCH_SIZE", 5, [5] * 7 + [1]),
+        ("BATCH_SIZE", 32, [32, 4]),
+        # each candidate stacks 432 floats (4 x 4 A, 2 x 2 x 3 H, 4 x 101
+        # trajectory): 7 fit in 25000 bytes
+        ("BATCH_BYTES", 25_000, [7] * 5 + [1]),
+    ])
+    def test_batch_size_does_not_change_the_result(self, setting, value, sizes,
+                                                   monkeypatch):
+        training = noisy_growth_training("discrete")
+        monkeypatch.setattr(regsearch, "BATCH_SIZE", 1)
+        one = search(training, GROWTH_GRID)
+        seen = []
+
+        def spy(candidates, *args):
+            seen.append(len(candidates))
+            return _roll_candidates(candidates, *args)
+
+        monkeypatch.setattr(regsearch, "BATCH_SIZE", 32)
+        monkeypatch.setattr(regsearch, setting, value)
+        monkeypatch.setattr(regsearch, "_roll_candidates", spy)
+        batched = search(training, GROWTH_GRID)
+        assert seen == sizes
+        assert len(one.trials) == 36
+        assert {np.isinf(t.error) for t in one.trials} == {True, False}
+        assert {t.bounded for t in one.trials} == {True, False}
+        assert batched == one
+        for got, want in zip(batched.operators, one.operators):
+            for name in ("linear", "quadratic", "constant"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert got.coupling.keys() == want.coupling.keys()
+            for j in got.coupling:
+                np.testing.assert_array_equal(got.coupling[j], want.coupling[j])

@@ -590,6 +590,19 @@ class TestArtifactRoundTrip:
                            match="stored angles are not those of the coordinates"):
             load_rom(path)
 
+    def test_unknown_geometry_flags_are_refused(self, tmp_path):
+        # geo_flags sits at byte 52 (see above); bits 0 and 1 are the only
+        # ones defined
+        rom = coupled_pair_rom(ring=True)
+        path = tmp_path / "model.bin"
+        save_rom(rom, path)
+        raw = bytearray(path.read_bytes())
+        assert struct.unpack_from("<I", raw, 52) == (3,)
+        struct.pack_into("<I", raw, 52, 0x80000003)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapFormatError, match="unknown geometry flags"):
+            load_rom(path)
+
     @pytest.mark.parametrize("ring", [False, True])
     def test_stored_interiors_do_not_move_the_weights(self, tmp_path, ring):
         # the weights follow from the geometry, k and the overlap alone
