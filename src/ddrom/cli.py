@@ -137,8 +137,7 @@ _CONFIG = {
     },
     "preprocess": {"scaling": (str, "max_abs"), "transforms": (_str_list, None)},
     "decomposition": {
-        "topology": (str, "single"), "k": (int, _REQUIRED),
-        "overlap": (float, _REQUIRED),
+        "topology": (str, "single"), "k": (int, 1), "overlap": (float, 0.0),
     },
     "pod": {"r": (int, None), "energy": (float, None)},
     "opinf": {
@@ -290,16 +289,9 @@ def _check_pairing(what: str, head, against: str, other) -> None:
 
 
 def _build_decomposition(cfg, geometry):
-    topology = _get(cfg, "decomposition", "topology")
-    if topology == "single":
-        return decomp.Decomposition.single(geometry.n_x)
-    k = _get(cfg, "decomposition", "k")
-    overlap = _get(cfg, "decomposition", "overlap")
-    if topology == "interval":
-        return decomp.decompose_interval(geometry, k, overlap)
-    if topology == "annular":
-        return decomp.decompose_sectors(geometry, k, overlap)
-    raise ValueError(f"unknown topology {topology!r}")
+    topology, k, overlap = (_get(cfg, "decomposition", key)
+                            for key in ("topology", "k", "overlap"))
+    return decomp.decompose(topology, geometry, k, overlap)
 
 
 def _fit_scaling(cfg, source: preprocess.BlockSource) -> preprocess.ScalingRecord:

@@ -20,6 +20,7 @@ from .core import Geometry
 __all__ = [
     "Decomposition",
     "BlendingWeights",
+    "decompose",
     "decompose_interval",
     "decompose_sectors",
     "blending_weights",
@@ -90,18 +91,6 @@ class Decomposition:
     def subdomain_sizes(self) -> tuple[int, ...]:
         return tuple(idx.size for idx in self.dof_indices)
 
-    @classmethod
-    def single(cls, n_x: int) -> "Decomposition":
-        """Degenerate one-subdomain decomposition covering every point."""
-        return cls(
-            topology="single",
-            n_x=n_x,
-            dof_indices=(np.arange(n_x, dtype=np.int64),),
-            interior=((-np.inf, np.inf),),
-            adjacency=(frozenset(),),
-            overlap=0.0,
-        )
-
 
 @dataclass(frozen=True)
 class BlendingWeights:
@@ -169,15 +158,31 @@ def _span(axis, lo, hi, wraps, k, overlap, i):
     return np.minimum(rel, length / k + overlap - rel), interior
 
 
-def _decompose(topology: str, geometry: Geometry, k: int,
-               overlap: float) -> Decomposition:
-    """The one partition rule: ``topology`` ("interval" or "annular") split
-    into k subdomains with the given overlap."""
+def decompose(topology: str, geometry: Geometry, k: int,
+              overlap: float) -> Decomposition:
+    """The one partition rule: ``geometry`` split by ``topology`` (a name in
+    TOPOLOGIES) into k subdomains with the given overlap.
+
+    ``single`` is the whole domain as one subdomain, and takes k = 1 and no
+    overlap; ``interval`` and ``annular`` take k >= 2 and an overlap width
+    or angle in (0, extent / k).
+    """
+    if topology not in TOPOLOGIES:
+        raise ValueError(f"unknown topology {topology!r}")
+    if topology == "single":
+        if k != 1 or overlap != 0.0:
+            raise ValueError("topology = single has one subdomain and no "
+                             f"overlap, not k = {k}, overlap = {overlap:g}")
+        return Decomposition(
+            topology=topology, n_x=geometry.n_x,
+            dof_indices=(np.arange(geometry.n_x),), interior=((-np.inf, np.inf),),
+            adjacency=(frozenset(),), overlap=0.0)
     axis, lo, hi, wraps = _axis(topology, geometry)
     length = hi - lo
     what = "overlap width" if topology == "interval" else "overlap angle"
     if k < 2:
-        raise ValueError("need at least two subdomains; use Decomposition.single")
+        raise ValueError(f"topology = {topology} needs at least two "
+                         "subdomains; for one, use topology = single")
     if k > geometry.n_x:
         raise ValueError("more subdomains than grid points")
     if not np.isfinite(overlap) or overlap <= 0.0:
@@ -209,25 +214,27 @@ def _decompose(topology: str, geometry: Geometry, k: int,
 
 def decompose_interval(geometry: Geometry, k: int, overlap_width: float) -> Decomposition:
     """Split a non-periodic 1-D grid into k overlapping segments."""
-    return _decompose("interval", geometry, k, overlap_width)
+    return decompose("interval", geometry, k, overlap_width)
 
 
 def decompose_sectors(geometry: Geometry, k: int, overlap_angle: float) -> Decomposition:
     """Split a circular or annular grid into k overlapping angular sectors,
     sector 0 starting at angle 0 and the last wrapping around the seam."""
-    return _decompose("annular", geometry, k, overlap_angle)
+    return decompose("annular", geometry, k, overlap_angle)
 
 
 def _check_overlap_points(dec: Decomposition) -> None:
-    sets = [set(idx.tolist()) for idx in dec.dof_indices]
-    for i in range(dec.k):
+    member = np.zeros((dec.k, dec.n_x), dtype=bool)
+    for i, idx in enumerate(dec.dof_indices):
+        member[i, idx] = True
+    for i, idx in enumerate(dec.dof_indices):
+        shared = member[:, idx].any(axis=1)  # which subdomains hold i's points
         for j in range(i + 1, dec.k):
-            shared = bool(sets[i] & sets[j])
-            if j in dec.adjacency[i] and not shared:
+            if j in dec.adjacency[i] and not shared[j]:
                 raise ValueError(
                     f"overlap between subdomains {i} and {j} contains no grid points"
                 )
-            if j not in dec.adjacency[i] and shared:
+            if j not in dec.adjacency[i] and shared[j]:
                 raise ValueError(
                     f"non-adjacent subdomains {i} and {j} share grid points"
                 )

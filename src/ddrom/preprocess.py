@@ -249,9 +249,12 @@ class BlockSource(SnapshotFile):
             raise ValueError(f"unknown scaling kind {kind!r}")
         layout = self.header.layout
         transforms = _check_transforms(layout.n_s, transforms)
-        mean = self._mean(transforms)
+        mean, lo, hi = self._mean(transforms)
         if kind == "max_abs":
-            scale = self._largest_magnitudes(transforms, mean)
+            # x - mean rounds monotonically in x, so each row's largest
+            # |x - mean| is that of its largest or its smallest value
+            largest = np.maximum(hi - mean, mean - lo)
+            scale = np.array([largest[r].max() for r in _variable_rows(layout)])
         else:
             # two passes per variable, as ndarray.std takes them: the mean
             # of the centred block, then the mean square deviation from it
@@ -266,24 +269,18 @@ class BlockSource(SnapshotFile):
     # Each pass is a method of its own: a loop variable that outlived its
     # loop would keep the read buffer alive beside the next pass's buffer.
 
-    def _mean(self, transforms) -> np.ndarray:
+    def _mean(self, transforms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's mean, smallest and largest training value."""
         # one column after another, as numpy sums the rows of the
         # column-major matrix in data[:, :m].mean(axis=1)
-        total = np.zeros(self.header.layout.n)
+        n = self.header.layout.n
+        total, lo, hi = np.zeros(n), np.full(n, np.inf), np.full(n, -np.inf)
         for chunk in self._training(transforms, check=True):
+            np.minimum(lo, chunk.min(axis=1), out=lo)
+            np.maximum(hi, chunk.max(axis=1), out=hi)
             for column in chunk.T:
                 total += column
-        return total / self.header.time.n_train
-
-    def _largest_magnitudes(self, transforms, mean) -> np.ndarray:
-        rows = _variable_rows(self.header.layout)
-        largest = np.zeros(len(rows))
-        for chunk in self._training(transforms):
-            chunk -= mean[:, None]
-            np.abs(chunk, out=chunk)
-            for v, r in enumerate(rows):
-                largest[v] = np.maximum(largest[v], chunk[r].max())
-        return largest
+        return total / self.header.time.n_train, lo, hi
 
     def _sums(self, transforms, mean, means=None) -> np.ndarray:
         """Per variable, the sum of the centred training values, or with

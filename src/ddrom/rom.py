@@ -32,8 +32,8 @@ from .decomp import (
     TOPOLOGIES,
     BlendingWeights,
     Decomposition,
-    _decompose,
     blending_weights,
+    decompose,
 )
 from .decomp import recombine  # noqa: F401  perfbench/tracing.py wraps rom.recombine
 from .opinf import FORMS, RomOperators, _pair_indices, quadratic_dim
@@ -497,12 +497,7 @@ def _read_rom(path) -> CoupledRom:
         # skipped
         topo_code, overlap = r.pack("Id", "decomposition")
         topology = _named(TOPOLOGIES, topo_code, "topology")
-        if topology != "single":
-            decomposition = _decompose(topology, geometry, k, overlap)
-        elif k == 1:
-            decomposition = Decomposition.single(n_x)
-        else:
-            raise SnapFormatError("a single-domain model has one subdomain")
+        decomposition = decompose(topology, geometry, k, overlap)
         for i in range(k):
             idx = decomposition.dof_indices[i]
             (n_pts,) = r.pack("Q", "subdomain size")

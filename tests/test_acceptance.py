@@ -16,9 +16,9 @@ import scipy.linalg as la
 from ddrom import cli
 from ddrom.core import Geometry, SnapshotSet, StateLayout, TimeGrid, save_snapshots
 from ddrom.decomp import (
-    Decomposition,
     annular_sector_fraction,
     blending_weights,
+    decompose,
     decompose_interval,
     decompose_sectors,
     recombine,
@@ -268,7 +268,7 @@ def test_c07_single_domain_burgers_rom_accuracy(ci_log):
     operators = infer_discrete([reduced], [set()], config)
     rom = CoupledRom(
         layout=sset.layout, geometry=sset.geometry,
-        decomposition=Decomposition.single(spec.n_x), bases=[basis],
+        decomposition=decompose("single", sset.geometry, 1, 0.0), bases=[basis],
         operators=operators, scaling=record, form="discrete",
         dt=spec.dt * spec.stride,
     )
@@ -333,7 +333,7 @@ def test_c08_four_sector_rotating_pulse_rom_accuracy(ci_log):
     sd_result = search(sd_training, grid)
     sd_rom = CoupledRom(
         layout=sset.layout, geometry=sset.geometry,
-        decomposition=Decomposition.single(spec.n_x), bases=[sd_basis],
+        decomposition=decompose("single", sset.geometry, 1, 0.0), bases=[sd_basis],
         operators=sd_result.operators, scaling=record, form="discrete",
         dt=dt_snap,
     )
@@ -389,7 +389,8 @@ def test_c09_coupling_off_and_single_subdomain_equivalence(ci_log):
     rom = CoupledRom(
         layout=StateLayout(n_s=1, n_x=layout_rows, variable_names=("u",)),
         geometry=Geometry.interval(layout_rows),
-        decomposition=Decomposition.single(layout_rows),
+        decomposition=decompose("single", Geometry.interval(layout_rows), 1,
+                                0.0),
         bases=[PodBasis(basis=basis_mat,
                         singular_values=np.geomspace(1, 0.1, r))],
         operators=[solo_ops],

@@ -83,13 +83,13 @@ class TestConfigHandling:
         sections = cli.parse_config("[A]\nKey = 1\nkey = 2\n")
         assert sections["A"] == {"Key": "1", "key": "2"}
 
-    def test_missing_key_names_section_and_key(self, workdir):
+    def test_missing_key_names_section_and_key(self, workdir, capsys):
         tmp, cfg = workdir
-        text = cfg.read_text().replace("k = 2\n", "")
+        text = cfg.read_text().replace(f"snapshots = {tmp}/snaps.bin\n", "")
         cfg.write_text(text)
-        assert run("gen", cfg) == 0
         code = run("decompose", cfg)
         assert code == 1
+        assert "config is missing [paths] snapshots" in capsys.readouterr().err
 
     @pytest.mark.parametrize("old, new, message", [
         ("n_train = 25", "ntrain = 300", "unknown [time] key 'ntrain'"),
@@ -486,6 +486,42 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert code == 1
         assert "decompose" in err and "voronoi" in err
+
+    @pytest.mark.parametrize("k, overlap", [("4", "0.0"), ("1", "-3")])
+    def test_single_topology_refuses_subdomains_and_overlap(
+            self, workdir, capsys, k, overlap):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        cfg.write_text(cfg.read_text().replace(
+            "topology = annular\nk = 2\noverlap = 0.4",
+            f"topology = single\nk = {k}\noverlap = {overlap}"))
+        capsys.readouterr()
+        message = ("topology = single has one subdomain and no overlap, "
+                   f"not k = {k}, overlap = {float(overlap):g}")
+        for command in ("decompose", "svdreport", "train"):
+            assert run(command, cfg) == 1
+            assert message in capsys.readouterr().err
+        assert not (tmp / "model.bin").exists()
+
+    def test_a_split_into_one_subdomain_names_single(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        cfg.write_text(cfg.read_text().replace("k = 2", "k = 1"))
+        capsys.readouterr()
+        assert run("train", cfg) == 1
+        assert ("train: decompose: topology = annular needs at least two "
+                "subdomains; for one, use topology = single"
+                in capsys.readouterr().err)
+
+    def test_no_decomposition_section_trains_one_domain(self, workdir):
+        tmp, cfg = workdir
+        assert run("gen", cfg) == 0
+        cfg.write_text(cfg.read_text().replace(
+            "[decomposition]\ntopology = annular\nk = 2\noverlap = 0.4\n", ""))
+        assert "[decomposition]" not in cfg.read_text()
+        assert run("train", cfg) == 0
+        model = load_rom(tmp / "model.bin")
+        assert model.decomposition.topology == "single" and model.k == 1
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["gen", "--config", str(tmp_path / "nope.cfg")])

@@ -7,16 +7,73 @@ from ddrom.decomp import (
     Decomposition,
     annular_sector_fraction,
     blending_weights,
+    decompose,
     decompose_interval,
     decompose_sectors,
     recombine,
 )
+from ddrom.decomp import _check_overlap_points
 
 TWO_PI = 2.0 * np.pi
 
 
 def uniform_interval(n):
     return Geometry(np.arange(n) / (n - 1), periodic=False)
+
+
+class TestDecompose:
+    def test_single_is_every_point_in_one_subdomain(self):
+        dec = decompose("single", Geometry.circle(12), 1, 0.0)
+        assert dec.topology == "single" and dec.k == 1 and dec.n_x == 12
+        np.testing.assert_array_equal(dec.dof_indices[0], np.arange(12))
+        assert dec.interior == ((-np.inf, np.inf),)
+        assert dec.adjacency == (frozenset(),) and dec.overlap == 0.0
+
+    @pytest.mark.parametrize("k, overlap", [(4, 0.0), (1, -3.0), (0, 0.0),
+                                            (1, np.nan)])
+    def test_single_refuses_more_subdomains_or_an_overlap(self, k, overlap):
+        with pytest.raises(ValueError, match="topology = single has one "
+                           "subdomain and no overlap"):
+            decompose("single", uniform_interval(16), k, overlap)
+
+    @pytest.mark.parametrize("topology, geo", [
+        ("interval", Geometry.interval(16)), ("annular", Geometry.circle(16))])
+    def test_one_subdomain_split_names_single(self, topology, geo):
+        with pytest.raises(ValueError, match=f"topology = {topology} needs at "
+                           "least two subdomains; for one, use topology = single"):
+            decompose(topology, geo, 1, 0.1)
+
+    def test_unknown_topology(self):
+        with pytest.raises(ValueError, match="unknown topology 'voronoi'"):
+            decompose("voronoi", Geometry.circle(16), 2, 0.1)
+
+    def test_wrappers_are_the_rule(self):
+        for wrapper, topology, geo in (
+                (decompose_interval, "interval", uniform_interval(50)),
+                (decompose_sectors, "annular", Geometry.circle(50))):
+            a, b = wrapper(geo, 3, 0.2), decompose(topology, geo, 3, 0.2)
+            assert (a.topology, a.interior, a.adjacency) == (
+                b.topology, b.interior, b.adjacency)
+            for x, y in zip(a.dof_indices, b.dof_indices):
+                np.testing.assert_array_equal(x, y)
+
+    def test_shared_points_must_follow_adjacency(self):
+        def dec(dof, adjacency):
+            return Decomposition(
+                topology="interval", n_x=6,
+                dof_indices=tuple(np.array(i) for i in dof),
+                interior=((0.0, 1.0),) * len(dof),
+                adjacency=tuple(frozenset(a) for a in adjacency), overlap=0.1)
+
+        with pytest.raises(ValueError, match="overlap between subdomains 0 "
+                           "and 1 contains no grid points"):
+            _check_overlap_points(dec([[0, 1, 2], [3, 4, 5]], [{1}, {0}]))
+        with pytest.raises(ValueError, match="non-adjacent subdomains 0 and 2 "
+                           "share grid points"):
+            _check_overlap_points(dec([[0, 1, 2], [2, 3, 4], [1, 4, 5]],
+                                      [{1}, {0, 2}, {1}]))
+        _check_overlap_points(dec([[0, 1, 2], [2, 3, 4], [4, 5]],
+                                  [{1}, {0, 2}, {1}]))
 
 
 class TestIntervalDecomposition:
@@ -149,7 +206,7 @@ class TestBlendingWeights:
 
     def test_single_domain_weights_are_exactly_one(self):
         geo = uniform_interval(32)
-        dec = Decomposition.single(32)
+        dec = decompose("single", geo, 1, 0.0)
         w = blending_weights(dec, geo).weights
         assert np.all(w == 1.0)
 
@@ -242,14 +299,14 @@ class TestRecombine:
         np.testing.assert_allclose(recombine(fields, w), g, atol=1e-14)
 
     def test_single_field_is_identity(self):
-        dec = Decomposition.single(8)
         geo = uniform_interval(8)
+        dec = decompose("single", geo, 1, 0.0)
         w = blending_weights(dec, geo)
         f = np.arange(8.0)
         np.testing.assert_array_equal(recombine([f], w), f)
 
     def test_length_mismatch(self):
-        dec = Decomposition.single(8)
+        dec = decompose("single", uniform_interval(8), 1, 0.0)
         w = blending_weights(dec, uniform_interval(8))
         with pytest.raises(ValueError):
             recombine([np.zeros(9)], w)

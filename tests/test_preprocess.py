@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ddrom import core
 from ddrom.core import (
     Geometry,
+    SnapshotFile,
     SnapshotSet,
     StateLayout,
     TimeGrid,
@@ -225,6 +227,35 @@ def test_block_source_matches_the_whole_matrix(tmp_path, kind, n_s, order):
             assert np.array_equal(block, want)
         else:
             np.testing.assert_allclose(block, want, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("width", [3, 40])
+def test_max_abs_fit_reads_each_training_column_once(tmp_path, monkeypatch,
+                                                     width):
+    # one pass takes the mean and each row's range, in chunks of ``width``
+    # columns, and reads no prediction column; u's largest deviation lies
+    # below its mean and v's above, and both scales are center_scale's
+    data = np.random.default_rng(7).standard_normal((100, 40))
+    data[3, 5], data[60, 7] = -50.0, 50.0
+    sset = SnapshotSet(StateLayout(2, 50, ("u", "v")), Geometry.circle(50),
+                       TimeGrid(0.1 * np.arange(40), n_train=31), data)
+    path = tmp_path / "s.bin"
+    save_snapshots(sset, path)
+    _, expected = center_scale(load_snapshots(path))
+    monkeypatch.setattr(core, "_SCAN_BYTES", 8 * 100 * width)
+    columns, read = [], SnapshotFile.read
+
+    def spy(self, out, index):
+        columns.extend(range(index // self.n, (index + out.size) // self.n))
+        return read(self, out, index)
+
+    with BlockSource(path) as source:
+        monkeypatch.setattr(SnapshotFile, "read", spy)
+        record = source.fit("max_abs")
+    assert sorted(columns) == list(range(31))
+    assert np.array_equal(record.scale, expected.scale)
+    assert np.array_equal(record.scale, [50.0 + expected.mean_field[3],
+                                         50.0 - expected.mean_field[60]])
 
 
 def test_block_source_refuses_reading_before_fitting(tmp_path):

@@ -16,7 +16,7 @@ from ddrom.core import (
 )
 from ddrom.metrics import compare, line_probe
 from ddrom.decomp import (
-    Decomposition,
+    decompose,
     decompose_interval,
     decompose_sectors,
     recombine,
@@ -51,7 +51,7 @@ def single_domain_rom(n_x=16, r=3, form="discrete", dt=0.1, seed=0,
                       operators=None):
     layout = StateLayout(n_s=1, n_x=n_x, variable_names=("u",))
     geometry = Geometry.interval(n_x)
-    dec = Decomposition.single(n_x)
+    dec = decompose("single", geometry, 1, 0.0)
     basis = orthonormal_basis(n_x, r, seed=seed)
     if operators is None:
         rng = np.random.default_rng(seed + 1)
@@ -671,7 +671,21 @@ class TestArtifactRoundTrip:
         struct.pack_into("<Q", raw, 12, 2)
         path.write_bytes(bytes(raw))
         with pytest.raises(SnapFormatError,
-                           match="a single-domain model has one subdomain"):
+                           match="topology = single has one subdomain"):
+            load_rom(path)
+
+    def test_single_domain_model_with_an_overlap_is_refused(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_rom(single_domain_rom(), path)
+        raw = bytearray(path.read_bytes())
+        # 56 header bytes, the name "u\0" and 16 coordinates, then u32
+        # topology code (0, single) and f64 overlap
+        at = 56 + 2 + 8 * 16
+        assert struct.unpack_from("<Id", raw, at) == (0, 0.0)
+        struct.pack_into("<Id", raw, at, 0, 0.5)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapFormatError, match="topology = single has one "
+                           "subdomain and no overlap, not k = 1, overlap = 0.5"):
             load_rom(path)
 
     def test_huge_declared_point_count(self, tmp_path):

@@ -170,6 +170,12 @@ def _with(text: str, section: str, key: str, value: str) -> str:
     return serialize_config(cfg)
 
 
+def _without(text: str, section: str) -> str:
+    cfg = parse_config(text)
+    del cfg[section]
+    return serialize_config(cfg)
+
+
 CONFIGS = {
     **{name: w.config_text(SEED, WORK) for name, w in WORKLOADS.items()},
     "burgers64-k2-rk4-persub-scheme4": _with(
@@ -179,6 +185,8 @@ CONFIGS = {
     "readme-burgers-r4": README_BURGERS,
     "readme-burgers-r5-over-budget": README_BURGERS.replace("r = 4", "r = 5"),
     "readme-burgers-r4-constant": _with(README_BURGERS, "opinf", "constant", "true"),
+    # every [decomposition] key at its default: one domain
+    "readme-burgers-r4-default-topology": _without(README_BURGERS, "decomposition"),
     # predict starts from [paths] ic and evaluate compares with [paths] truth
     "readme-burgers-r4-ic-truth": _with(
         _with(README_BURGERS, "paths", "ic", f"{WORK}/snaps.bin"),
