@@ -124,40 +124,34 @@ def reduce_initial_condition(rom: CoupledRom, full_state: np.ndarray):
     ]
 
 
-def _stacked_rhs(candidates, parts):
+def _stacked_operators(candidates, parts):
     """The coupled right-hand sides (or one-step maps) of C candidate models,
-    C = ``len(candidates)``, as one stacked operator.
+    C = ``len(candidates)``, as stacked arrays with a leading candidate axis.
 
     Each candidate is one operator set per subdomain, subdomain i in rows
-    ``parts[i]`` of the stacked state.  Per candidate, ``A`` is the (N, N)
-    matrix, N = sum of r_i, holding each subdomain's own block and its
-    coupling blocks.  The quadratic term applies every subdomain's ``H_i``
-    to its own compressed products in one batched product over a
-    (k, r_max, s_max) stack, zero-padded where the r_i differ; padded
-    products repeat the subdomain's first one, so a product that overflows
-    there overflows in its real slot too.  A dense block-diagonal ``H``
-    would be k times larger and loses from k = 16, r = 16 onward.
-
-    States are columns of shape ``lead + (N, 1)``, where ``lead`` is (C,),
-    or () for one candidate, whose step then costs no more than an
-    unbatched one.  Every product is a BLAS matrix-vector one, so each
-    candidate's state rounds as it would alone.  Returns ``rhs(q)`` and
-    ``keep(mask)``, which drops the candidates where ``mask`` is false
-    (states then hold the remaining ones, in order).
+    ``parts[i]`` of the stacked state.  ``a`` (C, N, N), N = sum of r_i,
+    holds each subdomain's own block and its coupling blocks; ``b``
+    (C, N, 1) the constants, or is None if no candidate has one.  ``h``
+    (C, k, r_max, s_max) applies every subdomain's ``H_i`` to its own
+    compressed products in one batched product, zero-padded where the r_i
+    differ; a dense block-diagonal ``H`` would be k times larger and loses
+    from k = 16, r = 16 onward.  ``ia``/``ib`` (k, s_max) are the state rows
+    of each subdomain's pair factors; padded products repeat the subdomain's
+    first one, so a product that overflows there overflows in its real slot
+    too.  ``rows`` are the real rows of the (k * r_max) product stack, in
+    state order.
     """
     k, n = len(parts), parts[-1].stop
-    lead = (len(candidates),) if len(candidates) > 1 else ()
     r = [p.stop - p.start for p in parts]
     r_max = max(r)
     s_max = quadratic_dim(r_max)
-    a = np.zeros(lead + (n, n))
-    h = np.zeros(lead + (k, r_max, s_max))
+    a = np.zeros((len(candidates), n, n))
+    h = np.zeros((len(candidates), k, r_max, s_max))
     b = None
     for c, operators in enumerate(candidates):
-        at = (c,) if lead else ()
         for i, op in enumerate(operators):
             own = parts[i]
-            a[at][own, own] = op.linear
+            a[c, own, own] = op.linear
             for j, block in op.coupling.items():
                 if not 0 <= j < k:
                     raise ValueError(
@@ -167,56 +161,34 @@ def _stacked_rhs(candidates, parts):
                     raise ValueError(
                         f"coupling block {i}->{j} does not match neighbor dimension"
                     )
-                a[at][own, parts[j]] += block
-            h[at][i, : op.r, : quadratic_dim(op.r)] = op.quadratic
+                a[c, own, parts[j]] += block
+            h[c, i, : op.r, : quadratic_dim(op.r)] = op.quadratic
             if op.constant is not None:
                 if b is None:
-                    b = np.zeros(lead + (n, 1))
-                b[at][own, 0] = op.constant
+                    b = np.zeros((len(candidates), n, 1))
+                b[c, own, 0] = op.constant
 
-    # flat indices into a state (pair factors) and into the quadratic
-    # product (each stacked row), offset for every candidate
-    ia = np.empty((k, s_max, 1), dtype=np.intp)
-    ib = np.empty((k, s_max, 1), dtype=np.intp)
-    rows = np.concatenate([i * r_max + np.arange(ri) for i, ri in enumerate(r)])
+    starts = np.array([[p.start] for p in parts], dtype=np.intp)
+    ia, ib = starts.repeat(s_max, axis=1), starts.repeat(s_max, axis=1)
     for i, own in enumerate(parts):
-        s = quadratic_dim(r[i])
         pa, pb = _pair_indices(r[i])
-        ia[i, :s, 0], ib[i, :s, 0] = pa + own.start, pb + own.start
-        ia[i, s:] = ib[i, s:] = own.start
-    offset = np.arange(len(candidates)).reshape(lead + (1, 1))
-    ia_all = ia = ia + n * offset[..., None]
-    ib_all = ib = ib + n * offset[..., None]
-    rows_all = rows = rows[:, None] + k * r_max * offset
-
-    def rhs(q):
-        z = q.take(ia) * q.take(ib)
-        out = a @ q + np.matmul(h, z).take(rows)
-        if b is not None:
-            out += b
-        return out
-
-    def keep(mask):
-        nonlocal a, h, b, ia, ib, rows
-        a, h = a[mask], h[mask]
-        if b is not None:
-            b = b[mask]
-        live = a.shape[0]
-        ia, ib, rows = ia_all[:live], ib_all[:live], rows_all[:live]
-
-    return rhs, keep
+        ia[i, : pa.size], ib[i, : pb.size] = pa + own.start, pb + own.start
+    rows = np.concatenate([i * r_max + np.arange(ri) for i, ri in enumerate(r)])
+    return a, h, b, ia, ib, rows
 
 
 def _roll_candidates(candidates, form: str, dt: float, init, steps: int):
     """Advance C candidate models, each a list of per-subdomain operator
     sets, from the same reduced states ``init``, all together.
 
+    Every rollout, one model's too, steps a (C, N, 1) stack of states
+    through :func:`_stacked_operators`.  Every product is a BLAS
+    matrix-vector one, so each candidate's state rounds as it would alone.
     Returns one (C, r_i, steps+1) trajectory per subdomain, with the initial
     state as column 0, and each candidate's divergence step (0 if it stayed
     finite).  After every step the candidates whose state stopped being
-    finite are dropped; their trajectories are filled only up to the step
-    before.  Each candidate's trajectory is bit for bit the one it gets
-    rolled alone.
+    finite are dropped from the states and operators; their trajectories
+    are filled only up to the step before.
     """
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}")
@@ -239,17 +211,23 @@ def _roll_candidates(candidates, form: str, dt: float, init, steps: int):
     for q in init:
         parts.append(slice(start, start + q.size))
         start += q.size
-    rhs, keep = _stacked_rhs(candidates, parts)
+    a, h, b, ia, ib, rows = _stacked_operators(candidates, parts)
+    k, r_max = h.shape[1:3]
 
-    c, n = len(candidates), parts[-1].stop
-    out = np.empty((c, n, steps + 1))
+    def rhs(q):
+        z = np.matmul(h, q.take(ia, axis=1) * q.take(ib, axis=1))
+        f = a @ q + z.reshape(len(q), k * r_max, 1).take(rows, axis=1)
+        if b is not None:
+            f += b
+        return f
+
+    c = len(candidates)
+    out = np.empty((c, start, steps + 1))
     out[:, :, 0] = np.concatenate(init)
     diverged = np.zeros(c, dtype=np.intp)
-    # one candidate steps without the candidate axis
-    batched = c > 1
-    traj = out if batched else out[0]
-    live = np.arange(c) if batched else slice(None)
-    q = traj[..., :1].copy()
+    # a slice stores cheaper than an index array: ids only once one diverged
+    ids, live = np.arange(c), slice(None)
+    q = out[:, :, :1].copy()
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for s in range(1, steps + 1):
             if form == "discrete":
@@ -261,16 +239,15 @@ def _roll_candidates(candidates, form: str, dt: float, init, steps: int):
                 k4 = rhs(q + dt * k3)
                 q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(q).all():
-                if not batched:
-                    diverged[0] = s
-                    break
                 finite = np.isfinite(q).all(axis=(1, 2))
-                diverged[live[~finite]] = s
-                live, q = live[finite], q[finite]
-                if not live.size:
+                diverged[ids[~finite]] = s
+                ids = live = ids[finite]
+                if not ids.size:
                     break
-                keep(finite)
-            traj[live, ..., s : s + 1] = q
+                q, a, h = q[finite], a[finite], h[finite]
+                if b is not None:
+                    b = b[finite]
+            out[live, :, s : s + 1] = q
     return [out[:, p] for p in parts], diverged
 
 

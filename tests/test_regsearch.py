@@ -5,7 +5,14 @@ import pytest
 
 from ddrom import opinf, regsearch
 from ddrom.regsearch import MAX_CANDIDATES, RegGrid, ReducedTraining, search
-from ddrom.rom import DivergenceError, _roll_candidates, roll_reduced
+from ddrom.opinf import RomOperators, quadratic_dim
+from ddrom.rom import (
+    DivergenceError,
+    _candidate_bytes,
+    _roll_candidates,
+    _stacked_operators,
+    roll_reduced,
+)
 
 
 def rotation_trajectory(radius, m, r=2, theta=0.6, seed=0):
@@ -301,6 +308,26 @@ class TestBatchedRollout:
             want = roll_reduced(fits[c], "discrete", None, init, steps)
             for traj, w in zip(rolled, want):
                 np.testing.assert_array_equal(traj[row], w)
+
+    def test_the_batch_budget_is_what_the_stack_allocates(self):
+        # unequal r_i: H pads every subdomain to r_max
+        rs, steps = (2, 5, 3), 40
+        parts = [slice(0, 2), slice(2, 7), slice(7, 10)]
+        init = [np.full(r, 0.1) for r in rs]
+        candidates = [
+            [RomOperators(linear=w * np.eye(r),
+                          quadratic=np.zeros((r, quadratic_dim(r))),
+                          coupling={j: np.ones((r, rs[j])) for j in (i - 1, i + 1)
+                                    if 0 <= j < 3},
+                          form="discrete")
+             for i, r in enumerate(rs)]
+            for w in (0.1, 0.2, 0.3)
+        ]
+        a, h, *_ = _stacked_operators(candidates, parts)
+        rolled, _ = _roll_candidates(candidates, "discrete", None, init, steps)
+        trajectory = sum(t.nbytes for t in rolled)
+        assert trajectory == 3 * 10 * (steps + 1) * 8
+        assert 3 * _candidate_bytes(init, steps) == a.nbytes + h.nbytes + trajectory
 
     @pytest.mark.parametrize("setting, value, sizes", [
         # 36 candidates: batches of 5 end with a batch of one

@@ -29,6 +29,7 @@ from ddrom.rom import (
     DivergenceError,
     integrate,
     Prediction,
+    _roll_candidates,
     load_rom,
     predict_full,
     reduce_initial_condition,
@@ -153,18 +154,11 @@ def loop_roll(operators, form, dt, init, steps):
     return [out[p] for p in parts]
 
 
-@st.composite
-def coupled_models(draw):
-    """Random coupled operators: k in 1..4, unequal r_i in 1..5, a random
-    coupling graph, constants on some subdomains, either form; with
-    ``diverge`` the model blows up within a few steps."""
-    k = draw(st.integers(1, 4))
-    rs = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
-    edges = draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))
-    constants = draw(st.lists(st.booleans(), min_size=k, max_size=k))
-    form = draw(st.sampled_from(["continuous", "discrete"]))
-    diverge = draw(st.booleans())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def random_operators(rng, rs, edges, constants, form, diverge):
+    """One operator set per subdomain of dimensions ``rs``: coupling blocks
+    where ``edges`` (k x k, flattened) says, a constant where ``constants``
+    does; with ``diverge`` the model blows up within a few steps."""
+    k = len(rs)
     base = -1.0 if form == "continuous" else 0.5
     ops = []
     for i, r in enumerate(rs):
@@ -177,9 +171,46 @@ def coupled_models(draw):
         constant = 0.1 * rng.standard_normal(r) if constants[i] else None
         ops.append(RomOperators(linear=linear, quadratic=quadratic,
                                 coupling=coupling, form=form, constant=constant))
+    return ops
+
+
+@st.composite
+def coupled_models(draw):
+    """Random coupled operators: k in 1..4, unequal r_i in 1..5, a random
+    coupling graph, constants on some subdomains, either form; with
+    ``diverge`` the model blows up within a few steps."""
+    k = draw(st.integers(1, 4))
+    rs = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    edges = draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))
+    constants = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    form = draw(st.sampled_from(["continuous", "discrete"]))
+    diverge = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = random_operators(rng, rs, edges, constants, form, diverge)
     scale = 50.0 if diverge else 0.5
     init = [scale * rng.uniform(0.5, 1.0, r) for r in rs]
     return ops, form, init, diverge
+
+
+@st.composite
+def candidate_stacks(draw):
+    """2..4 candidate models on one shape (k in 1..4, unequal r_i in 1..5,
+    one form), each with its own coupling graph and blocks, constants on
+    some candidates only, and some candidates that blow up mid-rollout from
+    the shared initial states."""
+    k = draw(st.integers(1, 4))
+    rs = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    form = draw(st.sampled_from(["continuous", "discrete"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    candidates = []
+    for _ in range(draw(st.integers(2, 4))):
+        edges = draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))
+        constants = [draw(st.booleans())] * k
+        diverge = draw(st.booleans())
+        candidates.append(
+            random_operators(rng, rs, edges, constants, form, diverge))
+    init = [rng.uniform(0.5, 1.0, r) for r in rs]
+    return candidates, form, init
 
 
 class TestRollReduced:
@@ -290,6 +321,27 @@ class TestRollReduced:
         if len(ops) == 1:
             np.testing.assert_array_equal(got, want)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @settings(max_examples=80, deadline=None)
+    @given(stack=candidate_stacks())
+    def test_each_stacked_candidate_follows_the_per_subdomain_loop(self, stack):
+        candidates, form, init = stack
+        dt, steps = 0.05, 30
+        rolled, diverged = _roll_candidates(candidates, form, dt, init, steps)
+        for c, ops in enumerate(candidates):
+            got = np.concatenate([traj[c] for traj in rolled])
+            try:
+                want = np.concatenate(loop_roll(ops, form, dt, init, steps))
+            except DivergenceError as exc:
+                assert diverged[c] == exc.step
+                # filled up to the step before
+                want = np.concatenate(loop_roll(ops, form, dt, init, exc.step - 1))
+                got = got[:, : want.shape[1]]
+            else:
+                assert diverged[c] == 0
+            if len(ops) == 1:
+                np.testing.assert_array_equal(got, want)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
     def test_continuous_rollout_refuses_a_bad_dt(self, dt):

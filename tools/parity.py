@@ -181,6 +181,10 @@ CONFIGS = {
     "burgers64-k2-rk4-persub-scheme4": _with(
         WORKLOADS["burgers64-k2-rk4-persub"].config_text(SEED, WORK),
         "opinf", "derivative_scheme", "4"),
+    # a constant term on every candidate: divergences mid-batch mask b too
+    "burgers64-k2-rk4-persub-constant": _with(
+        WORKLOADS["burgers64-k2-rk4-persub"].config_text(SEED, WORK),
+        "opinf", "constant", "true"),
     "pulse600-single-std-reciprocal": PULSE_RECIPROCAL,
     "readme-burgers-r4": README_BURGERS,
     "readme-burgers-r5-over-budget": README_BURGERS.replace("r = 4", "r = 5"),
