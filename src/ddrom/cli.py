@@ -306,13 +306,12 @@ def _project_blocks(cfg, source, dec):
     r, energy = _get(cfg, "pod", "r"), _get(cfg, "pod", "energy")
     if (r is None) == (energy is None):
         raise ValueError("config must set exactly one of [pod] r and [pod] energy")
-    bases, reduced = [], []
+    bases = []
     for block in source.blocks(dec.dof_indices):
-        basis = pod.compute_basis(block, r=r, energy=energy)
-        bases.append(basis)
-        reduced.append(basis.basis.T @ block)
-        del block  # before the next block is read
-    return bases, reduced
+        # the block is factored in place and dropped before the next is read
+        bases.append(pod.compute_basis(block, r=r, energy=energy, overwrite_m=True))
+        del block
+    return bases, [basis.coordinates for basis in bases]
 
 
 def _check_budget(training: opinf.ReducedTraining):

@@ -1,8 +1,13 @@
 """Proper orthogonal decomposition of snapshot matrices.
 
-Every basis and spectrum comes from a thin SVD of the snapshot matrix.
-Modes follow one sign convention (the largest-magnitude entry of every
-mode is positive) so results are comparable across runs.
+A basis comes from the R-SVD of the snapshot matrix (Chan 1982): a QR
+factorization, in place when the caller gives the matrix up, then the SVD
+of the small triangular factor R, whose left singular vectors Q turns into
+the retained modes.  The matrix is read once, no copy of it or full set of
+its left singular vectors is formed, and the reduced coordinates follow
+from R.  A spectrum alone comes from a plain SVD.  Modes follow one sign
+convention (the largest-magnitude entry of every mode is positive) so
+results are comparable across runs.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg import lapack
 
 __all__ = [
     "PodBasis",
@@ -30,11 +36,14 @@ class PodBasis:
 
     basis has shape (rows, r); singular_values holds the full computed
     spectrum (descending), of which the first r belong to the retained
-    modes.
+    modes.  coordinates, when known, holds the (r, columns) projection
+    basisᵀ m of the snapshot matrix the basis was computed from; a basis
+    read back from a model file has none.
     """
 
     basis: np.ndarray
     singular_values: np.ndarray
+    coordinates: np.ndarray | None = None
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=np.float64)
@@ -52,6 +61,11 @@ class PodBasis:
         problem = _orthonormality_problem(basis)
         if problem:
             raise ValueError(problem)
+        if self.coordinates is not None:
+            coords = np.asarray(self.coordinates, dtype=np.float64)
+            if coords.ndim != 2 or coords.shape[0] != basis.shape[1]:
+                raise ValueError("need one row of coordinates per mode")
+            self.coordinates = coords
         self.basis = basis
         self.singular_values = sv
 
@@ -76,13 +90,14 @@ def _orthonormality_problem(basis: np.ndarray) -> str | None:
     return None
 
 
-def _fix_signs(u: np.ndarray) -> np.ndarray:
-    """Flip mode signs so each column's largest-magnitude entry is positive."""
+def _mode_signs(u: np.ndarray) -> np.ndarray:
+    """The sign of each column's largest-magnitude entry (1 where it is 0),
+    by which the columns are multiplied to make that entry positive."""
     cols = np.arange(u.shape[1])
     lead = np.abs(u).argmax(axis=0)
     signs = np.sign(u[lead, cols])
     signs[signs == 0.0] = 1.0
-    return u * signs
+    return signs
 
 
 def retained_energy(singular_values: np.ndarray, r: int) -> float:
@@ -113,23 +128,53 @@ def singular_spectrum(m: np.ndarray) -> np.ndarray:
     return la.svd(np.asarray(m, dtype=np.float64), compute_uv=False)
 
 
-def compute_basis(
-    m: np.ndarray, r: int | None = None, energy: float | None = None
-) -> PodBasis:
-    """Basis of a snapshot matrix by mode count or energy target.
+def _lapack(routine, *args, **kwargs):
+    """Call ``routine`` with its optimal workspace, refusing a nonzero info."""
+    *_, work, info = routine(*args, lwork=-1, **kwargs)
+    *out, work, info = routine(*args, lwork=int(work[0]), **kwargs)
+    if info != 0:
+        raise ValueError(f"LAPACK {routine.__name__} failed with info = {info}")
+    return out
 
-    Exactly one of ``r`` and ``energy`` must be given.
+
+def compute_basis(
+    m: np.ndarray, r: int | None = None, energy: float | None = None,
+    *, overwrite_m: bool = False,
+) -> PodBasis:
+    """Basis and reduced coordinates of a snapshot matrix, by mode count or
+    energy target.
+
+    Exactly one of ``r`` and ``energy`` must be given.  With
+    ``overwrite_m`` a float64 column-major ``m`` is factored in place and
+    holds its QR factors afterwards; otherwise it is copied and left as it
+    was.
     """
     if (r is None) == (energy is None):
         raise ValueError("give exactly one of r and energy")
     m = np.asarray(m, dtype=np.float64)
-    u, sigma, _ = la.svd(m, full_matrices=False)
+    rank = min(m.shape)
+    if r is not None and not 1 <= r <= rank:
+        raise ValueError(f"r must lie in [1, {rank}]")
+    if rank == 0:
+        raise ValueError("an empty matrix has no modes")
+    # m = Q R with Q's reflectors below R's diagonal; the SVD of the
+    # (rank, columns) R = U S Vᵀ gives m = (Q U) S Vᵀ
+    qr = np.asfortranarray(m) if overwrite_m else np.array(m, order="F")
+    qr, tau = _lapack(lapack.dgeqrf, qr, overwrite_a=1)
+    r_factor = np.triu(qr[:rank])
+    u, sigma, _ = la.svd(r_factor, full_matrices=False)
     if r is None:
         r = energy_rank(sigma, energy)
-    if not 1 <= r <= min(m.shape):
-        raise ValueError(f"r must lie in [1, {min(m.shape)}]")
     if sigma[0] == 0.0 or sigma[r - 1] <= RANK_RTOL * sigma[0]:
         raise ValueError(f"requested r={r} exceeds the numerical rank")
-    # a column's sign depends on that column alone, so fixing the
-    # retained ones keeps the bits and lets the full U go
-    return PodBasis(basis=_fix_signs(u[:, :r]), singular_values=sigma)
+    # Q applied to the retained columns of U, padded with zero rows to m's
+    # row count; a wide m has only `rank` reflectors
+    modes = np.zeros((m.shape[0], r), order="F")
+    modes[:rank] = u[:, :r]
+    (modes,) = _lapack(lapack.dormqr, "L", "N", qr[:, :rank], tau, modes,
+                       overwrite_c=1)
+    signs = _mode_signs(modes)
+    # basisᵀ m = (U_r signs)ᵀ Qᵀ Q R
+    coordinates = (u[:, :r] * signs).T @ r_factor
+    return PodBasis(basis=modes * signs, singular_values=sigma,
+                    coordinates=coordinates)

@@ -249,7 +249,7 @@ class BlockSource(SnapshotFile):
             raise ValueError(f"unknown scaling kind {kind!r}")
         layout = self.header.layout
         transforms = _check_transforms(layout.n_s, transforms)
-        mean, lo, hi = self._mean(transforms)
+        mean, lo, hi = self._mean(transforms, extremes=kind == "max_abs")
         if kind == "max_abs":
             # x - mean rounds monotonically in x, so each row's largest
             # |x - mean| is that of its largest or its smallest value
@@ -269,15 +269,19 @@ class BlockSource(SnapshotFile):
     # Each pass is a method of its own: a loop variable that outlived its
     # loop would keep the read buffer alive beside the next pass's buffer.
 
-    def _mean(self, transforms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each row's mean, smallest and largest training value."""
+    def _mean(self, transforms, extremes: bool = False):
+        """Each row's mean training value, and with ``extremes`` its
+        smallest and largest one (None and None without)."""
         # one column after another, as numpy sums the rows of the
         # column-major matrix in data[:, :m].mean(axis=1)
         n = self.header.layout.n
-        total, lo, hi = np.zeros(n), np.full(n, np.inf), np.full(n, -np.inf)
+        total, lo, hi = np.zeros(n), None, None
+        if extremes:
+            lo, hi = np.full(n, np.inf), np.full(n, -np.inf)
         for chunk in self._training(transforms, check=True):
-            np.minimum(lo, chunk.min(axis=1), out=lo)
-            np.maximum(hi, chunk.max(axis=1), out=hi)
+            if extremes:
+                np.minimum(lo, chunk.min(axis=1), out=lo)
+                np.maximum(hi, chunk.max(axis=1), out=hi)
             for column in chunk.T:
                 total += column
         return total / self.header.time.n_train, lo, hi
@@ -315,11 +319,10 @@ class BlockSource(SnapshotFile):
         layout, record = self.header.layout, self._record
         m = self.header.time.n_train
         rows = layout.point_rows(idx)
-        # row-major, like the row selection scaled.data[rows, :m] of the
-        # loaded matrix that it equals, so products of it round the same;
-        # whole columns are read and their rows picked in memory, so the
-        # number of reads does not depend on how the rows are ordered
-        block = np.empty((rows.size, m))
+        # column-major, so a QR factorization takes it in place; whole
+        # columns are read and their rows picked in memory, so the number
+        # of reads does not depend on how the rows are ordered
+        block = np.empty((rows.size, m), order="F")
         for j, chunk in self.chunks(0, m):
             block[:, j : j + chunk.shape[1]] = chunk[rows]
         names = layout.variable_names

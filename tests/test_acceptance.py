@@ -628,6 +628,43 @@ def test_c15_train_peak_is_a_few_subdomain_blocks(k, tmp_path, ci_log):
     assert peak <= 4 * block + vectors
 
 
+def test_c18_train_factors_each_block_in_place(tmp_path, ci_log):
+    """POD factors each training block where it was read (a QR, then the
+    SVD of the small R), so besides the full-length vectors ``train`` holds
+    one block with at most the read buffer and that buffer's row selection
+    beside it: its traced peak stays under two of the largest blocks plus
+    one 4 MiB buffer, at sizes where the block is about four times the buffer."""
+    n_x, n_t, n_train, k = 20_000, 240, 200, 2
+    rng = np.random.default_rng(118)
+    sset = SnapshotSet(
+        StateLayout(n_s=1, n_x=n_x, variable_names=("u",)), Geometry.circle(n_x),
+        TimeGrid(0.01 * np.arange(n_t), n_train=n_train),
+        rng.standard_normal((n_x, n_t)),
+    )
+    save_snapshots(sset, tmp_path / "snaps.bin")
+    del sset
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TRAIN_MEMORY_CONFIG.format(dir=tmp_path, k=k))
+    dec = decompose_sectors(Geometry.circle(n_x), k, 0.1)
+    block = max(idx.size for idx in dec.dof_indices) * n_train * 8
+    buffer = 4 * 2**20
+
+    tracemalloc.start()
+    try:
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    vectors = 16 * n_x * 8  # as in c15
+    bound = 2 * block + buffer + vectors
+    ci_log(
+        f"train in-place POD: peak {peak / 1e6:.1f} MB, largest block "
+        f"{block / 1e6:.2f} MB, bound 2 blocks + 4 MiB + {vectors / 1e6:.2f} MB "
+        f"= {bound / 1e6:.1f} MB"
+    )
+    assert peak <= bound
+
+
 GEN_MEMORY_CONFIG = """\
 [paths]
 snapshots = {dir}/snaps.bin

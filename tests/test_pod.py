@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from ddrom.pod import (
     PodBasis,
@@ -77,6 +78,83 @@ class TestComputeBasis:
         with pytest.raises(ValueError,
                            match=r"^requested r=2 exceeds the numerical rank$"):
             compute_basis(rank_one, r=2)
+
+
+class TestRSvdAgainstThinSvd:
+    """The QR-then-SVD-of-R route against ``la.svd`` of the whole matrix."""
+
+    SHAPES = {"tall": (60, 9), "square": (9, 9), "wide": (9, 60)}
+
+    @staticmethod
+    def oracle(m, r):
+        u, sigma, _ = la.svd(m, full_matrices=False)
+        u = u[:, :r]
+        lead = np.abs(u).argmax(axis=0)
+        u = u * np.sign(u[lead, np.arange(r)])
+        return u, sigma
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("select", [{"r": 5}, {"energy": 0.9995}])
+    def test_spectrum_projector_and_coordinates(self, shape, select):
+        rows, cols = self.SHAPES[shape]
+        k = min(rows, cols)
+        m = planted_matrix(max(rows, cols), k, np.geomspace(10.0, 1e-3, k),
+                           seed=11)
+        m = m if rows >= cols else m.T
+        basis = compute_basis(m, **select)
+        r = basis.r
+        u, sigma = self.oracle(m, r)
+        if "energy" in select:
+            # sigma_j^2 falls tenfold per mode: three modes keep 0.9990
+            # of the energy, four 0.99990
+            assert r == energy_rank(sigma, 0.9995) == 4
+        assert basis.basis.shape == (rows, r)
+        assert np.abs(basis.singular_values - sigma).max() <= 1e-14 * sigma[0]
+        gap = np.abs(basis.basis @ basis.basis.T - u @ u.T).max()
+        assert gap <= 1e-12
+        np.testing.assert_allclose(basis.basis, u, rtol=0, atol=1e-12)
+        want = u.T @ m
+        assert basis.coordinates.shape == (r, cols)
+        assert np.abs(basis.coordinates - want).max() <= 1e-13 * sigma[0]
+        np.testing.assert_allclose(basis.coordinates, basis.basis.T @ m,
+                                   rtol=0, atol=1e-13 * sigma[0])
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rank_deficient_input_is_refused(self, shape):
+        rows, cols = self.SHAPES[shape]
+        k = min(rows, cols)
+        sigma = np.concatenate([np.geomspace(1.0, 0.1, 3), np.zeros(k - 3)])
+        m = planted_matrix(max(rows, cols), k, sigma, seed=12)
+        m = m if rows >= cols else m.T
+        assert compute_basis(m, r=3).r == 3
+        with pytest.raises(ValueError,
+                           match=r"^requested r=4 exceeds the numerical rank$"):
+            compute_basis(m, r=4)
+        # an energy target stops at the rank
+        assert compute_basis(m, energy=1.0).r == 3
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_m_is_kept_unless_given_up(self, shape, order):
+        rows, cols = self.SHAPES[shape]
+        m = np.array(np.random.default_rng(13).standard_normal((rows, cols)),
+                     order=order)
+        before = m.copy(order="K")
+        kept = compute_basis(m, r=3)
+        np.testing.assert_array_equal(m, before)
+        given_up = compute_basis(m, r=3, overwrite_m=True)
+        # the same factorization of the same values, in place or not
+        np.testing.assert_array_equal(given_up.basis, kept.basis)
+        np.testing.assert_array_equal(given_up.coordinates, kept.coordinates)
+        # only a float64 column-major matrix is factored in place
+        assert np.array_equal(m, before) == (order == "C")
+
+    def test_a_stored_basis_has_no_coordinates(self):
+        basis = PodBasis(basis=np.eye(3)[:, :2], singular_values=np.ones(2))
+        assert basis.coordinates is None
+        with pytest.raises(ValueError, match="one row of coordinates per mode"):
+            PodBasis(basis=np.eye(3)[:, :2], singular_values=np.ones(2),
+                     coordinates=np.ones((3, 4)))
 
 
 def test_pod_basis_validates_orthonormality():

@@ -176,6 +176,13 @@ def _without(text: str, section: str) -> str:
     return serialize_config(cfg)
 
 
+def _energy(text: str, energy: str) -> str:
+    """``text`` with its [pod] mode count replaced by an energy target."""
+    cfg = parse_config(text)
+    cfg["pod"] = {"energy": energy}
+    return serialize_config(cfg)
+
+
 CONFIGS = {
     **{name: w.config_text(SEED, WORK) for name, w in WORKLOADS.items()},
     "burgers64-k2-rk4-persub-scheme4": _with(
@@ -185,10 +192,14 @@ CONFIGS = {
     "burgers64-k2-rk4-persub-constant": _with(
         WORKLOADS["burgers64-k2-rk4-persub"].config_text(SEED, WORK),
         "opinf", "constant", "true"),
+    # energy-mode POD: each subdomain's r follows from its spectrum
+    "pulse512-k4-search-energy": _energy(
+        WORKLOADS["pulse512-k4-search"].config_text(SEED, WORK), "0.9999"),
     "pulse600-single-std-reciprocal": PULSE_RECIPROCAL,
     "readme-burgers-r4": README_BURGERS,
     "readme-burgers-r5-over-budget": README_BURGERS.replace("r = 4", "r = 5"),
     "readme-burgers-r4-constant": _with(README_BURGERS, "opinf", "constant", "true"),
+    "readme-burgers-energy": _energy(README_BURGERS, "0.9999"),
     # every [decomposition] key at its default: one domain
     "readme-burgers-r4-default-topology": _without(README_BURGERS, "decomposition"),
     # predict starts from [paths] ic and evaluate compares with [paths] truth
