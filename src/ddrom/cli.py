@@ -514,15 +514,14 @@ def cmd_svdreport(cfg) -> int:
         _fit_scaling(cfg, source)
         dec = _build_decomposition(cfg, source.header.geometry)
         spectra = []
-        for block in source.blocks(dec.dof_indices):  # no enumerate, as above
-            spectra.append(pod.singular_spectrum(block))
-            del block  # before the next block is read
+        for block in source.blocks(dec.dof_indices):
+            spectra.append(pod.singular_spectrum(block, overwrite_m=True))
+            del block  # factored in place, as in train; dropped before the next
     rows = []
     for i, sigma in enumerate(spectra):
-        energy = np.cumsum(sigma**2)
-        total = energy[-1] if energy[-1] > 0 else 1.0
+        energy = pod.cumulative_energy(sigma)
         for j, s in enumerate(sigma):
-            rows.append([i, j, float(s), float(energy[j] / total)])
+            rows.append([i, j, float(s), float(energy[j])])
     out_dir = _output_dir(cfg)
     path = out_dir / "svd_report.csv"
     _write_csv(path, SVD_REPORT_HEADER, rows)

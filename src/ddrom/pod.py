@@ -1,13 +1,13 @@
 """Proper orthogonal decomposition of snapshot matrices.
 
-A basis comes from the R-SVD of the snapshot matrix (Chan 1982): a QR
-factorization, in place when the caller gives the matrix up, then the SVD
-of the small triangular factor R, whose left singular vectors Q turns into
-the retained modes.  The matrix is read once, no copy of it or full set of
-its left singular vectors is formed, and the reduced coordinates follow
-from R.  A spectrum alone comes from a plain SVD.  Modes follow one sign
-convention (the largest-magnitude entry of every mode is positive) so
-results are comparable across runs.
+A basis and a spectrum both come from the R-SVD of the snapshot matrix
+(Chan 1982): a QR factorization, in place when the caller gives the matrix
+up, then the SVD of the small triangular factor R, whose left singular
+vectors Q turns into the retained modes.  The matrix is read once, no copy
+of it or full set of its left singular vectors is formed, and the reduced
+coordinates follow from R.  Modes follow one sign convention (the
+largest-magnitude entry of every mode is positive) so results are
+comparable across runs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from scipy.linalg import lapack
 
 __all__ = [
     "PodBasis",
-    "retained_energy",
+    "cumulative_energy",
     "energy_rank",
     "singular_spectrum",
     "compute_basis",
@@ -100,32 +100,21 @@ def _mode_signs(u: np.ndarray) -> np.ndarray:
     return signs
 
 
-def retained_energy(singular_values: np.ndarray, r: int) -> float:
-    """Fraction of squared-singular-value energy kept by the first r modes."""
-    sv = np.asarray(singular_values, dtype=np.float64)
-    if not 0 <= r <= sv.size:
-        raise ValueError("r out of range")
-    total = float(np.sum(sv**2))
-    if total == 0.0:
-        raise ValueError("all-zero spectrum has no energy to retain")
-    return float(np.sum(sv[:r] ** 2) / total)
+def cumulative_energy(singular_values: np.ndarray) -> np.ndarray:
+    """Squared-singular-value energy fraction kept by each first j + 1 modes:
+    exactly 1.0 for the whole spectrum, all zeros for an all-zero one."""
+    cum = np.cumsum(np.asarray(singular_values, dtype=np.float64) ** 2)
+    return cum / cum[-1] if cum.any() else cum
 
 
 def energy_rank(singular_values: np.ndarray, energy: float) -> int:
     """Smallest r whose retained energy reaches ``energy``."""
     if not 0.0 < energy <= 1.0:
         raise ValueError("energy target must lie in (0, 1]")
-    sv = np.asarray(singular_values, dtype=np.float64)
-    total = float(np.sum(sv**2))
-    if total == 0.0:
+    cum = cumulative_energy(singular_values)
+    if not cum.any():
         raise ValueError("all-zero spectrum has no energy to retain")
-    cum = np.cumsum(sv**2) / total
     return int(np.searchsorted(cum, energy - 1e-15) + 1)
-
-
-def singular_spectrum(m: np.ndarray) -> np.ndarray:
-    """Full singular-value spectrum of a snapshot matrix."""
-    return la.svd(np.asarray(m, dtype=np.float64), compute_uv=False)
 
 
 def _lapack(routine, *args, **kwargs):
@@ -135,6 +124,26 @@ def _lapack(routine, *args, **kwargs):
     if info != 0:
         raise ValueError(f"LAPACK {routine.__name__} failed with info = {info}")
     return out
+
+
+def _factor(m: np.ndarray, overwrite_m: bool):
+    """m's QR factors and reflector scalars, its R, and U and sigma of R's SVD."""
+    m = np.asarray(m, dtype=np.float64)
+    rank = min(m.shape)
+    if rank == 0:
+        raise ValueError("an empty matrix has no modes")
+    # m = Q R with Q's reflectors below R's diagonal; the SVD of the
+    # (rank, columns) R = U S Vᵀ gives m = (Q U) S Vᵀ
+    qr = np.asfortranarray(m) if overwrite_m else np.array(m, order="F")
+    qr, tau = _lapack(lapack.dgeqrf, qr, overwrite_a=1)
+    r_factor = np.triu(qr[:rank])
+    u, sigma, _ = la.svd(r_factor, full_matrices=False)
+    return qr, tau, r_factor, u, sigma
+
+
+def singular_spectrum(m: np.ndarray, *, overwrite_m: bool = False) -> np.ndarray:
+    """The full spectrum ``compute_basis`` stores; ``overwrite_m`` as there."""
+    return _factor(m, overwrite_m)[-1]
 
 
 def compute_basis(
@@ -151,25 +160,17 @@ def compute_basis(
     """
     if (r is None) == (energy is None):
         raise ValueError("give exactly one of r and energy")
-    m = np.asarray(m, dtype=np.float64)
-    rank = min(m.shape)
+    rank = min(np.shape(m))
     if r is not None and not 1 <= r <= rank:
         raise ValueError(f"r must lie in [1, {rank}]")
-    if rank == 0:
-        raise ValueError("an empty matrix has no modes")
-    # m = Q R with Q's reflectors below R's diagonal; the SVD of the
-    # (rank, columns) R = U S Vᵀ gives m = (Q U) S Vᵀ
-    qr = np.asfortranarray(m) if overwrite_m else np.array(m, order="F")
-    qr, tau = _lapack(lapack.dgeqrf, qr, overwrite_a=1)
-    r_factor = np.triu(qr[:rank])
-    u, sigma, _ = la.svd(r_factor, full_matrices=False)
+    qr, tau, r_factor, u, sigma = _factor(m, overwrite_m)
     if r is None:
         r = energy_rank(sigma, energy)
     if sigma[0] == 0.0 or sigma[r - 1] <= RANK_RTOL * sigma[0]:
         raise ValueError(f"requested r={r} exceeds the numerical rank")
     # Q applied to the retained columns of U, padded with zero rows to m's
     # row count; a wide m has only `rank` reflectors
-    modes = np.zeros((m.shape[0], r), order="F")
+    modes = np.zeros((qr.shape[0], r), order="F")
     modes[:rank] = u[:, :r]
     (modes,) = _lapack(lapack.dormqr, "L", "N", qr[:, :rank], tau, modes,
                        overwrite_c=1)

@@ -39,8 +39,8 @@ from ddrom.opinf import (
 from ddrom.pod import (
     PodBasis,
     compute_basis,
+    cumulative_energy,
     energy_rank,
-    retained_energy,
     singular_spectrum,
 )
 from ddrom.preprocess import ScalingRecord, center_scale
@@ -259,7 +259,7 @@ def test_c07_single_domain_burgers_rom_accuracy(ci_log):
     train = scaled.data[:, :201]
     sigma = singular_spectrum(train)
     r = min(energy_rank(sigma, 1.0 - 1e-5), max_reduced_dimension(201))
-    retained = retained_energy(sigma, r)
+    retained = cumulative_energy(sigma)[r - 1]
     assert retained >= 0.999
     basis = compute_basis(train, r=r)
     reduced = basis.basis.T @ train
@@ -628,12 +628,10 @@ def test_c15_train_peak_is_a_few_subdomain_blocks(k, tmp_path, ci_log):
     assert peak <= 4 * block + vectors
 
 
-def test_c18_train_factors_each_block_in_place(tmp_path, ci_log):
-    """POD factors each training block where it was read (a QR, then the
-    SVD of the small R), so besides the full-length vectors ``train`` holds
-    one block with at most the read buffer and that buffer's row selection
-    beside it: its traced peak stays under two of the largest blocks plus
-    one 4 MiB buffer, at sizes where the block is about four times the buffer."""
+def in_place_case(tmp_path):
+    """A 20000-point ring with 200 training columns on two sectors, whose
+    largest training block (16.5 MB) is about four times the 4 MiB read
+    buffer: the config path and that block's bytes."""
     n_x, n_t, n_train, k = 20_000, 240, 200, 2
     rng = np.random.default_rng(118)
     sset = SnapshotSet(
@@ -646,21 +644,51 @@ def test_c18_train_factors_each_block_in_place(tmp_path, ci_log):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TRAIN_MEMORY_CONFIG.format(dir=tmp_path, k=k))
     dec = decompose_sectors(Geometry.circle(n_x), k, 0.1)
-    block = max(idx.size for idx in dec.dof_indices) * n_train * 8
-    buffer = 4 * 2**20
+    return cfg, max(idx.size for idx in dec.dof_indices) * n_train * 8
 
+
+def traced_peak(command, cfg):
     tracemalloc.start()
     try:
-        assert cli.main(["train", "--config", str(cfg)]) == 0
-        _, peak = tracemalloc.get_traced_memory()
+        assert cli.main([command, "--config", str(cfg)]) == 0
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    vectors = 16 * n_x * 8  # as in c15
+
+
+def test_c18_train_factors_each_block_in_place(tmp_path, ci_log):
+    """POD factors each training block where it was read (a QR, then the
+    SVD of the small R), so besides the full-length vectors ``train`` holds
+    one block with at most the read buffer and that buffer's row selection
+    beside it: its traced peak stays under two of the largest blocks plus
+    one 4 MiB buffer, at sizes where the block is about four times the buffer."""
+    cfg, block = in_place_case(tmp_path)
+    buffer = 4 * 2**20
+    peak = traced_peak("train", cfg)
+    vectors = 16 * 20_000 * 8  # as in c15
     bound = 2 * block + buffer + vectors
     ci_log(
         f"train in-place POD: peak {peak / 1e6:.1f} MB, largest block "
         f"{block / 1e6:.2f} MB, bound 2 blocks + 4 MiB + {vectors / 1e6:.2f} MB "
         f"= {bound / 1e6:.1f} MB"
+    )
+    assert peak <= bound
+
+
+def test_c19_svdreport_factors_each_block_in_place(tmp_path, ci_log):
+    """``svdreport`` takes each spectrum by the same in-place factorization
+    as ``train``, so on c18's data it holds one block, never a copy of it,
+    beside the read buffer and its row selection (4 MiB each) and the
+    full-length vectors."""
+    cfg, block = in_place_case(tmp_path)
+    buffer = 4 * 2**20
+    peak = traced_peak("svdreport", cfg)
+    vectors = 16 * 20_000 * 8  # as in c15
+    bound = block + 2 * buffer + vectors
+    ci_log(
+        f"svdreport in-place spectra: peak {peak / 1e6:.1f} MB, largest block "
+        f"{block / 1e6:.2f} MB, bound 1 block + 2 x 4 MiB + "
+        f"{vectors / 1e6:.2f} MB = {bound / 1e6:.1f} MB"
     )
     assert peak <= bound
 

@@ -221,6 +221,25 @@ class TestPipeline:
             header = next(csv.reader(fh))
         assert header[0] == "coordinate"
 
+    @pytest.mark.parametrize("select", ["r = 4", "energy = 0.9999"])
+    def test_svd_report_is_the_stored_spectrum(self, workdir, select):
+        """svdreport's spectrum is the one train stores, bit for bit, and in
+        energy mode its first row reaching the target is train's last mode."""
+        tmp, cfg = workdir
+        cfg.write_text(cfg.read_text().replace("r = 4\n", select + "\n"))
+        for cmd in ("gen", "svdreport", "train"):
+            assert run(cmd, cfg) == 0
+        with open(tmp / "out" / "svd_report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for i, basis in enumerate(load_rom(tmp / "model.bin").bases):
+            mine = [row for row in rows if int(row["subdomain"]) == i]
+            sigma = [float(row["singular_value"]) for row in mine]
+            np.testing.assert_array_equal(sigma, basis.singular_values)
+            if select.startswith("energy"):
+                energy = [float(row["cumulative_energy"]) for row in mine]
+                first = next(j for j, e in enumerate(energy) if e >= 0.9999)
+                assert first == basis.r - 1
+
     def test_prediction_matches_training_grid(self, workdir):
         tmp, cfg = workdir
         run("gen", cfg)

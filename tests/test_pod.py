@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ddrom.pod import (
     PodBasis,
     compute_basis,
+    cumulative_energy,
     energy_rank,
-    retained_energy,
+    singular_spectrum,
 )
 
 
@@ -21,7 +25,7 @@ def planted_matrix(rows, cols, sigma, seed=0):
 class TestEnergy:
     def test_retained_energy_is_cumulative_sigma_squared(self):
         sv = np.array([3.0, 2.0, 1.0])
-        assert retained_energy(sv, 2) == pytest.approx(13.0 / 14.0)
+        assert cumulative_energy(sv)[2 - 1] == pytest.approx(13.0 / 14.0)
 
     def test_energy_rank_smallest_sufficient(self):
         sv = np.array([3.0, 2.0, 1.0])
@@ -32,6 +36,32 @@ class TestEnergy:
     def test_energy_rank_exact_boundary(self):
         sv = np.array([1.0, 1.0])
         assert energy_rank(sv, 0.5) == 1
+
+    def test_all_zero_spectrum_reads_zeros_and_has_no_rank(self):
+        np.testing.assert_array_equal(cumulative_energy(np.zeros(3)), np.zeros(3))
+        with pytest.raises(ValueError, match="all-zero spectrum"):
+            energy_rank(np.zeros(3), 0.5)
+
+    @given(
+        sv=hnp.arrays(np.float64, st.integers(1, 300),
+                      elements=st.floats(0.0, 1e100)).filter(lambda sv: any(sv**2)),
+        energy=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_energy_rank_stays_within_the_spectrum(self, sv, energy):
+        # the whole spectrum keeps exactly 1.0, so no target in (0, 1]
+        # asks for more modes than there are values
+        assert cumulative_energy(sv)[-1] == 1.0
+        assert 1 <= energy_rank(sv, energy) <= sv.size
+
+    def test_full_energy_keeps_every_mode_of_a_full_rank_matrix(self):
+        # 200 jittered, decaying values whose cumsum and pairwise sum of
+        # squares differ by more than the 1e-15 slack: dividing by the sum
+        # left the cumulative energy below 1 and asked for mode 201
+        cols = 200
+        jitter = np.random.default_rng(28).uniform(0.5, 1.5, cols)
+        sigma = np.sort(np.geomspace(1.0, 1e-3, cols) * jitter)[::-1]
+        m = planted_matrix(400, cols, sigma, seed=28)
+        assert compute_basis(m, energy=1.0).r == cols
 
 
 class TestComputeBasis:
@@ -148,6 +178,21 @@ class TestRSvdAgainstThinSvd:
         np.testing.assert_array_equal(given_up.coordinates, kept.coordinates)
         # only a float64 column-major matrix is factored in place
         assert np.array_equal(m, before) == (order == "C")
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_spectrum_alone_is_the_stored_one(self, shape):
+        rows, cols = self.SHAPES[shape]
+        m = np.asfortranarray(
+            np.random.default_rng(14).standard_normal((rows, cols)))
+        before = m.copy(order="K")
+        stored = compute_basis(m, r=3).singular_values
+        np.testing.assert_array_equal(singular_spectrum(m), stored)
+        np.testing.assert_array_equal(m, before)
+        np.testing.assert_array_equal(singular_spectrum(m, overwrite_m=True),
+                                      stored)
+        assert not np.array_equal(m, before)  # factored in place
+        with pytest.raises(ValueError, match="^an empty matrix has no modes$"):
+            singular_spectrum(np.zeros((0, cols)))
 
     def test_a_stored_basis_has_no_coordinates(self):
         basis = PodBasis(basis=np.eye(3)[:, :2], singular_values=np.ones(2))
