@@ -1,11 +1,12 @@
 """Proper orthogonal decomposition of snapshot matrices.
 
 A basis and a spectrum both come from the R-SVD of the snapshot matrix
-(Chan 1982): a QR factorization, in place when the caller gives the matrix
-up, then the SVD of the small triangular factor R, whose left singular
-vectors Q turns into the retained modes.  The matrix is read once, no copy
-of it or full set of its left singular vectors is formed, and the reduced
-coordinates follow from R.  Modes follow one sign convention (the
+(Chan 1982): LAPACK's recursive blocked QR factorization (``dgeqrt``, after
+Elmroth & Gustavson 2000), in place when the caller gives the matrix up,
+then the SVD of the small triangular factor R, whose left singular vectors
+Q turns into the retained modes (``dgemqrt``).  The matrix is read once, no
+copy of it or full set of its left singular vectors is formed, and the
+reduced coordinates follow from R.  Modes follow one sign convention (the
 largest-magnitude entry of every mode is positive) so results are
 comparable across runs.
 """
@@ -28,6 +29,7 @@ __all__ = [
 
 RANK_RTOL = 1e-12  # modes with sigma_j <= RANK_RTOL * sigma_1 are unusable
 ORTHO_TOL = 1e-10
+QR_BLOCK = 32  # columns per block reflector of the QR factorization
 
 
 @dataclass
@@ -117,17 +119,17 @@ def energy_rank(singular_values: np.ndarray, energy: float) -> int:
     return int(np.searchsorted(cum, energy - 1e-15) + 1)
 
 
-def _lapack(routine, *args, **kwargs):
-    """Call ``routine`` with its optimal workspace, refusing a nonzero info."""
-    *_, work, info = routine(*args, lwork=-1, **kwargs)
-    *out, work, info = routine(*args, lwork=int(work[0]), **kwargs)
+def _call(routine, *args, **kwargs):
+    """``routine``'s outputs but its trailing info, refusing a nonzero info."""
+    *out, info = routine(*args, **kwargs)
     if info != 0:
         raise ValueError(f"LAPACK {routine.__name__} failed with info = {info}")
     return out
 
 
 def _factor(m: np.ndarray, overwrite_m: bool):
-    """m's QR factors and reflector scalars, its R, and U and sigma of R's SVD."""
+    """m's QR factors and block reflector factors, its R, and U and sigma of
+    R's SVD."""
     m = np.asarray(m, dtype=np.float64)
     rank = min(m.shape)
     if rank == 0:
@@ -135,10 +137,10 @@ def _factor(m: np.ndarray, overwrite_m: bool):
     # m = Q R with Q's reflectors below R's diagonal; the SVD of the
     # (rank, columns) R = U S Vᵀ gives m = (Q U) S Vᵀ
     qr = np.asfortranarray(m) if overwrite_m else np.array(m, order="F")
-    qr, tau = _lapack(lapack.dgeqrf, qr, overwrite_a=1)
+    qr, t = _call(lapack.dgeqrt, min(QR_BLOCK, rank), qr, overwrite_a=1)
     r_factor = np.triu(qr[:rank])
     u, sigma, _ = la.svd(r_factor, full_matrices=False)
-    return qr, tau, r_factor, u, sigma
+    return qr, t, r_factor, u, sigma
 
 
 def singular_spectrum(m: np.ndarray, *, overwrite_m: bool = False) -> np.ndarray:
@@ -163,7 +165,7 @@ def compute_basis(
     rank = min(np.shape(m))
     if r is not None and not 1 <= r <= rank:
         raise ValueError(f"r must lie in [1, {rank}]")
-    qr, tau, r_factor, u, sigma = _factor(m, overwrite_m)
+    qr, t, r_factor, u, sigma = _factor(m, overwrite_m)
     if r is None:
         r = energy_rank(sigma, energy)
     if sigma[0] == 0.0 or sigma[r - 1] <= RANK_RTOL * sigma[0]:
@@ -172,10 +174,12 @@ def compute_basis(
     # row count; a wide m has only `rank` reflectors
     modes = np.zeros((qr.shape[0], r), order="F")
     modes[:rank] = u[:, :r]
-    (modes,) = _lapack(lapack.dormqr, "L", "N", qr[:, :rank], tau, modes,
-                       overwrite_c=1)
+    (modes,) = _call(lapack.dgemqrt, qr[:, :rank], t, modes, overwrite_c=1)
     signs = _mode_signs(modes)
-    # basisᵀ m = (U_r signs)ᵀ Qᵀ Q R
-    coordinates = (u[:, :r] * signs).T @ r_factor
+    # basisᵀ m = (U_r signs)ᵀ Qᵀ Q R, taken as its transpose Rᵀ (U_r signs)
+    # with scipy's BLAS, which the factorization uses: numpy may link an
+    # OpenBLAS of its own, whose threads spin on after a product and halve
+    # the speed of the next block's factorization on a two-core machine
+    coordinates = la.blas.dgemm(1.0, r_factor.T, u[:, :r] * signs).T
     return PodBasis(basis=modes * signs, singular_values=sigma,
                     coordinates=coordinates)

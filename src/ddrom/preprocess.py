@@ -317,16 +317,51 @@ class BlockSource(SnapshotFile):
 
     def _block(self, idx: np.ndarray) -> np.ndarray:
         layout, record = self.header.layout, self._record
-        m = self.header.time.n_train
+        m, n = self.header.time.n_train, self.n
         rows = layout.point_rows(idx)
-        # column-major, so a QR factorization takes it in place; whole
-        # columns are read and their rows picked in memory, so the number
-        # of reads does not depend on how the rows are ordered
+        # column-major, so a QR factorization takes it in place; each
+        # column's spans are read on their own, a run the block keeps in
+        # order straight into it, any other span into ``buf`` to pick from
         block = np.empty((rows.size, m), order="F")
-        for j, chunk in self.chunks(0, m):
-            block[:, j : j + chunk.shape[1]] = chunk[rows]
+        spans = _spans(rows)
+        buf = np.empty(max([stop - first for first, stop, _, pick in spans
+                            if pick is not None], default=0))
+        for j in range(m):
+            for first, stop, at, pick in spans:
+                if pick is None:
+                    self.read(block[at : at + stop - first, j], j * n + first)
+                else:
+                    block[at, j] = self.read(buf[: stop - first], j * n + first)[pick]
         names = layout.variable_names
         var_rows = [slice(v * idx.size, (v + 1) * idx.size) for v in range(layout.n_s)]
         _transform_in_place(block, var_rows, record.transform_spec, names)
         _center_scale_in_place(block, var_rows, record.mean_field[rows], record.scale)
         return block
+
+
+# a block reads each column in at most this many spans of rows
+SPANS_PER_COLUMN = 8
+
+
+def _spans(rows: np.ndarray) -> list:
+    """The spans of file rows that cover ``rows``, at most SPANS_PER_COLUMN
+    of them: the runs of consecutive rows, merged across their narrowest
+    gaps.  Each is ``(first, stop, at, pick)``: a run that the block stores
+    in order at positions ``at .. at + stop - first - 1`` has ``pick`` None;
+    any other span puts its rows ``first + pick`` at the positions ``at``.
+    """
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    gaps = np.diff(ordered)
+    starts = np.flatnonzero(gaps != 1) + 1
+    if starts.size >= SPANS_PER_COLUMN:
+        widest = np.argsort(gaps[starts - 1], kind="stable")
+        starts = np.sort(starts[widest[starts.size - SPANS_PER_COLUMN + 1 :]])
+    spans = []
+    for lo, hi in zip([0, *starts], [*starts, rows.size]):
+        first, stop, at = int(ordered[lo]), int(ordered[hi - 1]) + 1, order[lo:hi]
+        if stop - first == hi - lo and np.array_equal(at, at[0] + np.arange(hi - lo)):
+            spans.append((first, stop, int(at[0]), None))
+        else:
+            spans.append((first, stop, at, ordered[lo:hi] - first))
+    return spans

@@ -114,6 +114,11 @@ class TestRSvdAgainstThinSvd:
     """The QR-then-SVD-of-R route against ``la.svd`` of the whole matrix."""
 
     SHAPES = {"tall": (60, 9), "square": (9, 9), "wide": (9, 60)}
+    # ranks below, equal to and not a multiple of the QR block size (32),
+    # tall and wide
+    BLOCK_SHAPES = {"70x5": (70, 5), "64x32": (64, 32), "200x45": (200, 45),
+                    "45x200": (45, 200)}
+    ALL_SHAPES = {**SHAPES, **BLOCK_SHAPES}
 
     @staticmethod
     def oracle(m, r):
@@ -149,6 +154,20 @@ class TestRSvdAgainstThinSvd:
         np.testing.assert_allclose(basis.coordinates, basis.basis.T @ m,
                                    rtol=0, atol=1e-13 * sigma[0])
 
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_every_mode_against_thin_svd_around_the_qr_block_size(self, shape):
+        rows, cols = self.BLOCK_SHAPES[shape]
+        k = min(rows, cols)
+        m = planted_matrix(max(rows, cols), k, np.geomspace(10.0, 0.1, k),
+                           seed=15)
+        m = m if rows >= cols else m.T
+        basis = compute_basis(m, r=k)
+        u, sigma = self.oracle(m, k)
+        assert np.abs(basis.singular_values - sigma).max() <= 1e-14 * sigma[0]
+        assert np.abs(basis.basis @ basis.basis.T - u @ u.T).max() <= 1e-12
+        np.testing.assert_allclose(basis.basis, u, rtol=0, atol=1e-12)
+        assert np.abs(basis.coordinates - u.T @ m).max() <= 1e-13 * sigma[0]
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_rank_deficient_input_is_refused(self, shape):
         rows, cols = self.SHAPES[shape]
@@ -163,10 +182,10 @@ class TestRSvdAgainstThinSvd:
         # an energy target stops at the rank
         assert compute_basis(m, energy=1.0).r == 3
 
-    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("shape", ALL_SHAPES)
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_m_is_kept_unless_given_up(self, shape, order):
-        rows, cols = self.SHAPES[shape]
+        rows, cols = self.ALL_SHAPES[shape]
         m = np.array(np.random.default_rng(13).standard_normal((rows, cols)),
                      order=order)
         before = m.copy(order="K")
@@ -179,9 +198,9 @@ class TestRSvdAgainstThinSvd:
         # only a float64 column-major matrix is factored in place
         assert np.array_equal(m, before) == (order == "C")
 
-    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("shape", ALL_SHAPES)
     def test_spectrum_alone_is_the_stored_one(self, shape):
-        rows, cols = self.SHAPES[shape]
+        rows, cols = self.ALL_SHAPES[shape]
         m = np.asfortranarray(
             np.random.default_rng(14).standard_normal((rows, cols)))
         before = m.copy(order="K")

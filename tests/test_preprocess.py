@@ -1,10 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ddrom import core
+from ddrom import core, preprocess
 from ddrom.core import (
     Geometry,
     SnapshotFile,
@@ -256,6 +258,86 @@ def test_max_abs_fit_reads_each_training_column_once(tmp_path, monkeypatch,
     assert np.array_equal(record.scale, expected.scale)
     assert np.array_equal(record.scale, [50.0 + expected.mean_field[3],
                                          50.0 - expected.mean_field[60]])
+
+
+def _spied_blocks(monkeypatch, path, dof_indices):
+    """The blocks of ``path``'s file and, for each block, its reads as
+    (first column, last column, values) triples."""
+    blocks, reads, read = [], [], SnapshotFile.read
+
+    def spy(self, out, index):
+        last = (index + out.size - 1) // self.n
+        reads[-1].append((index // self.n, last, out.size))
+        return read(self, out, index)
+
+    with BlockSource(path) as source:
+        source.fit("max_abs", ("identity", "reciprocal"))
+        monkeypatch.setattr(SnapshotFile, "read", spy)
+        for idx in dof_indices:
+            reads.append([])
+            blocks += source.blocks([idx])
+    return blocks, reads
+
+
+def _reads_per_column(block_reads) -> Counter:
+    """How many reads took each training column; none spans two."""
+    assert all(first == last for first, last, _ in block_reads)
+    counts = Counter(first for first, _, _ in block_reads)
+    assert sorted(counts) == list(range(31))
+    return counts
+
+
+def _two_variable_ring(tmp_path, geometry):
+    rng = np.random.default_rng(9)
+    n_x = geometry.n_x
+    data = rng.standard_normal((2 * n_x, 40))
+    data[n_x:] = np.abs(data[n_x:]) + 0.5
+    sset = SnapshotSet(StateLayout(2, n_x, ("u", "v")), geometry,
+                       TimeGrid(0.1 * np.arange(40), n_train=31), data)
+    path = tmp_path / "s.bin"
+    save_snapshots(sset, path)
+    scaled, _ = center_scale(
+        transform_variables(load_snapshots(path), ("identity", "reciprocal")),
+        transforms=("identity", "reciprocal"))
+    return path, scaled
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_blocks_read_only_their_own_rows(tmp_path, monkeypatch, k):
+    # points stored in angle order: each variable's rows of a sector are
+    # one run, or two where it wraps past point 0, and no other value of
+    # a training column is read
+    path, scaled = _two_variable_ring(tmp_path, Geometry.circle(300))
+    dec = decompose_sectors(scaled.geometry, k, 0.3)
+    blocks, reads = _spied_blocks(monkeypatch, path, dec.dof_indices)
+    read_bytes = sum(8 * size for r in reads for _, _, size in r)
+    assert read_bytes == sum(8 * 2 * idx.size * 31 for idx in dec.dof_indices)
+    for idx, block, block_reads in zip(dec.dof_indices, blocks, reads):
+        _reads_per_column(block_reads)
+        assert np.array_equal(block, scaled.data[scaled.layout.point_rows(idx), :31])
+
+
+@pytest.mark.parametrize("order", ["shuffled", "reversed"])
+def test_scattered_blocks_read_each_column_in_a_few_spans(tmp_path, monkeypatch,
+                                                          order):
+    # shuffled: points stored in random order, about one run of a block's
+    # rows per point; reversed: runs that the block keeps in the other
+    # order.  Each block still reads each column in at most
+    # SPANS_PER_COLUMN spans and is bit for bit the scaled matrix's rows.
+    geometry = Geometry.circle(300)
+    if order == "shuffled":
+        ring = Geometry.annulus(300)
+        perm = np.random.default_rng(10).permutation(300)
+        geometry = Geometry(ring.coords[perm], periodic=True)
+    path, scaled = _two_variable_ring(tmp_path, geometry)
+    dof_indices = decompose_sectors(geometry, 3, 0.3).dof_indices
+    if order == "reversed":
+        dof_indices = [idx[::-1] for idx in dof_indices]
+    blocks, reads = _spied_blocks(monkeypatch, path, dof_indices)
+    for idx, block, block_reads in zip(dof_indices, blocks, reads):
+        counts = _reads_per_column(block_reads)
+        assert max(counts.values()) <= preprocess.SPANS_PER_COLUMN
+        assert np.array_equal(block, scaled.data[scaled.layout.point_rows(idx), :31])
 
 
 def test_block_source_refuses_reading_before_fitting(tmp_path):
