@@ -25,10 +25,7 @@ __all__ = [
     "decompose_sectors",
     "blending_weights",
     "recombine",
-    "annular_sector_fraction",
 ]
-
-_TWO_PI = 2.0 * np.pi
 
 TOPOLOGIES = ("single", "interval", "annular")
 
@@ -137,7 +134,7 @@ def _axis(topology: str, geometry: Geometry):
         raise ValueError(
             "sector decomposition needs a periodic geometry with angles attached"
         )
-    return geometry.angular, 0.0, _TWO_PI, True
+    return geometry.angular, 0.0, 2.0 * np.pi, True
 
 
 def _span(axis, lo, hi, wraps, k, overlap, i):
@@ -283,13 +280,3 @@ def recombine(fields, weights: BlendingWeights) -> np.ndarray:
         out = term if out is None else out + term
     return out
 
-
-def annular_sector_fraction(k: int, overlap_angle: float) -> float:
-    """Fraction of an annular domain covered by one extended sector."""
-    if k < 1:
-        raise ValueError("need at least one sector")
-    if k == 1:
-        return 1.0
-    if not 0.0 < overlap_angle < _TWO_PI / k:
-        raise ValueError("overlap angle out of range")
-    return (_TWO_PI / k + overlap_angle) / _TWO_PI

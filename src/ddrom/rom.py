@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 ROM_MAGIC = b"DDRM"
-ROM_VERSION = 1
+ROM_VERSION = 2
 
 
 class DivergenceError(RuntimeError):
@@ -363,36 +363,27 @@ def predict_full(
 
 def save_rom(rom: CoupledRom, path) -> None:
     """Write a model artifact: magic, version, form, subdomain count, time
-    step, layout and geometry, decomposition, scaling record, then each
-    subdomain's dimensions, spectrum, basis, and operators."""
+    step, layout and geometry, topology and overlap, scaling record, then
+    every subdomain's dimensions, spectrum and basis, then every subdomain's
+    operators.
+
+    Nothing the partition rule gives is stored: no angles, point lists,
+    interiors or neighbor lists, no basis row counts, and no coupling
+    counts, keys or widths.  Subdomain i's coupling blocks follow in
+    ascending neighbor order, each ``r_i x r_j``.
+    """
     with open(path, "wb") as fh:
         w = _Writer(fh)
         fh.write(ROM_MAGIC)
         w.pack("II", ROM_VERSION, FORMS.index(rom.form))
         w.pack("Qd", rom.k, rom.dt)
 
-        layout, geom = rom.layout, rom.geometry
-        geo_flags = (1 if geom.periodic else 0) | (
-            2 if geom.angular is not None else 0
-        )
-        w.pack("QQQI", layout.n_s, layout.n_x, geom.dim, geo_flags)
+        layout, geom, dec = rom.layout, rom.geometry, rom.decomposition
+        w.pack("QQQI", layout.n_s, layout.n_x, geom.dim, int(geom.periodic))
         for name in layout.variable_names:
             w.name(name)
         w.array(geom.coords)
-        if geom.angular is not None:
-            w.array(geom.angular)
-
-        dec = rom.decomposition
         w.pack("Id", TOPOLOGIES.index(dec.topology), dec.overlap)
-        for i in range(dec.k):
-            idx = dec.dof_indices[i]
-            w.pack("Q", idx.size)
-            fh.write(np.ascontiguousarray(idx, dtype="<u8").tobytes())
-            w.pack("dd", *dec.interior[i])
-            nbrs = sorted(dec.adjacency[i])
-            w.pack("Q", len(nbrs))
-            for j in nbrs:
-                w.pack("Q", j)
 
         rec = rom.scaling
         w.pack("I", preprocess.SCALING_KINDS.index(rec.scaling_kind))
@@ -401,18 +392,15 @@ def save_rom(rom: CoupledRom, path) -> None:
         w.array(rec.mean_field)
         w.array(rec.scale)
 
-        for i in range(rom.k):
-            basis, ops = rom.bases[i], rom.operators[i]
-            w.pack("QQQ", ops.r, basis.rows, basis.singular_values.size)
+        for basis in rom.bases:
+            w.pack("QQ", basis.r, basis.singular_values.size)
             w.array(basis.singular_values)
             w.array(basis.basis, order="F")
+        for ops in rom.operators:
             w.array(ops.linear)
             w.array(ops.quadratic)
-            w.pack("Q", len(ops.coupling))
             for j in sorted(ops.coupling):
-                block = ops.coupling[j]
-                w.pack("QQ", j, block.shape[1])
-                w.array(block)
+                w.array(ops.coupling[j])
             w.pack("B", 0 if ops.constant is None else 1)
             if ops.constant is not None:
                 w.array(ops.constant)
@@ -422,7 +410,8 @@ def load_rom(path) -> CoupledRom:
     """Read a model artifact written by :func:`save_rom`.
 
     Raises :class:`SnapFormatError` on a malformed, truncated, or padded
-    file, and on one whose contents do not make a consistent model.
+    file, on one of another version, and on one whose contents do not make
+    a consistent model.
     """
     try:
         return _read_rom(path)
@@ -446,7 +435,9 @@ def _read_rom(path) -> CoupledRom:
             raise SnapFormatError("bad magic; not a model artifact")
         version, form_code = r.pack("II", "header")
         if version != ROM_VERSION:
-            raise SnapFormatError(f"unknown version {version}")
+            raise SnapFormatError(
+                f"model version {version} is not {ROM_VERSION}; rerun train"
+            )
         form = _named(FORMS, form_code, "model form")
         k, dt = r.pack("Qd", "header")
         if k < 1 or k > 10**6:
@@ -455,43 +446,18 @@ def _read_rom(path) -> CoupledRom:
         n_s, n_x, dim, geo_flags = r.pack("QQQI", "layout")
         if n_s < 1 or n_x < 1 or dim not in (1, 2):
             raise SnapFormatError("implausible layout dimensions")
-        if geo_flags & ~3:
+        if geo_flags & ~1:
             raise SnapFormatError("unknown geometry flags")
         names = tuple(r.name("variable names") for _ in range(n_s))
-        coords = r.array((n_x, dim), "coordinates")
-        stored = r.array((n_x,), "angles") if geo_flags & 2 else None
         layout = StateLayout(n_s=n_s, n_x=n_x, variable_names=names)
-        geometry = Geometry(coords, periodic=bool(geo_flags & 1))
-        derived = geometry.angular
-        if (stored is None) != (derived is None) or (
-            stored is not None and not np.array_equal(stored, derived)
-        ):
-            raise SnapFormatError("stored angles are not those of the coordinates")
+        geometry = Geometry(r.array((n_x, dim), "coordinates"),
+                            periodic=bool(geo_flags))
 
-        # the partition follows from the geometry, k and the overlap; the
-        # stored point and neighbor lists must be the rule's, and the stored
-        # interiors (which older code saved ulps away from the rule's) are
-        # skipped
+        # the partition, and with it every basis's rows and every coupling
+        # block's key and width, follows from the geometry, k and the overlap
         topo_code, overlap = r.pack("Id", "decomposition")
         topology = _named(TOPOLOGIES, topo_code, "topology")
         decomposition = decompose(topology, geometry, k, overlap)
-        for i in range(k):
-            idx = decomposition.dof_indices[i]
-            (n_pts,) = r.pack("Q", "subdomain size")
-            if n_pts != idx.size or not np.array_equal(
-                np.frombuffer(r.take(8 * n_pts, "point indices"), dtype="<u8"), idx
-            ):
-                raise SnapFormatError(f"subdomain {i} does not hold the points "
-                                      "the partition rule gives it")
-            r.take(16, "interior delimiters")
-            nbrs = decomposition.adjacency[i]
-            (n_adj,) = r.pack("Q", "adjacency size")
-            if n_adj != len(nbrs) or set(
-                np.frombuffer(r.take(8 * n_adj, "adjacency"), dtype="<u8").tolist()
-            ) != nbrs:
-                raise SnapFormatError(
-                    f"subdomain {i} neighbors do not follow the partition rule"
-                )
 
         (kind_code,) = r.pack("I", "scaling kind")
         kind = _named(preprocess.SCALING_KINDS, kind_code, "scaling kind")
@@ -505,27 +471,25 @@ def _read_rom(path) -> CoupledRom:
             mean_field, scale, kind, transforms
         )
 
-        bases, operators = [], []
-        for i in range(k):
-            ri, rows, n_sigma = r.pack("QQQ", "subdomain dimensions")
+        bases = []
+        for idx in decomposition.dof_indices:
+            ri, n_sigma = r.pack("QQ", "subdomain dimensions")
+            rows = n_s * idx.size
             if not 1 <= ri <= rows or n_sigma < ri:
                 raise SnapFormatError("implausible basis dimensions")
             sigma = r.array((n_sigma,), "singular values")
             basis = r.array((rows, ri), "basis", order="F")
+            bases.append(PodBasis(basis=basis, singular_values=sigma))
+
+        operators = []
+        for basis, nbrs in zip(bases, decomposition.adjacency):
+            ri = basis.r
             linear = r.array((ri, ri), "linear operator")
             quadratic = r.array((ri, quadratic_dim(ri)), "quadratic operator")
-            (n_cpl,) = r.pack("Q", "coupling count")
-            coupling = {}
-            for _ in range(n_cpl):
-                j, rj = r.pack("QQ", "coupling header")
-                if j in coupling:
-                    raise SnapFormatError(
-                        f"subdomain {i} lists coupling block {j} twice"
-                    )
-                coupling[int(j)] = r.array((ri, rj), "coupling block")
+            coupling = {j: r.array((ri, bases[j].r), "coupling block")
+                        for j in sorted(nbrs)}
             (has_c,) = r.pack("B", "constant flag")
             constant = r.array((ri,), "constant term") if has_c else None
-            bases.append(PodBasis(basis=basis, singular_values=sigma))
             operators.append(
                 RomOperators(
                     linear=linear,

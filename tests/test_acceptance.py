@@ -16,7 +16,6 @@ import scipy.linalg as la
 from ddrom import cli
 from ddrom.core import Geometry, SnapshotSet, StateLayout, TimeGrid, save_snapshots
 from ddrom.decomp import (
-    annular_sector_fraction,
     blending_weights,
     decompose,
     decompose_interval,
@@ -423,7 +422,8 @@ def test_c11_memory_reduction_factor_bracket(ci_log):
     sectors cuts the largest resident block by a factor a bit above 3."""
     t0 = time.perf_counter()
     n, n_t = 75_675_600, 375
-    fraction = annular_sector_fraction(4, np.pi / 9.0)
+    # each extended sector spans its own quarter plus the pi/9 shared band
+    fraction = (2.0 * np.pi / 4 + np.pi / 9.0) / (2.0 * np.pi)
     full = cli.snapshot_matrix_bytes(n, n_t)
     sector_rows = int(round(n * fraction))
     largest = cli.snapshot_matrix_bytes(sector_rows, n_t)

@@ -5,7 +5,6 @@ from ddrom.core import Geometry
 from ddrom.decomp import (
     BlendingWeights,
     Decomposition,
-    annular_sector_fraction,
     blending_weights,
     decompose,
     decompose_interval,
@@ -313,9 +312,12 @@ class TestRecombine:
 
 
 def test_sector_fraction_worked_value():
-    # four sectors with a pi/9 shared band: each holds 11/36 of the circle
-    frac = annular_sector_fraction(4, np.pi / 9)
+    # four sectors with a pi/9 shared band: each holds 11/36 of the circle,
+    # and so does each sector the partition rule cuts from a fine ring
+    frac = (TWO_PI / 4 + np.pi / 9) / TWO_PI
     assert frac == pytest.approx(11.0 / 36.0, rel=1e-15)
+    sizes = decompose_sectors(Geometry.circle(3600), 4, np.pi / 9).subdomain_sizes()
+    assert all(abs(size - frac * 3600) <= 1 for size in sizes)
 
 
 def test_decomposition_requires_coverage():

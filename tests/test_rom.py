@@ -623,116 +623,76 @@ class TestArtifactRoundTrip:
         with pytest.raises(SnapFormatError, match="finite"):
             load_rom(path)
 
-    def test_neighbor_listed_twice_is_refused(self, tmp_path):
-        # k = 4 along an interval: subdomain 1 lists neighbors 0 and 2,
-        # forged into the list 0, 2, 2 (three entries, still below k), which
-        # is not the rule's list
-        rom = coupled_chain_rom(4)
+    def test_a_version_1_model_is_refused_by_name(self, tmp_path):
         path = tmp_path / "model.bin"
-        save_rom(rom, path)
-        raw = path.read_bytes()
-        old = struct.pack("<QQQ", 2, 0, 2)
-        assert raw.count(old) == 1
-        path.write_bytes(raw.replace(old, struct.pack("<QQQQ", 3, 0, 2, 2)))
-        with pytest.raises(SnapFormatError, match="subdomain 1 neighbors do "
-                           "not follow the partition rule"):
+        save_rom(coupled_pair_rom(), path)
+        raw = bytearray(path.read_bytes())
+        # magic, then u32 version
+        assert struct.unpack_from("<I", raw, 4) == (2,)
+        struct.pack_into("<I", raw, 4, 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapFormatError,
+                           match="model version 1 is not 2; rerun train"):
             load_rom(path)
 
-    def test_coupling_block_listed_twice_is_refused(self, tmp_path):
-        # subdomain 0's one coupling block, forged into two blocks from
-        # subdomain 1, the second with other values
-        rom = coupled_pair_rom()
+    def test_the_file_holds_only_what_the_rule_cannot_derive(self, tmp_path):
+        # header, layout, names, coordinates, topology and overlap, scaling
+        # record; then per subdomain (r, n_sigma), spectrum and basis; then
+        # per subdomain linear, quadratic, one r_i x r_j block per neighbor,
+        # a constant flag and the constant; no angles, point lists,
+        # interiors, neighbor lists, row counts, coupling counts, keys or
+        # widths
+        rom = coupled_pair_rom(ring=True)
+        ops = rom.operators[1]
+        rom.operators[1] = RomOperators(
+            linear=ops.linear, quadratic=ops.quadratic, coupling=ops.coupling,
+            form=ops.form, constant=np.array([0.25, -0.5, 0.125]),
+        )
         path = tmp_path / "model.bin"
         save_rom(rom, path)
+        layout = rom.layout
+        size = 4 + 4 + 4 + 8 + 8 + 3 * 8 + 4
+        size += sum(len(name.encode()) + 1 for name in layout.variable_names)
+        size += 8 * rom.geometry.coords.size + 4 + 8
+        size += 4 + 4 * layout.n_s + 8 * layout.n + 8 * layout.n_s
+        for basis, ops in zip(rom.bases, rom.operators):
+            size += 16 + 8 * (basis.singular_values.size + basis.basis.size)
+            blocks = [ops.linear, ops.quadratic, *ops.coupling.values()]
+            if ops.constant is not None:
+                blocks.append(ops.constant)
+            size += 8 * sum(b.size for b in blocks) + 1
         raw = path.read_bytes()
-        block = rom.operators[0].coupling[1]
-        old = struct.pack("<QQQ", 1, 1, 3) + block.tobytes()
-        assert raw.count(old) == 1
-        new = (struct.pack("<QQQ", 2, 1, 3) + block.tobytes()
-               + struct.pack("<QQ", 1, 3) + (2.0 * block).tobytes())
-        path.write_bytes(raw.replace(old, new))
-        with pytest.raises(SnapFormatError,
-                           match="subdomain 0 lists coupling block 1 twice"):
-            load_rom(path)
+        assert len(raw) == size
+        # every basis before any operator
+        last_basis = rom.bases[-1].basis.tobytes(order="F")
+        assert raw.index(last_basis) < raw.index(rom.operators[0].linear.tobytes())
 
     def test_sector_model_without_angles_is_refused(self, tmp_path):
-        # clear the angles flag (2) of geo_flags, which follows magic, u32
-        # version and form, u64 k, f64 dt and u64 n_s, n_x, dim, and drop
-        # the stored angles
+        # clear the periodic flag (bit 0) of geo_flags, which follows magic,
+        # u32 version and form, u64 k, f64 dt and u64 n_s, n_x, dim: the
+        # geometry then has no angles, and the partition rule cuts no sectors
         rom = coupled_pair_rom(ring=True)
         path = tmp_path / "model.bin"
         save_rom(rom, path)
         raw = bytearray(path.read_bytes())
-        (flags,) = struct.unpack_from("<I", raw, 52)
-        assert flags == 3
-        struct.pack_into("<I", raw, 52, 1)
-        angles = rom.geometry.angular.tobytes()
-        assert raw.count(angles) == 1
-        path.write_bytes(bytes(raw).replace(angles, b""))
-        with pytest.raises(SnapFormatError,
-                           match="stored angles are not those of the coordinates"):
+        assert struct.unpack_from("<I", raw, 52) == (1,)
+        struct.pack_into("<I", raw, 52, 0)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapFormatError, match="sector decomposition needs "
+                           "a periodic geometry with angles attached"):
             load_rom(path)
 
     def test_unknown_geometry_flags_are_refused(self, tmp_path):
-        # geo_flags sits at byte 52 (see above); bits 0 and 1 are the only
-        # ones defined
-        rom = coupled_pair_rom(ring=True)
+        # geo_flags sits at byte 52 (see above); bit 0 is the only one
+        # defined, and bit 1 (angles stored) is no longer
         path = tmp_path / "model.bin"
-        save_rom(rom, path)
-        raw = bytearray(path.read_bytes())
-        assert struct.unpack_from("<I", raw, 52) == (3,)
-        struct.pack_into("<I", raw, 52, 0x80000003)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(SnapFormatError, match="unknown geometry flags"):
-            load_rom(path)
-
-    @pytest.mark.parametrize("ring", [False, True])
-    def test_stored_interiors_do_not_move_the_weights(self, tmp_path, ring):
-        # the weights follow from the geometry, k and the overlap alone
-        rom = coupled_pair_rom(ring=ring)
-        path = tmp_path / "model.bin"
-        save_rom(rom, path)
-        old = struct.pack("<dd", *rom.decomposition.interior[0])
-        new = struct.pack("<dd", rom.decomposition.interior[0][0],
-                          rom.decomposition.interior[0][1] + 0.5)
-        raw = path.read_bytes()
-        assert raw.count(old) == 1
-        path.write_bytes(raw.replace(old, new))
-        back = load_rom(path)
-        np.testing.assert_array_equal(back.weights.weights, rom.weights.weights)
-
-    def test_a_point_swapped_between_subdomains_is_refused(self, tmp_path):
-        # ring of 30 points, k 2, overlap 0.6: subdomain 0 holds point 0
-        # (in the overlap); the forged list holds point 23 (in subdomain 1's
-        # interior) in its place, which every stored count still allows
-        rom = coupled_pair_rom(ring=True)
-        path = tmp_path / "model.bin"
-        save_rom(rom, path)
-        idx = rom.decomposition.dof_indices[0]
-        assert 0 in idx and 23 not in idx
-        assert 23 in rom.decomposition.dof_indices[1]
-        old = idx.astype("<u8").tobytes()
-        raw = path.read_bytes()
-        assert raw.count(old) == 1
-        path.write_bytes(raw.replace(old, np.where(idx == 0, 23, idx)
-                                     .astype("<u8").tobytes()))
-        with pytest.raises(SnapFormatError, match="subdomain 0 does not hold "
-                           "the points the partition rule gives it"):
-            load_rom(path)
-
-    def test_reversed_angles_are_refused(self, tmp_path):
-        # the angles follow from the coordinates, so stored ones that differ
-        # are refused before the partition is built
-        rom = coupled_pair_rom(ring=True)
-        path = tmp_path / "model.bin"
-        save_rom(rom, path)
-        angles = rom.geometry.angular
-        raw = path.read_bytes()
-        assert raw.count(angles.tobytes()) == 1
-        path.write_bytes(raw.replace(angles.tobytes(), angles[::-1].tobytes()))
-        with pytest.raises(SnapFormatError,
-                           match="stored angles are not those of the coordinates"):
-            load_rom(path)
+        for flags in (3, 0x80000001):
+            save_rom(coupled_pair_rom(ring=True), path)
+            raw = bytearray(path.read_bytes())
+            struct.pack_into("<I", raw, 52, flags)
+            path.write_bytes(bytes(raw))
+            with pytest.raises(SnapFormatError, match="unknown geometry flags"):
+                load_rom(path)
 
     @pytest.mark.parametrize("ring", [False, True])
     def test_loaded_decomposition_is_the_rule(self, tmp_path, ring):
@@ -830,9 +790,19 @@ class TestModelLoaderFuzz:
     @given(mutation=_MODEL_MUTATIONS)
     def test_malformed_sector_models_raise_only_format_errors(self, tmp_path,
                                                               mutation):
-        # a ring model also stores angles, which the loader checks
+        # a ring model's sectors follow from its periodic flag and the
+        # angles of its coordinates
         _load_mutated(tmp_path / "model.bin",
                       coupled_pair_rom(form="continuous", ring=True), mutation)
+
+    @_FUZZ
+    @given(mutation=_MODEL_MUTATIONS)
+    def test_malformed_chain_models_raise_only_format_errors(self, tmp_path,
+                                                             mutation):
+        # four subdomains on an interval: the ends have one neighbor, the
+        # middle two have two, so the derived adjacency sets how many
+        # coupling blocks each subdomain reads
+        _load_mutated(tmp_path / "model.bin", coupled_chain_rom(4), mutation)
 
 
 def test_continuous_rk4_converges_at_fourth_order():
