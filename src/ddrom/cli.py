@@ -499,7 +499,7 @@ def cmd_decompose(cfg) -> int:
         member[i, idx] = 1
     rows = (
         [p, *m, *w]
-        for p, (m, w) in enumerate(zip(member.T, weights.weights.T))
+        for p, (m, w) in enumerate(zip(member.T, weights.T))
     )
     path = out_dir / "decomposition.csv"
     _write_csv(path, decompose_header(dec.k), rows)
@@ -674,15 +674,10 @@ def cmd_evaluate(cfg) -> int:
                 [name, report.training[v], "" if pred is None else pred]
             )
         _write_csv(out_dir / "error_report.csv", ERROR_REPORT_HEADER, rows)
-        bin_rows = [
-            [t, *fr.tolist()] for t, fr in zip(bins.times, bins.fractions)
-        ]
+        bin_rows = np.column_stack([bins.times, bins.fractions]).tolist()
         _write_csv(out_dir / "bin_report.csv", bin_report_header(thresholds), bin_rows)
         times = [float(t_head.time.timestamps[i]) for i in instants]
-        prof_rows = [
-            [float(profile.coordinate[p]), *profile.values[p]]
-            for p in range(len(probe))
-        ]
+        prof_rows = np.column_stack([profile.coordinate, profile.values]).tolist()
         _write_csv(out_dir / "profiles.csv", profile_header(times), prof_rows)
 
     for v, name in enumerate(report.variables):

@@ -19,7 +19,6 @@ from .core import Geometry
 
 __all__ = [
     "Decomposition",
-    "BlendingWeights",
     "decompose",
     "decompose_interval",
     "decompose_sectors",
@@ -35,15 +34,12 @@ class Decomposition:
     """Partition of a point set into overlapping subdomains.
 
     dof_indices holds each subdomain's point indices in ascending order;
-    interior holds the interior delimiters (coordinates for intervals,
-    angles for sectors) inside which a subdomain fully owns the solution;
     adjacency lists which subdomains share points.
     """
 
     topology: str
     n_x: int
     dof_indices: tuple[np.ndarray, ...]
-    interior: tuple[tuple[float, float], ...]
     adjacency: tuple[frozenset[int], ...]
     overlap: float
 
@@ -51,7 +47,7 @@ class Decomposition:
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}")
         k = len(self.dof_indices)
-        if k < 1 or len(self.interior) != k or len(self.adjacency) != k:
+        if k < 1 or len(self.adjacency) != k:
             raise ValueError("inconsistent subdomain counts")
         frozen = []
         seen = np.zeros(self.n_x, dtype=bool)
@@ -77,9 +73,6 @@ class Decomposition:
                 if i not in adj[j]:
                     raise ValueError("adjacency is not symmetric")
         object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(
-            self, "interior", tuple((float(a), float(b)) for a, b in self.interior)
-        )
 
     @property
     def k(self) -> int:
@@ -87,32 +80,6 @@ class Decomposition:
 
     def subdomain_sizes(self) -> tuple[int, ...]:
         return tuple(idx.size for idx in self.dof_indices)
-
-
-@dataclass(frozen=True)
-class BlendingWeights:
-    """Per-subdomain weight of every point, shape (k, n_x); rows sum to one
-    across subdomains at each point."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 2:
-            raise ValueError("weights must be a (k, n_x) matrix")
-        if np.any(w < 0.0) or np.any(w > 1.0):
-            raise ValueError("weights must lie in [0, 1]")
-        w = np.array(w)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def k(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_x(self) -> int:
-        return self.weights.shape[1]
 
 
 def _axis(topology: str, geometry: Geometry):
@@ -172,8 +139,8 @@ def decompose(topology: str, geometry: Geometry, k: int,
                              f"overlap, not k = {k}, overlap = {overlap:g}")
         return Decomposition(
             topology=topology, n_x=geometry.n_x,
-            dof_indices=(np.arange(geometry.n_x),), interior=((-np.inf, np.inf),),
-            adjacency=(frozenset(),), overlap=0.0)
+            dof_indices=(np.arange(geometry.n_x),), adjacency=(frozenset(),),
+            overlap=0.0)
     axis, lo, hi, wraps = _axis(topology, geometry)
     length = hi - lo
     what = "overlap width" if topology == "interval" else "overlap angle"
@@ -189,11 +156,10 @@ def decompose(topology: str, geometry: Geometry, k: int,
             f"{what} {overlap:g} too large: non-adjacent subdomains would "
             f"intersect (limit {length / k:g})"
         )
-    dof, interior, adjacency = [], [], []
+    dof, adjacency = [], []
     for i in range(k):
-        depth, closed = _span(axis, lo, hi, wraps, k, overlap, i)
+        depth, _ = _span(axis, lo, hi, wraps, k, overlap, i)
         dof.append(np.nonzero(depth >= 0.0)[0])
-        interior.append(closed)
         adjacency.append(
             frozenset(j % k for j in (i - 1, i + 1) if wraps or 0 <= j < k)
         )
@@ -201,7 +167,6 @@ def decompose(topology: str, geometry: Geometry, k: int,
         topology=topology,
         n_x=geometry.n_x,
         dof_indices=tuple(dof),
-        interior=tuple(interior),
         adjacency=tuple(adjacency),
         overlap=float(overlap),
     )
@@ -237,8 +202,9 @@ def _check_overlap_points(dec: Decomposition) -> None:
                 )
 
 
-def blending_weights(dec: Decomposition, geometry: Geometry) -> BlendingWeights:
-    """Linear partition-of-unity weights for a decomposition.
+def blending_weights(dec: Decomposition, geometry: Geometry) -> np.ndarray:
+    """Linear partition-of-unity weights for a decomposition: a read-only
+    float64 (k, n_x) matrix whose columns sum to one.
 
     Weight is 1 on a subdomain's closed interior, ramps linearly with slope
     1/overlap across each overlap from the subdomain's own interior
@@ -247,32 +213,36 @@ def blending_weights(dec: Decomposition, geometry: Geometry) -> BlendingWeights:
     if geometry.n_x != dec.n_x:
         raise ValueError("geometry and decomposition disagree on the point count")
     if dec.topology == "single":
-        return BlendingWeights(np.ones((1, dec.n_x)))
-    axis, lo, hi, wraps = _axis(dec.topology, geometry)
-    w = np.empty((dec.k, dec.n_x))
-    for i in range(dec.k):
-        depth, (int_lo, int_hi) = _span(axis, lo, hi, wraps, dec.k, dec.overlap, i)
-        np.clip(depth / dec.overlap, 0.0, 1.0, out=w[i])
-        w[i, (axis >= int_lo) & (axis <= int_hi)] = 1.0
-    return BlendingWeights(w)
+        w = np.ones((1, dec.n_x))
+    else:
+        axis, lo, hi, wraps = _axis(dec.topology, geometry)
+        w = np.empty((dec.k, dec.n_x))
+        for i in range(dec.k):
+            depth, (int_lo, int_hi) = _span(axis, lo, hi, wraps, dec.k, dec.overlap, i)
+            np.clip(depth / dec.overlap, 0.0, 1.0, out=w[i])
+            w[i, (axis >= int_lo) & (axis <= int_hi)] = 1.0
+    w.setflags(write=False)
+    return w
 
 
-def recombine(fields, weights: BlendingWeights) -> np.ndarray:
+def recombine(fields, weights: np.ndarray) -> np.ndarray:
     """Blend full-length subdomain fields into one global field.
 
     Each field is a length-n vector (or (n, n_t) matrix) that is zero off
     its subdomain; n must be a multiple of the point count so weights are
-    tiled across variable blocks.  Returns sum_i weight_i * field_i.
+    tiled across variable blocks; ``weights`` is the (k, n_x) matrix of
+    :func:`blending_weights`.  Returns sum_i weight_i * field_i.
     """
     fields = [np.asarray(f, dtype=np.float64) for f in fields]
-    if len(fields) != weights.k:
+    k, n_x = weights.shape
+    if len(fields) != k:
         raise ValueError("need one field per subdomain")
     n = fields[0].shape[0]
-    if n % weights.n_x != 0:
+    if n % n_x != 0:
         raise ValueError("field length must be a multiple of the point count")
-    reps = n // weights.n_x
+    reps = n // n_x
     out = None
-    for f, w in zip(fields, weights.weights):
+    for f, w in zip(fields, weights):
         if f.shape[0] != n or f.ndim not in (1, 2):
             raise ValueError("fields must share one length and be 1-D or 2-D")
         wf = np.tile(w, reps)

@@ -181,5 +181,6 @@ def compute_basis(
     # OpenBLAS of its own, whose threads spin on after a product and halve
     # the speed of the next block's factorization on a two-core machine
     coordinates = la.blas.dgemm(1.0, r_factor.T, u[:, :r] * signs).T
-    return PodBasis(basis=modes * signs, singular_values=sigma,
+    modes *= signs
+    return PodBasis(basis=modes, singular_values=sigma,
                     coordinates=coordinates)

@@ -28,13 +28,7 @@ from .core import (
     _Reader,
     _Writer,
 )
-from .decomp import (
-    TOPOLOGIES,
-    BlendingWeights,
-    Decomposition,
-    blending_weights,
-    decompose,
-)
+from .decomp import TOPOLOGIES, Decomposition, blending_weights, decompose
 from .decomp import recombine  # noqa: F401  perfbench/tracing.py wraps rom.recombine
 from .opinf import FORMS, RomOperators, _pair_indices, quadratic_dim
 from .pod import PodBasis
@@ -74,7 +68,7 @@ class CoupledRom:
     scaling: preprocess.ScalingRecord
     form: str
     dt: float
-    weights: BlendingWeights = field(init=False)
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         dec = self.decomposition
@@ -320,7 +314,7 @@ class Prediction(_Columns):
         lifts = []
         for i in range(rom.k):
             rows = layout.point_rows(rom.decomposition.dof_indices[i])
-            weight = np.tile(rom.weights.weights[i], layout.n_s)[rows]
+            weight = np.tile(rom.weights[i], layout.n_s)[rows]
             lifts.append((rows, weight[:, None]))
         for j, chunk in pieces:
             chunk.fill(0.0)

@@ -65,12 +65,12 @@ def test_c01_partition_of_unity_random_overlaps(ci_log):
         for _ in range(50):
             span = rng.uniform(6.0 / 256.0, 0.9 / k)
             dec = decompose_interval(interval, k, span)
-            w = blending_weights(dec, interval).weights
+            w = blending_weights(dec, interval)
             worst = max(worst, np.abs(w.sum(axis=0) - 1.0).max())
 
             angle = rng.uniform(6.0 * 2.0 * np.pi / 256.0, 0.9 * 2.0 * np.pi / k)
             dec = decompose_sectors(circle, k, angle)
-            w = blending_weights(dec, circle).weights
+            w = blending_weights(dec, circle)
             worst = max(worst, np.abs(w.sum(axis=0) - 1.0).max())
     elapsed = time.perf_counter() - t0
     ci_log(f"partition of unity: worst deviation {worst:.3e}, {elapsed:.2f}s")

@@ -138,6 +138,21 @@ class TestFormatting:
                                 [0.1, np.float64(1.0) / 3.0, np.float64(1e-8)])
         assert row == ["0.1", "0.3333333333333333", "1e-08"]
 
+    def test_numpy_and_python_floats_write_the_same_bytes(self, tmp_path):
+        # evaluate writes rows of Python floats (ndarray.tolist()) where it
+        # once wrote numpy float64 scalars; both must give the same cells
+        rng = np.random.default_rng(5)
+        edges = [0.0, -0.0, 1e16, -1e16, 1e-05, 5e-324, -5e-324, np.inf,
+                 -np.inf, np.nan, 0.1, 1.0 / 3.0, 2.0 ** 53, 1e15, 1e-4]
+        random = (rng.standard_normal(3000)
+                  * 10.0 ** rng.uniform(-310.0, 308.0, 3000))
+        values = np.concatenate([edges, random]).reshape(-1, 5)
+        scalars, floats = tmp_path / "scalars.csv", tmp_path / "floats.csv"
+        cli._write_csv(scalars, ("a",) * 5, [list(row) for row in values])
+        cli._write_csv(floats, ("a",) * 5, values.tolist())
+        assert isinstance(values[0][0], np.float64)
+        assert scalars.read_bytes() == floats.read_bytes()
+
     def test_bools_and_ints(self, tmp_path):
         # bool cells reach the writer as "true"/"false", set by their command
         row = self._written_row(tmp_path / "b.csv",

@@ -3,7 +3,6 @@ import pytest
 
 from ddrom.core import Geometry
 from ddrom.decomp import (
-    BlendingWeights,
     Decomposition,
     blending_weights,
     decompose,
@@ -25,7 +24,6 @@ class TestDecompose:
         dec = decompose("single", Geometry.circle(12), 1, 0.0)
         assert dec.topology == "single" and dec.k == 1 and dec.n_x == 12
         np.testing.assert_array_equal(dec.dof_indices[0], np.arange(12))
-        assert dec.interior == ((-np.inf, np.inf),)
         assert dec.adjacency == (frozenset(),) and dec.overlap == 0.0
 
     @pytest.mark.parametrize("k, overlap", [(4, 0.0), (1, -3.0), (0, 0.0),
@@ -51,8 +49,7 @@ class TestDecompose:
                 (decompose_interval, "interval", uniform_interval(50)),
                 (decompose_sectors, "annular", Geometry.circle(50))):
             a, b = wrapper(geo, 3, 0.2), decompose(topology, geo, 3, 0.2)
-            assert (a.topology, a.interior, a.adjacency) == (
-                b.topology, b.interior, b.adjacency)
+            assert (a.topology, a.adjacency) == (b.topology, b.adjacency)
             for x, y in zip(a.dof_indices, b.dof_indices):
                 np.testing.assert_array_equal(x, y)
 
@@ -61,7 +58,6 @@ class TestDecompose:
             return Decomposition(
                 topology="interval", n_x=6,
                 dof_indices=tuple(np.array(i) for i in dof),
-                interior=((0.0, 1.0),) * len(dof),
                 adjacency=tuple(frozenset(a) for a in adjacency), overlap=0.1)
 
         with pytest.raises(ValueError, match="overlap between subdomains 0 "
@@ -77,21 +73,21 @@ class TestDecompose:
 
 class TestIntervalDecomposition:
     def test_two_subdomains_on_unit_interval(self):
-        # overlap 0.2 about the midpoint: interiors [0, 0.4] and [0.6, 1],
-        # supports meeting at the neighbor's interior boundary
+        # overlap 0.2 about the midpoint: interiors [0, 0.5 - 0.1] and
+        # [0.5 + 0.1, 1], supports meeting at the neighbor's interior boundary
         geo = uniform_interval(100)
         dec = decompose_interval(geo, 2, 0.2)
         assert dec.k == 2
         assert dec.topology == "interval"
         assert dec.subdomain_sizes() == (60, 60)
         assert dec.adjacency == ({1}, {0})
-        lo0, hi0 = dec.interior[0]
-        lo1, hi1 = dec.interior[1]
-        assert hi0 == pytest.approx(0.4)
-        assert lo1 == pytest.approx(0.6)
+        hi0, lo1 = 0.5 - 0.1, 0.5 + 0.1
         x = geo.coords[:, 0]
-        np.testing.assert_array_equal(dec.dof_indices[0], np.where(x <= 0.6)[0])
-        np.testing.assert_array_equal(dec.dof_indices[1], np.where(x >= 0.4)[0])
+        np.testing.assert_array_equal(dec.dof_indices[0], np.where(x <= lo1)[0])
+        np.testing.assert_array_equal(dec.dof_indices[1], np.where(x >= hi0)[0])
+        w = blending_weights(dec, geo)
+        np.testing.assert_array_equal(w[0, x <= hi0], 1.0)
+        np.testing.assert_array_equal(w[1, x >= lo1], 1.0)
 
     def test_three_subdomains_chain_adjacency(self):
         geo = uniform_interval(90)
@@ -164,7 +160,7 @@ class TestBlendingWeights:
     def test_interior_points_get_weight_one(self):
         geo = uniform_interval(101)
         dec = decompose_interval(geo, 2, 0.2)
-        w = blending_weights(dec, geo).weights
+        w = blending_weights(dec, geo)
         x = geo.coords[:, 0]
         inside0 = x <= 0.4
         np.testing.assert_array_equal(w[0, inside0], 1.0)
@@ -175,7 +171,7 @@ class TestBlendingWeights:
         # and 0.625, so the ramp at x = 0.5 is (0.5-0.625)/(0.375-0.625)
         geo = Geometry(np.arange(17) / 16.0, periodic=False)
         dec = decompose_interval(geo, 2, 0.25)
-        w = blending_weights(dec, geo).weights
+        w = blending_weights(dec, geo)
         mid = 8  # x = 0.5
         assert w[0, mid] == 0.5
         assert w[1, mid] == 0.5
@@ -183,7 +179,7 @@ class TestBlendingWeights:
     def test_ramps_are_monotone(self):
         geo = uniform_interval(400)
         dec = decompose_interval(geo, 3, 0.07)
-        w = blending_weights(dec, geo).weights
+        w = blending_weights(dec, geo)
         for i in range(3):
             steps = np.diff(w[i])
             if i == 0:
@@ -194,19 +190,19 @@ class TestBlendingWeights:
     def test_partition_of_unity_interval(self):
         geo = uniform_interval(333)
         dec = decompose_interval(geo, 4, 0.05)
-        w = blending_weights(dec, geo).weights
+        w = blending_weights(dec, geo)
         np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-14)
 
     def test_partition_of_unity_sectors(self):
         geo = Geometry.circle(512)
         dec = decompose_sectors(geo, 4, np.pi / 9)
-        w = blending_weights(dec, geo).weights
+        w = blending_weights(dec, geo)
         np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-14)
 
     def test_single_domain_weights_are_exactly_one(self):
         geo = uniform_interval(32)
         dec = decompose("single", geo, 1, 0.0)
-        w = blending_weights(dec, geo).weights
+        w = blending_weights(dec, geo)
         assert np.all(w == 1.0)
 
     def test_sector_weights_refuse_a_geometry_without_angles(self):
@@ -218,7 +214,10 @@ class TestBlendingWeights:
     def test_weights_agree_with_supports_and_interiors(self, name):
         # 0 off each subdomain, exactly 1 on its closed interior (in the
         # coordinate the topology splits), and a partition of unity, over
-        # seeded random admissible overlaps
+        # seeded random admissible overlaps.  The documented rule puts
+        # subdomain i's interior at [L*i/k + overlap/2, L*(i+1)/k - overlap/2]
+        # along an axis of extent L starting at 0; an interval's two outer
+        # ends reach its first and last point.
         rng = np.random.default_rng(23)
         if name == "interval":
             geo = Geometry.interval(257)
@@ -231,8 +230,12 @@ class TestBlendingWeights:
             for _ in range(20):
                 overlap = rng.uniform(6.0 * length / 256.0, 0.9 * length / k)
                 dec = decompose(geo, k, overlap)
-                w = blending_weights(dec, geo).weights
-                for i, (lo, hi) in enumerate(dec.interior):
+                w = blending_weights(dec, geo)
+                for i in range(k):
+                    lo = length * i / k + overlap / 2
+                    hi = length * (i + 1) / k - overlap / 2
+                    if name == "interval":
+                        lo, hi = (0.0 if i == 0 else lo), (1.0 if i == k - 1 else hi)
                     off = np.ones(geo.n_x, dtype=bool)
                     off[dec.dof_indices[i]] = False
                     assert np.all(w[i, off] == 0.0)
@@ -241,9 +244,15 @@ class TestBlendingWeights:
                 np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0.0,
                                            atol=1e-13)
 
-    def test_weights_validated(self):
-        with pytest.raises(ValueError):
-            BlendingWeights(np.array([[0.5, 1.5]]))
+    @pytest.mark.parametrize("topology, k, overlap", [
+        ("single", 1, 0.0), ("interval", 3, 0.1)])
+    def test_weights_are_a_read_only_matrix(self, topology, k, overlap):
+        geo = uniform_interval(40)
+        w = blending_weights(decompose(topology, geo, k, overlap), geo)
+        assert w.dtype == np.float64 and w.shape == (k, 40)
+        assert not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 0.5
 
 
 class TestRecombine:
@@ -326,7 +335,6 @@ def test_decomposition_requires_coverage():
             topology="interval",
             n_x=10,
             dof_indices=(np.arange(5, dtype=np.int64),),
-            interior=((-np.inf, np.inf),),
             adjacency=(frozenset(),),
             overlap=0.0,
         )
