@@ -29,6 +29,9 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy
+import scipy
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
@@ -170,8 +173,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=None)
     opts = parser.parse_args(args)
     ks = [int(k) for k in opts.ks.split(",")]
-    import numpy
-    import scipy
     with tempfile.TemporaryDirectory(prefix="ddrom-ksweep-") as tmp:
         result = sweep(opts.seed, ks, opts.n_x, opts.runs, Path(tmp))
     sections = parse_config(config(opts.seed, Path("."), 2, opts.n_x))
