@@ -1,10 +1,9 @@
 """Measure `train`'s memory and time against the subdomain count k.
 
-    python3 tools/ksweep.py [--seed N] [--ks 1,2,4,8] [--n-x N] [--runs N]
-                            [--out FILE]
+    python3 tools/ksweep.py [--ks 1,2,4,8] [--n-x N] [--runs N] [--out FILE]
 
 The ddrom under this checkout's ``src/`` is measured, on the data of the
-ring40k-k4-fixed benchmark workload at the given seed (its n_x replaced by
+ring40k-k4-fixed benchmark workload at ``SEED`` (its n_x replaced by
 ``--n-x`` if given), made once by ``gen``.  Every k trains with that
 workload's r, overlap and regression weights; k = 1 is ``topology =
 single``.  How each k is measured is ``PROTOCOL``.  The JSON written to
@@ -36,9 +35,11 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from ddrom.cli import parse_config, serialize_config  # noqa: E402
+from perfbench.child import peak_rss_bytes  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 WORKLOAD = "ring40k-k4-fixed"
+SEED = 2
 BLAS_THREADS = "2"
 MB = 1e6
 PROTOCOL = (
@@ -51,20 +52,6 @@ PROTOCOL = (
 )
 TRAIN_LINE = re.compile(r"training matrix: (\d+) bytes full, (\d+) bytes "
                         r"largest subdomain \(x([0-9.]+) reduction\)")
-
-
-def _vmhwm_bytes() -> int:
-    """This process's resident high-water mark since exec (VmHWM), or the
-    rusage figure where /proc is missing."""
-    try:
-        with open("/proc/self/status") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
-        pass
-    import resource
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
 def _child(cfg: str, runs: int) -> None:
@@ -82,9 +69,9 @@ def _child(cfg: str, runs: int) -> None:
                 raise SystemExit(f"train failed on {cfg}")
         return out.getvalue()
 
-    floor = _vmhwm_bytes()
+    floor = peak_rss_bytes()
     stdout = train()
-    vmhwm = _vmhwm_bytes()
+    vmhwm = peak_rss_bytes()
     gc.collect()
     tracemalloc.start()
     train()
@@ -100,10 +87,10 @@ def _child(cfg: str, runs: int) -> None:
                "times": times, "stdout": stdout}, sys.stdout)
 
 
-def config(seed: int, work: Path, k: int, n_x: int | None) -> str:
-    """The workload's config at ``seed`` split into ``k`` sectors (one
+def config(work: Path, k: int, n_x: int | None) -> str:
+    """The workload's config at ``SEED`` split into ``k`` sectors (one
     domain for k = 1), writing its model and reports under ``work/k{k}``."""
-    cfg = parse_config(WORKLOADS[WORKLOAD].config_text(seed, str(work)))
+    cfg = parse_config(WORKLOADS[WORKLOAD].config_text(SEED, str(work)))
     if n_x is not None:
         cfg["fom"]["n_x"] = str(n_x)
     cfg["paths"]["artifact"] = str(work / f"k{k}" / "model.bin")
@@ -126,12 +113,12 @@ def _run(args: list[str]) -> str:
     return proc.stdout
 
 
-def sweep(seed: int, ks, n_x: int | None, runs: int, work: Path) -> dict:
+def sweep(ks, n_x: int | None, runs: int, work: Path) -> dict:
     """One row per k and the reductions against k = 1 (if swept)."""
     rows = []
     for k in ks:
         cfg = work / f"k{k}.cfg"
-        cfg.write_text(config(seed, work, k, n_x))
+        cfg.write_text(config(work, k, n_x))
         if not rows:  # every k reads the same snapshot file
             _run(["-m", "ddrom.cli", "gen", "--config", str(cfg)])
         got = json.loads(_run([__file__, "--child", str(cfg), str(runs)]))
@@ -166,7 +153,6 @@ def main(argv=None) -> int:
         _child(args[1], int(args[2]))
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=2)
     parser.add_argument("--ks", default="1,2,4,8")
     parser.add_argument("--n-x", type=int, default=None)
     parser.add_argument("--runs", type=int, default=3)
@@ -174,8 +160,8 @@ def main(argv=None) -> int:
     opts = parser.parse_args(args)
     ks = [int(k) for k in opts.ks.split(",")]
     with tempfile.TemporaryDirectory(prefix="ddrom-ksweep-") as tmp:
-        result = sweep(opts.seed, ks, opts.n_x, opts.runs, Path(tmp))
-    sections = parse_config(config(opts.seed, Path("."), 2, opts.n_x))
+        result = sweep(ks, opts.n_x, opts.runs, Path(tmp))
+    sections = parse_config(config(Path("."), 2, opts.n_x))
     report = {
         "what": "train's largest block, traced peak, resident peak and time "
                 "against the subdomain count k",
@@ -183,7 +169,7 @@ def main(argv=None) -> int:
         "host": f"{os.cpu_count()} cores, {platform.system()}, Python "
                 f"{platform.python_version()}, numpy {numpy.__version__}, scipy "
                 f"{scipy.__version__}, BLAS threads {BLAS_THREADS}",
-        "data": {"workload": WORKLOAD, "seed": opts.seed, "fom": sections["fom"],
+        "data": {"workload": WORKLOAD, "seed": SEED, "fom": sections["fom"],
                  "time": sections["time"], "pod": sections["pod"],
                  "opinf": sections["opinf"],
                  "overlap": sections["decomposition"]["overlap"]},
