@@ -499,7 +499,7 @@ def cmd_decompose(cfg) -> int:
         member[i, idx] = 1
     rows = (
         [p, *m, *w]
-        for p, (m, w) in enumerate(zip(member.T, weights.T))
+        for p, (m, w) in enumerate(zip(member.T.tolist(), weights.T.tolist()))
     )
     path = out_dir / "decomposition.csv"
     _write_csv(path, decompose_header(dec.k), rows)

@@ -171,14 +171,30 @@ def build_data_matrix(
     return np.concatenate(blocks, axis=0).T
 
 
+# lstsq's default cutoff: singular values below eps times the largest are zero
+_EPS = float(np.finfo(np.float64).eps)
+
+
+@lru_cache(maxsize=256)
+def _gelsd_workspace(m: int, n: int, nrhs: int) -> tuple[int, int]:
+    """``dgelsd``'s work and integer work sizes for an (m, n) system with
+    ``nrhs`` right-hand sides."""
+    work, iwork, info = la.lapack.dgelsd_lwork(m, n, nrhs, _EPS)
+    if info != 0:
+        raise ValueError(f"dgelsd workspace query failed: {info}")
+    return int(work), int(iwork)
+
+
 def solve_tikhonov(data: np.ndarray, rhs: np.ndarray, blocks) -> np.ndarray:
     """Ridge-regularized least squares with per-column-block weights.
 
     Minimizes ||data @ X - rhs||_F^2 + sum_b lambda_b ||X_b||_F^2, where
     ``blocks`` is a list of (extent, lambda_b) pairs tiling the columns of
-    ``data``.  Solved through an orthogonal factorization of the augmented
-    stacked system; when a block weight is zero and the problem is rank
-    deficient, the minimum-norm solution is returned.
+    ``data``.  Solved by LAPACK's ``dgelsd`` (the SVD route of
+    ``scipy.linalg.lstsq``, same bits) on the augmented stacked system
+    ``[data; diag(sqrt(lambda))] X = [rhs; 0]``; when a block weight is zero
+    and the problem is rank deficient, the minimum-norm solution is
+    returned.  Non-finite data or rhs raises ValueError.
     """
     data = np.asarray(data, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -198,10 +214,26 @@ def solve_tikhonov(data: np.ndarray, rhs: np.ndarray, blocks) -> np.ndarray:
     if at != d:
         raise ValueError("blocks do not tile the data matrix columns")
 
-    stacked = np.vstack([data, np.diag(sqrt_lam)])
-    padded = np.vstack([rhs, np.zeros((d, rhs.shape[1]))])
-    solution, *_ = la.lstsq(stacked, padded, lapack_driver="gelsd")
-    return solution
+    if not (np.isfinite(data).all() and np.isfinite(rhs).all()):
+        raise ValueError("data and rhs must not contain infs or NaNs")
+    m, nrhs = rhs.shape
+    if d == 0:  # LAPACK takes no zero-sized problem
+        return np.zeros((0, nrhs))
+    # column-major, so LAPACK factors and solves in these buffers
+    stacked = np.zeros((m + d, d), order="F")
+    stacked[:m] = data
+    np.fill_diagonal(stacked[m:], sqrt_lam)
+    padded = np.zeros((m + d, nrhs), order="F")
+    padded[:m] = rhs
+    lwork, liwork = _gelsd_workspace(m + d, d, nrhs)
+    x, _, _, info = la.lapack.dgelsd(stacked, padded, lwork, liwork, _EPS,
+                                     True, True)
+    if info > 0:
+        raise la.LinAlgError("SVD did not converge in Linear Least Squares")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgelsd")
+    return x[:d]
+
 
 
 # per scheme: the divisor (a factor of dt), the central stencil as (column

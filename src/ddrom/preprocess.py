@@ -339,16 +339,17 @@ class BlockSource(SnapshotFile):
         return block
 
 
-# a block reads each column in at most this many spans of rows
+# a subdomain's rows of a column are at most this many spans
 SPANS_PER_COLUMN = 8
 
 
 def _spans(rows: np.ndarray) -> list:
-    """The spans of file rows that cover ``rows``, at most SPANS_PER_COLUMN
-    of them: the runs of consecutive rows, merged across their narrowest
-    gaps.  Each is ``(first, stop, at, pick)``: a run that the block stores
-    in order at positions ``at .. at + stop - first - 1`` has ``pick`` None;
-    any other span puts its rows ``first + pick`` at the positions ``at``.
+    """The spans of full-state rows that cover a subdomain's ``rows``, at
+    most SPANS_PER_COLUMN of them: the runs of consecutive rows, merged
+    across their narrowest gaps.  Each is ``(first, stop, at, pick)``: a
+    run that the subdomain's block holds in order at positions
+    ``at .. at + stop - first - 1`` has ``pick`` None; any other span holds
+    its rows ``first + pick`` at the positions ``at``.
     """
     order = np.argsort(rows, kind="stable")
     ordered = rows[order]

@@ -302,8 +302,10 @@ class Prediction(_Columns):
         column, if larger, and never wider than the range), valid until the
         next one is made.  Memory: the buffer and one lifted subdomain block
         of its columns.  Each block ``w_i * (V_i @ Q_i)`` is added into its
-        rows in ascending subdomain order, which sums the same terms in the
-        same order as :func:`ddrom.decomp.recombine` on zero-padded fields.
+        rows column by column, a slice add per run of
+        :func:`ddrom.preprocess._spans`, in ascending subdomain order, which
+        sums the same terms in the same order as
+        :func:`ddrom.decomp.recombine` on zero-padded fields.
         A chunk holding a non-finite value is refused.
         """
         return self._blend(_column_buffers(self.n, start, stop))
@@ -315,7 +317,14 @@ class Prediction(_Columns):
         for i in range(rom.k):
             rows = layout.point_rows(rom.decomposition.dof_indices[i])
             weight = np.tile(rom.weights[i], layout.n_s)[rows]
-            lifts.append((rows, weight[:, None]))
+            # each span as (chunk rows, block rows): a pair of slices for a
+            # run, of index arrays for a merged span
+            spans = [
+                (slice(first, stop), slice(at, at + stop - first)) if pick is None
+                else (first + pick, at)
+                for first, stop, at, pick in preprocess._spans(rows)
+            ]
+            lifts.append((spans, weight))
         for j, chunk in pieces:
             chunk.fill(0.0)
             # a one-column product would take BLAS's matrix-vector route,
@@ -325,11 +334,18 @@ class Prediction(_Columns):
             lo = max(j - 1, 0) if width == 1 else j
             cols = slice(lo, max(j + width, lo + 2))
             keep = slice(j - lo, j - lo + width)
-            for basis, q, (rows, weight) in zip(rom.bases, self.trajectories, lifts):
-                block = (basis.basis @ q[:, cols])[:, keep]
-                block *= weight
-                chunk[rows] += block
-                del block  # freed before the next block's product is formed
+            for basis, q, (spans, weight) in zip(rom.bases, self.trajectories, lifts):
+                # column-major like the chunk, then weighted and added one
+                # column at a time: on contiguous 1-D operands numpy needs
+                # no ufunc buffers, which it allocates for the short runs of
+                # a whole multi-column block
+                block = np.matmul(q[:, cols].T, basis.basis.T).T[:, keep]
+                for lifted, column in zip(block.T, chunk.T):
+                    lifted *= weight
+                    for dst, src in spans:
+                        column[dst] += lifted[src]
+                # freed (with the view into it) before the next product is formed
+                del block, lifted
             preprocess._invert_in_place(chunk, layout, rom.scaling)
             if not np.isfinite(chunk).all():
                 raise ValueError("non-finite data")

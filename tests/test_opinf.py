@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,6 +111,44 @@ class TestTikhonov:
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError):
             solve_tikhonov(np.ones((4, 3)), np.ones((4, 1)), [(3, -1.0)])
+
+    @staticmethod
+    def stacked_lstsq(data, rhs, blocks):
+        """The stacked system solved by scipy's lstsq, gelsd driver."""
+        lam = np.concatenate([np.full(n, l) for n, l in blocks])
+        stacked = np.vstack([data, np.diag(np.sqrt(lam))])
+        padded = np.vstack([rhs, np.zeros((data.shape[1], rhs.shape[1]))])
+        return la.lstsq(stacked, padded, lapack_driver="gelsd")[0]
+
+    @pytest.mark.parametrize("nrhs", [1, 4])
+    @pytest.mark.parametrize("rows, cols, blocks, deficient", [
+        (30, 8, [(3, 1e-3), (4, 1e-1), (1, 1e-3)], False),  # tall
+        (5, 9, [(4, 1e-2), (5, 10.0)], False),  # wide: rows < columns
+        (20, 6, [(2, 0.0), (4, 0.0)], True),  # zero weight, rank deficient
+        (12, 7, [(3, 0.0), (4, 1e-4)], True),  # one zero block
+    ])
+    def test_equals_stacked_lstsq_bit_for_bit(self, rows, cols, blocks,
+                                              deficient, nrhs):
+        rng = np.random.default_rng(rows * 100 + cols + nrhs)
+        data = rng.standard_normal((rows, cols))
+        if deficient:
+            data[:, -1] = data[:, 0]
+            assert np.linalg.matrix_rank(data) < cols
+        rhs = rng.standard_normal((rows, nrhs))
+        x = solve_tikhonov(data, rhs, blocks)
+        np.testing.assert_array_equal(x, self.stacked_lstsq(data, rhs, blocks))
+
+    def test_no_columns_gives_an_empty_solution(self):
+        x = solve_tikhonov(np.ones((4, 0)), np.ones((4, 2)), [])
+        assert x.shape == (0, 2)
+
+    @pytest.mark.parametrize("where", ["data", "rhs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_refused(self, where, bad):
+        args = {"data": np.ones((4, 3)), "rhs": np.ones((4, 2))}
+        args[where][1, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_tikhonov(args["data"], args["rhs"], [(3, 0.1)])
 
 
 class TestTimeDerivatives:

@@ -121,6 +121,46 @@ def coupled_chain_rom(k, r=3, seed=5):
     )
 
 
+def annular_rom(radii, n_s, k=3, n_theta=16, r=3, seed=6):
+    """k coupled sectors of an annulus with ``n_s`` variables: each
+    subdomain's rows are one run per radius and variable, or more."""
+    geometry = Geometry.annulus(n_theta, radii)
+    dec = decompose("annular", geometry, k, 0.5)
+    layout = StateLayout(n_s=n_s, n_x=geometry.n_x,
+                         variable_names=("u", "v")[:n_s])
+    rng = np.random.default_rng(seed)
+    bases = [orthonormal_basis(n_s * idx.size, r, seed=seed + i)
+             for i, idx in enumerate(dec.dof_indices)]
+    operators = [
+        RomOperators(
+            linear=0.4 * rng.standard_normal((r, r)),
+            quadratic=0.02 * rng.standard_normal((r, quadratic_dim(r))),
+            coupling={j: 0.1 * rng.standard_normal((r, r)) for j in nbrs},
+            form="discrete",
+        )
+        for nbrs in dec.adjacency
+    ]
+    scaling = ScalingRecord(np.zeros(layout.n), np.ones(n_s), "max_abs",
+                            ("identity",) * n_s)
+    return CoupledRom(
+        layout=layout, geometry=geometry, decomposition=dec, bases=bases,
+        operators=operators, scaling=scaling, form="discrete", dt=0.1,
+    )
+
+
+def recombined_lift(rom, full0, steps):
+    """The prediction from zero-padded lifted fields and
+    :func:`ddrom.decomp.recombine` (identity scaling)."""
+    trajs = integrate(rom, reduce_initial_condition(rom, full0), steps)
+    fields = []
+    for i in range(rom.k):
+        field = np.zeros((rom.layout.n, steps + 1))
+        rows = rom.layout.point_rows(rom.decomposition.dof_indices[i])
+        field[rows] = rom.bases[i].basis @ trajs[i]
+        fields.append(field)
+    return recombine(fields, rom.weights)
+
+
 def loop_roll(operators, form, dt, init, steps):
     """Reference rollout: each right-hand side concatenates
     ``op.apply(own[i], own)`` over the subdomains, one at a time."""
@@ -476,16 +516,27 @@ class TestPredictFull:
         rng = np.random.default_rng(8)
         full0 = rng.standard_normal(rom.layout.n)
         out = predict_full(rom, full0, steps=7)
-        trajs = integrate(rom, reduce_initial_condition(rom, full0), 7)
-        fields = []
-        for i in range(rom.k):
-            field = np.zeros((rom.layout.n, 8))
-            rows = rom.layout.point_rows(rom.decomposition.dof_indices[i])
-            field[rows] = rom.bases[i].basis @ trajs[i]
-            fields.append(field)
-        expected = recombine(fields, rom.weights)
-        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(out.data, recombined_lift(rom, full0, 7))
         assert not out.data.flags.writeable
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("radii, n_s, picked", [
+        ((1.0, 1.5), 2, False),  # two variables: a run per variable block
+        (tuple(np.linspace(1.0, 2.0, 9)), 1, True),  # 9+ runs are merged
+    ])
+    def test_multi_run_subdomains_blend_like_recombine(self, monkeypatch, width,
+                                                       radii, n_s, picked):
+        rom = annular_rom(radii, n_s)
+        spans = [preprocess._spans(rom.layout.point_rows(idx))
+                 for idx in rom.decomposition.dof_indices]
+        assert all(len(s) > 1 for s in spans)
+        assert any(pick is not None for s in spans for *_, pick in s) == picked
+        full0 = np.random.default_rng(11).standard_normal(rom.layout.n)
+        monkeypatch.setattr(core, "_SCAN_BYTES", 8 * rom.layout.n * width)
+        parts = [chunk.copy() for _, chunk in Prediction(rom, full0, 7).chunks(0, 8)]
+        assert max(c.shape[1] for c in parts) == width
+        np.testing.assert_array_equal(np.hstack(parts),
+                                      recombined_lift(rom, full0, 7))
 
     @pytest.mark.parametrize("width", [1, 2, 3, 8])
     def test_chunks_give_the_whole_prediction(self, monkeypatch, width):
